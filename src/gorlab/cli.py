@@ -27,6 +27,7 @@ from fractions import Fraction
 from .algebra import FiniteAlgebra
 from .errors import (
     DuplicateClause,
+    FieldMismatch,
     GorlabError,
     IOFailure,
     NotIsotropicUnit,
@@ -47,8 +48,7 @@ from .frobenius import (
     socle_generator,
 )
 from .algebra import Subspace
-from .poly import MultiPoly, grevlex_key, groebner_basis, mono_label, standard_monomials
-from .poly import quotient_algebra as compile_quotient
+from .poly import MultiPoly, _quotient_with_index, grevlex_key, mono_label
 from .scalar import GF, QQ, Field, Scalar
 from .tensors import (
     cw_tensor,
@@ -172,8 +172,6 @@ class PresentationDocument:
 
 
 def _scalar_source(c: Scalar) -> str:
-    if c.field.characteristic == 0:
-        return str(c.value)
     return str(c.value)
 
 
@@ -430,10 +428,7 @@ class CompiledDocument:
 def compile_presentation(doc: PresentationDocument) -> CompiledDocument:
     """Quotient compilation plus resolution of orient/aug clauses against
     the standard-monomial basis."""
-    A = compile_quotient(list(doc.relations))
-    gb = groebner_basis(list(doc.relations))
-    monos = standard_monomials(gb)
-    index = {m: i for i, m in enumerate(monos)}
+    A, index = _quotient_with_index(doc.relations)
     phi = None
     if doc.orient is not None:
         vec = [doc.field.zero] * A.dim
@@ -450,7 +445,7 @@ def compile_presentation(doc: PresentationDocument) -> CompiledDocument:
         for v, c in doc.aug:
             values[v] = c
         vec = []
-        for m in monos:
+        for m in index:
             val = doc.field.one
             for name, expo in zip(doc.variables, m):
                 for _ in range(expo):
@@ -482,6 +477,8 @@ def load_form_file(path: str) -> BilinearForm:
     try:
         fdesc = data["field"]
         fld = QQ if fdesc["characteristic"] == 0 else GF(fdesc["characteristic"])
+        if fdesc["kind"] != fld.kind:
+            raise FieldMismatch(f"field kind {fdesc['kind']} contradicts its characteristic")
         gram = [[fld.parse(x) for x in row] for row in data["gram"]]
     except (KeyError, TypeError) as ex:
         raise IOFailure(f"{path} is not a form file (field + gram): {ex}") from ex
@@ -720,6 +717,13 @@ class _Parser2(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser2(prog="gorlab", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
@@ -735,8 +739,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("orient", _cmd_orient)
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--symbolic-max-dim", type=int, default=8, dest="symbolic_max_dim")
+    p.add_argument("--trials", type=_nonnegative_int, default=64)
+    p.add_argument(
+        "--symbolic-max-dim", type=_nonnegative_int, default=8, dest="symbolic_max_dim"
+    )
     p = add("socle", _cmd_socle)
     p.add_argument("file")
     p = add("consum", _cmd_consum)

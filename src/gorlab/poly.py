@@ -10,7 +10,9 @@ standard, which fixes the basis labels everywhere downstream.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import product
+from operator import add, le, sub
 
 from . import linalg
 from .algebra import FiniteAlgebra
@@ -37,19 +39,19 @@ def grevlex_key(m: Monomial):
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_label(m: Monomial, variables) -> str:
@@ -65,7 +67,7 @@ def mono_label(m: Monomial, variables) -> str:
 class MultiPoly:
     """A multivariate polynomial: a map from exponent tuples to nonzero scalars."""
 
-    __slots__ = ("field", "variables", "terms")
+    __slots__ = ("field", "variables", "terms", "_lm")
 
     def __init__(self, field: Field, variables, terms):
         variables = tuple(variables)
@@ -81,6 +83,7 @@ class MultiPoly:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_lm", None)
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -189,9 +192,11 @@ class MultiPoly:
         )
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ZeroInput("the zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        if self._lm is None:
+            if not self.terms:
+                raise ZeroInput("the zero polynomial has no leading monomial")
+            object.__setattr__(self, "_lm", max(self.terms, key=grevlex_key))
+        return self._lm
 
     def leading_coeff(self) -> Scalar:
         return self.terms[self.leading_monomial()]
@@ -289,8 +294,11 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def groebner_basis(gens) -> list[MultiPoly]:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Buchberger with the coprimality and chain criteria; output is the unique
-    reduced basis, sorted by ascending leading monomial.
+    Buchberger's algorithm: the pending pair whose leading monomials have the
+    smallest lcm goes first, ties by index pair (i, j).  A pair is dropped by
+    the coprimality criterion or by the chain criterion (some other leading
+    monomial divides the lcm and both side pairs are done).  The output is
+    the unique reduced basis, sorted by ascending leading monomial.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -300,24 +308,21 @@ def groebner_basis(gens) -> list[MultiPoly]:
         if g.field != field or g.variables != variables:
             raise FieldMismatch("generators live in different rings")
     basis = [g.monic() for g in gens]
+    lms = [g.leading_monomial() for g in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
-    def lm(i):
-        return basis[i].leading_monomial()
-
-    while pairs:
-        i, j = min(
-            pairs, key=lambda p: (grevlex_key(mono_lcm(lm(p[0]), lm(p[1]))), p)
-        )
+    queue = [(grevlex_key(mono_lcm(lms[i], lms[j])), i, j) for i, j in pairs]
+    heapify(queue)
+    while queue:
+        _, i, j = heappop(queue)
         pairs.discard((i, j))
-        l = mono_lcm(lm(i), lm(j))
+        l = mono_lcm(lms[i], lms[j])
         # first Buchberger criterion: coprime leading monomials
-        if l == mono_mul(lm(i), lm(j)):
+        if l == mono_mul(lms[i], lms[j]):
             continue
         # chain criterion: some k with lm(k) | lcm and both side pairs done
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(lm(k), l):
+        for k, lm_k in enumerate(lms):
+            if k in (i, j) or not mono_divides(lm_k, l):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -330,8 +335,11 @@ def groebner_basis(gens) -> list[MultiPoly]:
         if h:
             h = h.monic()
             basis.append(h)
+            lms.append(h.leading_monomial())
             new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
+            for k in range(new):
+                pairs.add((k, new))
+                heappush(queue, (grevlex_key(mono_lcm(lms[k], lms[new])), k, new))
     # interreduce to the unique reduced basis: minimalize by leading
     # monomial first, then reduce each tail against the others
     lead = {}
@@ -387,6 +395,11 @@ def quotient_algebra(gens, cap: int = 100_000) -> FiniteAlgebra:
     Basis: the standard monomials; structure constants by normal form of
     pairwise products; the unit is the class of 1.
     """
+    return _quotient_with_index(gens, cap)[0]
+
+
+def _quotient_with_index(gens, cap: int = 100_000):
+    """quotient_algebra and its basis index {standard monomial: position}."""
     gens = [g for g in gens if g]
     if not gens:
         raise InfiniteDimensional("the zero ideal has infinite quotient")
@@ -411,7 +424,7 @@ def quotient_algebra(gens, cap: int = 100_000) -> FiniteAlgebra:
     unit = [z] * d
     unit[index[(0,) * len(variables)]] = field.one
     labels = [mono_label(m, variables) for m in monos]
-    return FiniteAlgebra(field, labels, c, unit, validate=False)
+    return FiniteAlgebra(field, labels, c, unit, validate=False), index
 
 
 # ---------------------------------------------------------------------------

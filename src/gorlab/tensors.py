@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatch,
     SingularWitness,
 )
-from .forms import BilinearForm, WittInvariants, witt_invariants
+from .forms import BilinearForm, WittInvariants, is_even, witt_invariants
 from .frobenius import (
     Augmented,
     GorensteinResult,
@@ -318,9 +318,9 @@ def degeneration_to_cw(T: Augmented) -> DegenerationReport:
         validate=True,
     )
     inv = witt_invariants(nu.form)
-    return DegenerationReport(
-        fam, nu.form, inv, dec.adapted_basis, closed_fiber_is_aq=True
-    )
+    # in characteristic 2 an alternating V-form cannot become A_q's identity form
+    closed_fiber_is_aq = f.characteristic != 2 or not is_even(nu.form)
+    return DegenerationReport(fam, nu.form, inv, dec.adapted_basis, closed_fiber_is_aq)
 
 
 @dataclass(frozen=True)

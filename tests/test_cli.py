@@ -150,6 +150,14 @@ def test_orient_command(capsys, tmp_path):
     assert payload["certificate"]["is_zero"] is True
 
 
+def test_orient_rejects_negative_counts(capsys, a2_file):
+    for flag in ("--trials", "--symbolic-max-dim"):
+        code, payload, _ = run(capsys, "orient", a2_file, flag, "-1")
+        assert code == 2
+        assert payload["kind"] == "UsageError"
+        assert flag in payload["message"]
+
+
 def test_socle_command(capsys, a2_file):
     code, payload, _ = run(capsys, "socle", a2_file)
     assert code == 0
@@ -254,6 +262,16 @@ def test_gro_command(capsys, tmp_path):
     assert code == 0 and payload["member"] is False
     code, payload, _ = run(capsys, "gro", str(p), "--subspace", "1,1")
     assert payload["member"] is True
+
+
+def test_form_file_kind_must_match_characteristic(capsys, tmp_path):
+    for kind, char in (("Rationals", 5), ("PrimeField", 0)):
+        p = tmp_path / f"{kind}.form.json"
+        field = {"kind": kind, "characteristic": char}
+        p.write_text(json.dumps({"field": field, "gram": [["0", "1"], ["1", "0"]]}))
+        code, payload, _ = run(capsys, "embed-hyp", str(p))
+        assert code == 1
+        assert payload["kind"] == "FieldMismatch"
 
 
 def test_domain_error_exit_code(capsys, tmp_path):

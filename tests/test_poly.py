@@ -1,6 +1,8 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gorlab import GF, QQ, linalg
 from gorlab.errors import BoundTooSmall, InfiniteDimensional, UnitIdeal
@@ -11,10 +13,12 @@ from gorlab.poly import (
     grevlex_key,
     groebner_basis,
     lowest_degree_initial_ideal,
+    mono_divides,
     monomials_of_degree,
     normal_form,
     poly_ring,
     quotient_algebra,
+    s_polynomial,
     standard_monomials,
 )
 
@@ -292,6 +296,65 @@ def test_groebner_agrees_with_reference_over_f7():
         if not gens:
             continue
         assert groebner_basis(gens) == _buchberger_no_criteria(gens)
+
+
+@st.composite
+def _small_ideals(draw):
+    """A few generators in at most three variables over QQ or GF(7)."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    monos = st.tuples(*[st.integers(0, 2) for _ in names])
+    coeffs = st.integers(1, 3) | st.integers(-3, -1)
+    terms = st.dictionaries(monos, coeffs, min_size=1, max_size=3)
+    polys = terms.map(lambda t: MultiPoly(field, names, t))
+    return field, draw(st.lists(polys, min_size=2, max_size=3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_small_ideals(), st.data())
+def test_groebner_basis_is_reduced_and_canonical(ideal, data):
+    field, gens = ideal
+    gb = groebner_basis(gens)
+    lms = [g.leading_monomial() for g in gb]
+    for i, g in enumerate(gb):
+        assert g.leading_coeff() == 1
+        for m in g.terms:
+            assert not any(k != i and mono_divides(lm, m) for k, lm in enumerate(lms))
+        for h in gb[i + 1 :]:
+            assert not normal_form(s_polynomial(g, h), gb)
+    for g in gens:
+        assert not normal_form(g, gb)
+    units = st.integers(1, 6).map(field.scalar) | st.integers(-6, -1).map(field.scalar)
+    shuffled = data.draw(st.permutations(gens))
+    scaled = [g.scale(data.draw(units)) for g in shuffled]
+    assert groebner_basis(scaled) == gb
+
+
+def test_compile_presentation_runs_buchberger_once(monkeypatch):
+    import gorlab.poly
+    from gorlab.cli import compile_presentation, parse_presentation
+
+    original = gorlab.poly.groebner_basis
+    calls = []
+
+    def counting(gens):
+        calls.append(gens)
+        return original(gens)
+
+    # patch every gorlab namespace that binds the function
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gorlab":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    doc = parse_presentation(
+        "field Q\nvars y1 y2\nrel y1*y2\nrel y1^2 - y2^2\nrel y1^3\n"
+        "orient y1^2 : 1\naug y1 = 0, y2 = 0\n"
+    )
+    cd = compile_presentation(doc)
+    assert len(calls) == 1
+    assert cd.algebra.labels == ("1", "y1", "y2", "y1^2")
+    assert cd.phi == (QQ.zero, QQ.zero, QQ.zero, QQ.one)
 
 
 def test_det_multipoly_matches_numeric():

@@ -8,8 +8,8 @@ from gorlab.errors import (
     ShapeMismatch,
     SingularWitness,
 )
-from gorlab.forms import is_nondegenerate
-from gorlab.frobenius import Augmented, OrientedAlgebra
+from gorlab.forms import hyperbolic_form, is_nondegenerate
+from gorlab.frobenius import Augmented, OrientedAlgebra, form_to_algebra
 from gorlab.tensors import (
     Tensor3,
     aq_algebra,
@@ -192,6 +192,15 @@ def test_degeneration_invariants_report():
     assert rep.invariants.rank == 2
     assert rep.invariants.signature == 0
     assert rep.closed_fiber_is_aq
+
+
+def test_closed_fiber_is_not_aq_for_alternating_form_in_char_2():
+    # over F_2 the hyperbolic plane is alternating, A_q's intrinsic form is not
+    hyp = form_to_algebra(hyperbolic_form(GF(2), 1))
+    assert degeneration_to_cw(hyp).closed_fiber_is_aq is False
+    for field in (QQ, GF(101)):
+        rep = degeneration_to_cw(form_to_algebra(hyperbolic_form(field, 1)))
+        assert rep.closed_fiber_is_aq is True
 
 
 def test_reduced_degeneration_q1():
