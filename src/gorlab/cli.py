@@ -463,6 +463,8 @@ def load_algebra_file(path: str) -> CompiledDocument:
             text = fh.read()
     except OSError as ex:
         raise IOFailure(f"cannot read {path}: {ex.strerror or ex}") from ex
+    except UnicodeDecodeError as ex:
+        raise IOFailure(f"{path} is not UTF-8 text: {ex}") from ex
     return compile_presentation(parse_presentation(text))
 
 
@@ -472,6 +474,8 @@ def load_form_file(path: str) -> BilinearForm:
             data = json.load(fh)
     except OSError as ex:
         raise IOFailure(f"cannot read {path}: {ex.strerror or ex}") from ex
+    except UnicodeDecodeError as ex:
+        raise IOFailure(f"{path} is not UTF-8 text: {ex}") from ex
     except json.JSONDecodeError as ex:
         raise IOFailure(f"{path} is not valid JSON: {ex}") from ex
     try:

@@ -39,11 +39,9 @@ from .scalar import Field, Scalar, TPoly
 def b_phi(A: FiniteAlgebra, phi) -> BilinearForm:
     """The pairing (x, y) -> phi(x*y) attached to a functional phi."""
     phi = A.coerce_vector(phi)
-    d = A.dim
-    gram = [
-        [linalg.sum_dot(A.c[i][j], phi) if d else A.field.zero for j in range(d)]
-        for i in range(d)
-    ]
+    # contract on raw values; BilinearForm boxes (and reduces mod p) once
+    support = [(k, x.value) for k, x in enumerate(phi) if x]
+    gram = [[sum(c_ij[k].value * v for k, v in support) for c_ij in c_i] for c_i in A.c]
     return BilinearForm(A.field, gram)
 
 

@@ -1,15 +1,29 @@
 """Dense exact linear algebra over a base field.
 
-Matrices are tuples of row tuples of Scalar.  Row-space bases are always
-canonicalized to reduced row echelon form, so subspace equality is literal
-matrix equality.  The matrix-vector helpers are ring-generic: they also act
-on vectors of TPoly, which is how family computations stay polynomial.
+At the API, matrices are tuples of row tuples of Scalar.  The field routines
+``rref``, ``det`` and ``mat_mul`` -- and through them ``kernel_basis``,
+``invert``, ``solve_right``, ``solve_right_affine``, ``RowSolver``,
+``extend_to_basis`` and ``complement_in`` -- unbox their input once to raw
+values (ints in [0, p) over F_p, Fractions over QQ), run their one
+elimination or product loop on those, and box the result once.  Unboxing
+checks that every entry is a Scalar of one field.
+
+Row-space bases are always canonicalized to reduced row echelon form, so
+subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec``,
+``vec_mat`` and ``det_in_domain`` stay ring-generic: they also act on TPoly
+entries, which is how family computations stay polynomial.
 """
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, Singular
-from .scalar import Field
+from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
+
+from .errors import DimensionMismatch, FieldMismatch, Singular
+from .scalar import Field, Scalar
+
+_QQ_ZERO = Fraction(0)
 
 
 def mat(rows):
@@ -30,9 +44,60 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
+def unbox(m, field: Field = None):
+    """The raw values of a Scalar matrix as a list of row lists, and its field.
+
+    Every entry must be a Scalar of ``field`` (of one common field when
+    ``field`` is None); otherwise FieldMismatch.  The field is None only when
+    the matrix has no entries.
+    """
+    out = []
+    for row in m:
+        raw = []
+        for x in row:
+            if not isinstance(x, Scalar):
+                raise FieldMismatch(f"{x!r} is not a field element")
+            if x.field is not field:
+                if field is None:
+                    field = x.field
+                elif x.field != field:
+                    raise FieldMismatch(f"{field} vs {x.field}")
+            raw.append(x.value)
+        out.append(raw)
+    return field, out
+
+
+def _box(field: Field, rows):
+    """Inverse of unbox: raw rows (already reduced) to a tuple matrix of Scalar."""
+    return tuple(tuple(Scalar(field, x) for x in row) for row in rows)
+
+
+def raw_mul(a, b, p: int):
+    """Product of two raw matrices over F_p (p > 0) or QQ (p = 0).
+
+    Each row of the product is a combination of the nonzero rows of b, so
+    zeros in a and zero rows of b cost nothing.
+    """
+    zeros = [0 if p else _QQ_ZERO] * (len(b[0]) if b else 0)
+    support = [(k, brow) for k, brow in enumerate(b) if any(brow)]
+    out = []
+    for row in a:
+        acc = list(zeros)
+        for k, brow in support:
+            x = row[k]
+            if x:
+                if p:
+                    acc = list(map(add, acc, map(mul, brow, repeat(x))))
+                else:
+                    acc = [s + x * y if y else s for s, y in zip(acc, brow)]
+        out.append([s % p for s in acc] if p else acc)
+    return out
+
+
 def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(sum_dot(ra, rb) for rb in bt) for ra in a)
+    field, ra = unbox(a)
+    field, rb = unbox(b, field)
+    return _box(field, raw_mul(ra, rb, field.characteristic if field else 0))
 
 
 def sum_dot(u, v):
@@ -56,28 +121,44 @@ def vec_mat(v, m):
 
 
 def rref(rows, ncols=None):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Pivots are sought in the first ``ncols`` columns (all by default); row
+    operations act on whole rows.
+    """
+    field, work = unbox(rows)
+    if field is None:
+        return (), ()
+    p = field.characteristic
     if ncols is None:
-        ncols = len(work[0]) if work else 0
+        ncols = len(work[0])
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == len(work):
+            break
         pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        prow = work[r]
+        # rows r.. vanish left of c, so the pivot row's support starts at c
+        nz = [j for j in range(c, len(prow)) if prow[j]]
+        inv = pow(prow[c], -1, p) if p else 1 / prow[c]
+        for j in nz:
+            prow[j] = prow[j] * inv % p if p else prow[j] * inv
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                if p:
+                    for j in nz:
+                        row[j] = (row[j] - f * prow[j]) % p
+                else:
+                    for j in nz:
+                        row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
-        if r == len(work):
-            break
-    return mat(work[:r]), tuple(pivots)
+    return _box(field, work[:r]), tuple(pivots)
 
 
 def rank(rows, ncols=None):
@@ -102,11 +183,10 @@ def kernel_basis(field: Field, rows, ncols: int):
 
 def det(field: Field, m):
     """Determinant by exact Gaussian elimination (field entries)."""
-    n = len(m)
-    if n == 0:
-        return field.one
-    work = [list(r) for r in m]
-    out = field.one
+    _, work = unbox(m, field)
+    p = field.characteristic
+    n = len(work)
+    out = 1 if p else Fraction(1)
     for c in range(n):
         pivot = next((i for i in range(c, n) if work[i][c]), None)
         if pivot is None:
@@ -114,13 +194,22 @@ def det(field: Field, m):
         if pivot != c:
             work[c], work[pivot] = work[pivot], work[c]
             out = -out
-        out = out * work[c][c]
-        inv = work[c][c].inverse()
-        for i in range(c + 1, n):
-            if work[i][c]:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return out
+        prow = work[c]
+        out = out * prow[c] % p if p else out * prow[c]
+        inv = pow(prow[c], -1, p) if p else 1 / prow[c]
+        nz = [j for j in range(c + 1, n) if prow[j]]
+        for row in work[c + 1 :]:
+            f = row[c]
+            if f:
+                if p:
+                    f = f * inv % p
+                    for j in nz:
+                        row[j] = (row[j] - f * prow[j]) % p
+                else:
+                    f = f * inv
+                    for j in nz:
+                        row[j] -= f * prow[j]
+    return Scalar(field, out % p if p else out)
 
 
 def det_in_domain(zero, one, m, exact_div):
@@ -162,33 +251,30 @@ def invert(field: Field, m):
     return mat(row[n:] for row in red)
 
 
-def solve_right(field: Field, m, b):
-    """The unique x with M x = b; raises Singular otherwise."""
-    n = len(m)
+def _solve(field: Field, m, b):
+    """(x, rank of M) for the solution x of M x = b with free coordinates 0."""
     ncols = len(m[0]) if m else 0
     aug = [list(r) + [bv] for r, bv in zip(m, b)]
     red, pivots = rref(aug, ncols + 1)
     if ncols in pivots:
         raise Singular("inconsistent system")
-    if len(pivots) < ncols:
-        raise Singular("underdetermined system")
     x = [field.zero] * ncols
     for r, c in enumerate(pivots):
         x[c] = red[r][ncols]
-    return tuple(x)
+    return tuple(x), len(pivots)
+
+
+def solve_right(field: Field, m, b):
+    """The unique x with M x = b; raises Singular otherwise."""
+    x, rk = _solve(field, m, b)
+    if rk < len(x):
+        raise Singular("underdetermined system")
+    return x
 
 
 def solve_right_affine(field: Field, m, b):
     """Some solution of M x = b, free coordinates set to 0 (canonical)."""
-    ncols = len(m[0]) if m else 0
-    aug = [list(r) + [bv] for r, bv in zip(m, b)]
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        raise Singular("inconsistent system")
-    x = [field.zero] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return tuple(x)
+    return _solve(field, m, b)[0]
 
 
 class RowSolver:

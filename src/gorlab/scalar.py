@@ -234,13 +234,16 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        p = self.field.characteristic
+        if p == 0:
+            return Scalar(self.field, self.value - o.value)
+        return Scalar(self.field, (self.value - o.value) % p)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         if isinstance(other, TPoly):

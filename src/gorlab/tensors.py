@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import linalg
 from .algebra import AlgebraFamily, FiniteAlgebra
@@ -229,20 +230,13 @@ def strassen_commuting(T: Tensor3, witness) -> bool:
     M = T.slice_first(witness)
     if not linalg.det(f, M):
         raise SingularWitness("witness slice is singular")
-    Minv = linalg.invert(f, M)
-    d1 = T.dims[0]
-    slices = []
-    for i in range(d1):
-        a = [f.zero] * d1
-        a[i] = f.one
-        slices.append(linalg.mat_mul(Minv, T.slice_first(a)))
-    for i in range(d1):
-        for j in range(i + 1, d1):
-            ab = linalg.mat_mul(slices[i], slices[j])
-            ba = linalg.mat_mul(slices[j], slices[i])
-            if ab != ba:
-                return False
-    return True
+    # products of raw matrices: slice(e_i) is the i-th layer of T
+    p = f.characteristic
+    Minv = linalg.unbox(linalg.invert(f, M), f)[1]
+    slices = [linalg.raw_mul(Minv, linalg.unbox(layer, f)[1], p) for layer in T.entries]
+    return all(
+        linalg.raw_mul(a, b, p) == linalg.raw_mul(b, a, p) for a, b in combinations(slices, 2)
+    )
 
 
 def matrix_algebra_tensor(field: Field, n: int) -> Tensor3:

@@ -305,6 +305,22 @@ def test_missing_file_is_json_io_error(capsys, tmp_path):
     assert code == 1 and payload["kind"] == "IOError"
 
 
+def test_non_utf8_algebra_file_is_json_io_error(capsys, tmp_path):
+    p = tmp_path / "binary.alg"
+    p.write_bytes(b"\xff\xfe")
+    code, payload, _ = run(capsys, "check", str(p))
+    assert code == 1 and payload["kind"] == "IOError"
+    assert "not UTF-8" in payload["message"]
+
+
+def test_non_utf8_form_file_is_json_io_error(capsys, tmp_path):
+    p = tmp_path / "binary.form.json"
+    p.write_bytes(b"\xff\xfe")
+    code, payload, _ = run(capsys, "embed-hyp", str(p))
+    assert code == 1 and payload["kind"] == "IOError"
+    assert "not UTF-8" in payload["message"]
+
+
 def test_usage_error_exit_code(capsys):
     code = run_command(["no-such-command"])
     out = capsys.readouterr().out

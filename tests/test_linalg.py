@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gorlab import GF, QQ, linalg
-from gorlab.errors import Singular
-from gorlab.scalar import TPoly
+from gorlab.errors import FieldMismatch, Singular
+from gorlab.scalar import Scalar, TPoly
 
 
 def M(field, rows):
@@ -94,3 +97,132 @@ def test_extend_to_basis():
     extra = linalg.extend_to_basis(GF(5), rows, 3)
     full, _ = linalg.rref(list(rows) + list(extra), 3)
     assert len(full) == 3
+
+
+def test_scalar_entries_required():
+    with pytest.raises(FieldMismatch):
+        linalg.rref([[QQ.one, 1]])
+    with pytest.raises(FieldMismatch):
+        linalg.det(GF(7), M(QQ, [[1]]))
+
+
+# -- property test of the kernel against definitions -------------------------
+
+
+@st.composite
+def _matrices(draw):
+    """A field and a small matrix over it: random, rank-deficient (a product
+    through a thinner inner dimension) or with zero rows; square half the time."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(7), GF(101)]))
+    if field.characteristic:
+        entry = st.integers(0, field.characteristic - 1)
+    else:
+        entry = st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3)
+    n = draw(st.integers(0, 4))
+    m = n if n and draw(st.booleans()) else draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "rank_deficient", "zero_rows"]))
+
+    def block(r, c):
+        return [[draw(entry) for _ in range(c)] for _ in range(r)]
+
+    if kind == "rank_deficient" and min(n, m) > 0:
+        k = draw(st.integers(0, min(n, m) - 1))
+        left, right = block(n, k), block(k, m)
+        raw = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+    else:
+        raw = block(n, m)
+        if kind == "zero_rows":
+            for i in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)):
+                raw[i] = [0] * m
+    return field, M(field, raw), m
+
+
+def _cofactor_det(field, a):
+    n = len(a)
+    if n == 0:
+        return field.one
+    out = field.zero
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
+        term = a[0][j] * _cofactor_det(field, minor)
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def _rank_by_minors(field, a, ncols):
+    for k in range(min(len(a), ncols), 0, -1):
+        for rows in combinations(range(len(a)), k):
+            for cols in combinations(range(ncols), k):
+                if _cofactor_det(field, [[a[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+def _all_in(field, m):
+    return all(isinstance(x, Scalar) and x.field == field for row in m for x in row)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_matrices())
+def test_kernel_matches_definitions(case):
+    field, a, ncols = case
+    z, o = field.zero, field.one
+
+    # rref: reduced row echelon form with the input's row space
+    red, pivots = linalg.rref(a, ncols)
+    assert _all_in(field, red) and len(red) == len(pivots)
+    assert list(pivots) == sorted(set(pivots))
+    for r, (row, c) in enumerate(zip(red, pivots)):
+        assert all(not x for x in row[:c]) and row[c] == o
+        assert all(not red[k][c] for k in range(len(red)) if k != r)
+    for row in a:
+        combo = [z] * ncols
+        for coeff, rrow in zip((row[c] for c in pivots), red):
+            combo = [x + coeff * y for x, y in zip(combo, rrow)]
+        assert tuple(combo) == row
+    assert len(red) == _rank_by_minors(field, a, ncols)
+
+    # kernel_basis: every vector is annihilated, and there are enough of them
+    ker = linalg.kernel_basis(field, a, ncols)
+    assert _all_in(field, ker) and len(ker) == ncols - len(red)
+    for v in ker:
+        assert all(not linalg.sum_dot(row, v) for row in a)
+
+    # mat_mul against the triple loop, on a * a^T and a^T * a
+    for x, y in ((a, linalg.transpose(a)), (linalg.transpose(a), a)):
+        prod = linalg.mat_mul(x, y)
+        assert _all_in(field, prod)
+        naive = tuple(
+            tuple(sum((x[i][t] * y[t][j] for t in range(len(y))), z) for j in range(len(y[0]) if y else 0))
+            for i in range(len(x))
+        )
+        assert prod == naive
+
+    if a and len(a) == ncols:
+        d = linalg.det(field, a)
+        assert isinstance(d, Scalar) and d.field == field
+        assert d == _cofactor_det(field, [list(r) for r in a])
+        if d:
+            inv = linalg.invert(field, a)
+            assert _all_in(field, inv)
+            assert linalg.mat_mul(inv, a) == linalg.identity(field, ncols)
+        else:
+            with pytest.raises(Singular):
+                linalg.invert(field, a)
+
+    # one entry from another field spoils every routine
+    if a:
+        other = GF(3) if field is QQ else QQ
+        stranger = other.scalar(Fraction(1, 2) if other is QQ else 2)
+        mixed = list(a) + [(stranger,) + (z,) * (ncols - 1)]
+        with pytest.raises(FieldMismatch):
+            linalg.rref(mixed, ncols)
+        with pytest.raises(FieldMismatch):
+            linalg.kernel_basis(field, mixed, ncols)
+        with pytest.raises(FieldMismatch):
+            linalg.mat_mul(a, linalg.transpose(mixed))
+        if len(a) == ncols:
+            bad = [list(r) for r in a]
+            bad[-1][-1] = stranger
+            with pytest.raises(FieldMismatch):
+                linalg.det(field, bad)
