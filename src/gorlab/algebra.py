@@ -1,8 +1,12 @@
 """Structure-constant model of finite-dimensional commutative algebras.
 
 An algebra is a basis plus a d*d*d array c with e_i e_j = sum_k c[i][j][k] e_k
-and an optional unit vector.  Validation is exhaustive over basis triples:
-at desk scale exactness is cheap, and every later construction leans on it.
+and an optional unit vector.  The plane c[i] is the matrix of multiplication
+by e_i (row j is e_i e_j), and validation is three matrix identities on
+these planes: c[i][j] = c[j][i] (commutativity); c[i]·c[k] = c[k]·c[i],
+since row j of each side is (e_i e_j) e_k and e_i (e_j e_k) (associativity);
+and sum_m unit[m] c[m] = I (the unit law).  Every later construction leans
+on these checks being exact.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ def zero_space(n: int) -> Subspace:
     return Subspace(n, ())
 
 
-def validate_structure(c, unit, zero, check_pair=None):
+def validate_structure(c, unit, zero):
     """Check commutativity, associativity and the unit law of a table.
 
     Ring-generic: entries may be Scalars or TPolys, so the same code
@@ -95,38 +99,16 @@ def validate_structure(c, unit, zero, check_pair=None):
         for j in range(i + 1, d):
             if c[i][j] != c[j][i]:
                 raise NotCommutative(f"e{i}*e{j} != e{j}*e{i}")
-    for i in range(d):
-        for k in range(i, d):
-            for j in range(d):
-                # (e_i e_j) e_k - e_i (e_j e_k), component by component
-                row_ij = c[i][j]
-                row_jk = c[j][k]
-                for l in range(d):
-                    lhs = zero
-                    for m in range(d):
-                        x = row_ij[m]
-                        if x:
-                            y = c[m][k][l]
-                            if y:
-                                lhs = lhs + x * y
-                    rhs = zero
-                    for m in range(d):
-                        x = row_jk[m]
-                        if x:
-                            y = c[i][m][l]
-                            if y:
-                                rhs = rhs + x * y
-                    if lhs != rhs:
-                        raise NotAssociative(f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})")
+    # row j of c[i]·c[k] is (e_i e_j) e_k, row j of c[k]·c[i] is e_i (e_j e_k)
+    bad = linalg.first_noncommuting(c, 0, zero)
+    if bad is not None:
+        i, k, j = bad
+        raise NotAssociative(f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})")
     if unit is not None:
-        for i in range(d):
-            for l in range(d):
-                acc = zero
-                for m in range(d):
-                    if unit[m] and c[m][i][l]:
-                        acc = acc + unit[m] * c[m][i][l]
-                want = 1 if l == i else 0
-                if acc != want:
+        for i, plane in enumerate(c):
+            # row i of sum_m unit[m] c[m] is unit·c[i], by commutativity
+            for l, x in enumerate(linalg.raw_mul([unit], plane, 0, zero)[0]):
+                if x != (1 if l == i else 0):
                     raise BadUnit(f"unit*e{i} has wrong e{l}-component")
 
 
@@ -301,13 +283,6 @@ def base_change(A: FiniteAlgebra, P, labels=None) -> FiniteAlgebra:
     return FiniteAlgebra(A.field, labels, c, unit, validate=False)
 
 
-def functional_on(A: FiniteAlgebra, vec, v) -> Scalar:
-    """Apply a functional (coefficient vector in the dual basis) to v."""
-    vec = A.coerce_vector(vec)
-    v = A.coerce_vector(v)
-    return linalg.sum_dot(vec, v)
-
-
 class AlgebraFamily:
     """An algebra whose structure constants are polynomials in t.
 
@@ -375,19 +350,9 @@ class AlgebraFamily:
 
     def gram(self):
         """Family Gram matrix of the orientation pairing, entries in k[t]."""
-        from .scalar import TPoly
-
         if self.orientation is None:
             raise BadUnit("family carries no orientation")
-        z = TPoly(self.field)
-        d = self.dim
-        return tuple(
-            tuple(
-                sum((self.c[i][j][k] * self.orientation[k] for k in range(d)), z)
-                for j in range(d)
-            )
-            for i in range(d)
-        )
+        return tuple(linalg.mat_vec(plane, self.orientation) for plane in self.c)
 
     def serialize(self) -> dict:
         out = {

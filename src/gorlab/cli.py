@@ -8,7 +8,6 @@ The .alg grammar (UTF-8, line oriented, # comments):
     rel <polynomial>                      (repeatable)
     orient <monomial> : <scalar>, ...     (against the standard-monomial basis)
     aug <id> = <scalar>, ...
-    family                                (reserves the name t)
 
 Polynomials use + - * ^ with integer or rational literals; juxtaposition is
 forbidden.  Reports are JSON objects tagged "schema": "gorlab/1"; identical
@@ -146,7 +145,6 @@ class PresentationDocument:
     relations: tuple  # of MultiPoly
     orient: tuple | None  # of (monomial exponent tuple, Scalar)
     aug: tuple | None  # of (variable name, Scalar)
-    family: bool = False
 
     def serialize(self) -> str:
         lines = []
@@ -155,8 +153,6 @@ class PresentationDocument:
         else:
             lines.append(f"field F {self.field.characteristic}")
         lines.append("vars " + " ".join(self.variables))
-        if self.family:
-            lines.append("family")
         for r in self.relations:
             lines.append("rel " + _poly_source(r))
         if self.orient is not None:
@@ -306,7 +302,6 @@ def parse_presentation(text: str) -> PresentationDocument:
     relations = []
     orient = None
     aug = None
-    family = False
 
     while p.peek().kind != "EOF":
         if p.peek().kind == "NEWLINE":
@@ -338,8 +333,6 @@ def parse_presentation(text: str) -> PresentationDocument:
             if not names:
                 raise ParseError("vars needs at least one name", head.line, head.col)
             variables = tuple(names)
-        elif head.text == "family":
-            family = True
         elif head.text == "rel":
             if fld is None or variables is None:
                 raise ParseError(
@@ -385,7 +378,7 @@ def parse_presentation(text: str) -> PresentationDocument:
         else:
             raise ParseError(
                 f"unknown clause {head.text!r}", head.line, head.col,
-                expected="field|vars|rel|orient|aug|family",
+                expected="field|vars|rel|orient|aug",
             )
         if not p.at_line_end():
             t = p.peek()
@@ -396,11 +389,7 @@ def parse_presentation(text: str) -> PresentationDocument:
         raise ParseError("missing field clause", 1, 1, expected="field")
     if variables is None:
         raise ParseError("missing vars clause", 1, 1, expected="vars")
-    if family and "t" in variables:
-        raise DuplicateClause("the name t is reserved by the family flag")
-    return PresentationDocument(
-        fld, variables, tuple(relations), orient, aug, family
-    )
+    return PresentationDocument(fld, variables, tuple(relations), orient, aug)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .frobenius import (
     NonUnitalOriented,
     OrientedAlgebra,
     _consum_core,
+    augmentation_check,
     isotropy_check,
     socle_generator,
 )
@@ -78,19 +79,6 @@ def family_det_is_unit(F: AlgebraFamily) -> bool:
     one = TPoly.const(F.field.one)
     d = linalg.det_in_domain(zero, one, gram, lambda a, b: a.divexact(b))
     return bool(d) and d.is_constant()
-
-
-def family_augmentation_check(F: AlgebraFamily, name: str) -> bool:
-    """Whether a named augmentation is an algebra map to k[t], as exact
-    polynomial identities (e(1) = 1 and multiplicativity on basis pairs)."""
-    e = F.augmentations[name]
-    if F.unit is None or linalg.sum_dot(e, F.unit) != 1:
-        return False
-    for i in range(F.dim):
-        for j in range(i, F.dim):
-            if linalg.sum_dot(F.c[i][j], e) != e[i] * e[j]:
-                return False
-    return True
 
 
 def family_socle_generator(F: AlgebraFamily, aug: str):
@@ -159,7 +147,7 @@ def robber_family(field: Field) -> AlgebraFamily:
     if not family_det_is_unit(fam):  # pragma: no cover
         raise Singular("robber family lost its orientation")
     for name in ("const", "mv"):  # pragma: no branch
-        if not family_augmentation_check(fam, name):  # pragma: no cover
+        if not augmentation_check(fam, fam.augmentations[name]):  # pragma: no cover
             raise Singular(f"robber augmentation {name} is not an algebra map")
     return fam
 
@@ -193,8 +181,10 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
     zero = TPoly(f)
     data = _consum_core(
         f,
-        {"c": T.algebra.c, "unit": T.algebra.unit},
-        {"c": robber.c, "unit": tuple(u.constant_value() for u in robber.unit)},
+        T.algebra.c,
+        T.algebra.unit,
+        robber.c,
+        tuple(u.constant_value() for u in robber.unit),
         T.e,
         tuple(u.constant_value() for u in robber.augmentations["const"]),
         x1,
@@ -217,7 +207,7 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
     if not family_det_is_unit(base):  # pragma: no cover
         raise Singular("homotopy family lost its orientation")
     for name in ("const", "mv"):  # pragma: no branch
-        if not family_augmentation_check(base, name):  # pragma: no cover
+        if not augmentation_check(base, base.augmentations[name]):  # pragma: no cover
             raise Singular(f"augmentation {name} does not descend to the sum")
     h_const = AlgebraFamily(
         f,

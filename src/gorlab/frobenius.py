@@ -106,15 +106,12 @@ class NonUnitalOriented:
             raise DimensionMismatch("algebra and form do not match")
         if not is_nondegenerate(B):
             raise Degenerate("pairing is degenerate")
+        # P[i][j][k] = B(e_i e_j, e_k); B is symmetric, so B(e_i, e_j e_k) = P[j][k][i]
+        P = [linalg.raw_mul(plane, B.gram, 0, A.field.zero) for plane in A.c]
         for i in range(A.dim):
-            ei = A.basis_vector(i)
             for j in range(A.dim):
-                ej = A.basis_vector(j)
                 for k in range(j, A.dim):
-                    ek = A.basis_vector(k)
-                    lhs = B.apply(multiply(A, ei, ej), ek)
-                    rhs = B.apply(ei, multiply(A, ej, ek))
-                    if lhs != rhs:
+                    if P[i][j][k] != P[j][k][i]:
                         raise Degenerate(
                             f"pairing is not multiplication-compatible at ({i},{j},{k})"
                         )
@@ -142,10 +139,15 @@ class Augmented:
         return self.oa.algebra
 
 
-def augmentation_check(A: FiniteAlgebra, e) -> bool:
-    """Whether e(1) = 1 and e is multiplicative on all basis pairs."""
-    e = A.coerce_vector(e)
-    if A.unit is None or linalg.sum_dot(e, A.unit) != A.field.one:
+def augmentation_check(A, e) -> bool:
+    """Whether e(1) = 1 and e is multiplicative on all basis pairs.
+
+    A may also be an AlgebraFamily with e a TPoly vector; the checks are
+    then exact polynomial identities, so e is an algebra map to k[t].
+    """
+    if isinstance(A, FiniteAlgebra):
+        e = A.coerce_vector(e)
+    if A.unit is None or linalg.sum_dot(e, A.unit) != 1:
         return False
     for i in range(A.dim):
         for j in range(i, A.dim):
@@ -355,7 +357,7 @@ class _ConsumData:
     project: object  # callable: fiber-product vector -> quotient coordinates
 
 
-def _consum_core(field, A1, A2, e1, e2, x1, x2, phi1, phi2, zero):
+def _consum_core(field, c1, unit1, c2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
     """Glue two augmented algebras along their augmentations and kill the
     difference of the socle generators.
 
@@ -365,11 +367,11 @@ def _consum_core(field, A1, A2, e1, e2, x1, x2, phi1, phi2, zero):
     coordinate has constant coefficient), so no polynomial elimination ever
     happens.
     """
-    d1, d2 = len(A1["c"]), len(A2["c"])
+    d1, d2 = len(c1), len(c2)
     k1 = linalg.kernel_basis(field, [e1], d1)
     k2 = linalg.kernel_basis(field, [e2], d2)
     z1, z2 = (field.zero,) * d1, (field.zero,) * d2
-    rows = [tuple(A1["unit"]) + tuple(A2["unit"])]
+    rows = [tuple(unit1) + tuple(unit2)]
     rows += [tuple(r) + z2 for r in k1]
     rows += [z1 + tuple(r) for r in k2]
     solver = linalg.RowSolver(field, rows)
@@ -395,8 +397,8 @@ def _consum_core(field, A1, A2, e1, e2, x1, x2, phi1, phi2, zero):
         return tuple(coords[i] for i in keep)
 
     def product(u, v):
-        p1 = table_multiply(A1["c"], u[:d1], v[:d1], zero)
-        p2 = table_multiply(A2["c"], u[d1:], v[d1:], zero)
+        p1 = table_multiply(c1, u[:d1], v[:d1], zero)
+        p2 = table_multiply(c2, u[d1:], v[d1:], zero)
         return p1 + p2
 
     n = len(keep)
@@ -449,8 +451,10 @@ def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
     x2 = socle_generator(t2.oa, t2.e)
     data = _consum_core(
         f,
-        {"c": t1.algebra.c, "unit": t1.algebra.unit},
-        {"c": t2.algebra.c, "unit": t2.algebra.unit},
+        t1.algebra.c,
+        t1.algebra.unit,
+        t2.algebra.c,
+        t2.algebra.unit,
         t1.e,
         t2.e,
         x1,

@@ -11,13 +11,16 @@ checks that every entry is a Scalar of one field.
 Row-space bases are always canonicalized to reduced row echelon form, so
 subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec``,
 ``vec_mat`` and ``det_in_domain`` stay ring-generic: they also act on TPoly
-entries, which is how family computations stay polynomial.
+entries, which is how family computations stay polynomial.  So does
+``raw_mul``, the one product loop, when called with p = 0 and the ring's
+zero; ``first_noncommuting`` runs on it, and through it the structure-table
+checks of ``algebra`` and Strassen's commutativity test in ``tensors``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import add, mul
 
 from .errors import DimensionMismatch, FieldMismatch, Singular
@@ -72,13 +75,15 @@ def _box(field: Field, rows):
     return tuple(tuple(Scalar(field, x) for x in row) for row in rows)
 
 
-def raw_mul(a, b, p: int):
-    """Product of two raw matrices over F_p (p > 0) or QQ (p = 0).
+def raw_mul(a, b, p: int, zero):
+    """Product of two matrices whose entries sum from ``zero``.
 
+    For p > 0 the entries are ints and the product is reduced mod p.  For
+    p = 0 the loop is ring-generic: raw Fractions, Scalars and TPolys alike.
     Each row of the product is a combination of the nonzero rows of b, so
     zeros in a and zero rows of b cost nothing.
     """
-    zeros = [0 if p else _QQ_ZERO] * (len(b[0]) if b else 0)
+    zeros = [zero] * (len(b[0]) if b else 0)
     support = [(k, brow) for k, brow in enumerate(b) if any(brow)]
     out = []
     for row in a:
@@ -97,7 +102,23 @@ def raw_mul(a, b, p: int):
 def mat_mul(a, b):
     field, ra = unbox(a)
     field, rb = unbox(b, field)
-    return _box(field, raw_mul(ra, rb, field.characteristic if field else 0))
+    p = field.characteristic if field else 0
+    return _box(field, raw_mul(ra, rb, p, 0 if p else _QQ_ZERO))
+
+
+def first_noncommuting(mats, p: int, zero):
+    """The first (i, k, row), i < k, where row ``row`` of mats[i]·mats[k]
+    differs from that of mats[k]·mats[i]; None when the matrices commute.
+
+    Entries are as for raw_mul.
+    """
+    for i, k in combinations(range(len(mats)), 2):
+        ab = raw_mul(mats[i], mats[k], p, zero)
+        ba = raw_mul(mats[k], mats[i], p, zero)
+        for row, (x, y) in enumerate(zip(ab, ba)):
+            if x != y:
+                return i, k, row
+    return None
 
 
 def sum_dot(u, v):

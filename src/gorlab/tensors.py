@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import linalg
 from .algebra import AlgebraFamily, FiniteAlgebra
@@ -233,10 +232,8 @@ def strassen_commuting(T: Tensor3, witness) -> bool:
     # products of raw matrices: slice(e_i) is the i-th layer of T
     p = f.characteristic
     Minv = linalg.unbox(linalg.invert(f, M), f)[1]
-    slices = [linalg.raw_mul(Minv, linalg.unbox(layer, f)[1], p) for layer in T.entries]
-    return all(
-        linalg.raw_mul(a, b, p) == linalg.raw_mul(b, a, p) for a, b in combinations(slices, 2)
-    )
+    slices = [linalg.raw_mul(Minv, linalg.unbox(layer, f)[1], p, 0) for layer in T.entries]
+    return linalg.first_noncommuting(slices, p, 0) is None
 
 
 def matrix_algebra_tensor(field: Field, n: int) -> Tensor3:

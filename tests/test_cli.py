@@ -107,9 +107,12 @@ def test_parse_unknown_variable():
         parse_presentation("field Q\nvars x\nrel x*z\n")
 
 
-def test_parse_family_reserves_t():
-    with pytest.raises(DuplicateClause):
+def test_parse_family_is_unknown_clause():
+    with pytest.raises(ParseError) as exc:
         parse_presentation("field Q\nvars t x\nfamily\nrel x^2\n")
+    assert str(exc.value).startswith("unknown clause 'family'")
+    assert (exc.value.line, exc.value.col) == (3, 1)
+    assert exc.value.expected == "field|vars|rel|orient|aug"
 
 
 def test_orient_clause_must_be_standard_monomial():

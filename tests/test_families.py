@@ -49,12 +49,13 @@ def test_robber_socles_match_quoted_formulas():
 def test_robber_over_f2_is_a_valid_family():
     # char 2 collapses the rewrite to x^4 = t^2 x^2; the family is still a
     # valid oriented family (the split-fiber statements need char != 2)
-    from gorlab.families import family_augmentation_check, family_det_is_unit
+    from gorlab.families import family_det_is_unit
+    from gorlab.frobenius import augmentation_check
 
     rob2 = robber_family(GF(2))
     assert family_det_is_unit(rob2)
-    assert family_augmentation_check(rob2, "const")
-    assert family_augmentation_check(rob2, "mv")
+    assert augmentation_check(rob2, rob2.augmentations["const"])
+    assert augmentation_check(rob2, rob2.augmentations["mv"])
     t = TPoly.t(GF(2))
     assert rob2.c[2][2] == (TPoly(GF(2)), TPoly(GF(2)), t**2, TPoly(GF(2)))
 

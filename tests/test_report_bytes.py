@@ -1,0 +1,100 @@
+"""CLI report bytes on the G-fat points A_2 and A_3, over QQ and F_7.
+
+Each case runs one command through ``run_command`` and compares the exit
+code and the sha256 of stdout with values recorded before the structure
+table checks were rewritten as products of multiplication matrices.  A
+changed verdict, number, label order or error message changes a digest.
+"""
+
+import hashlib
+
+import pytest
+
+from gorlab.cli import run_command
+
+
+def aq_text(field: str, q: int) -> str:
+    """The .alg presentation of A_q, oriented by y1^2 and augmented at 0."""
+    ys = [f"y{i + 1}" for i in range(q)]
+    lines = [f"field {field}", "vars " + " ".join(ys)]
+    for i in range(q):
+        for j in range(i + 1, q):
+            lines.append(f"rel {ys[i]}*{ys[j]}")
+            lines.append(f"rel {ys[i]}^2 - {ys[j]}^2")
+    lines.append("rel y1^3")
+    lines.append("orient y1^2 : 1")
+    lines.append("aug " + ", ".join(f"{y} = 0" for y in ys))
+    return "\n".join(lines) + "\n"
+
+
+# argv templates; {f} is the .alg file
+COMMANDS = {
+    "check": ("check", "{f}"),
+    "socle": ("socle", "{f}"),
+    "consum": ("consum", "{f}", "{f}"),
+    "rees": ("rees", "{f}"),
+    "homotopy-const": ("homotopy", "{f}", "--which", "const"),
+    "homotopy-mv": ("homotopy", "{f}", "--which", "mv"),
+    "degenerate": ("degenerate", "{f}"),
+    "tensor": ("tensor", "{f}", "--check", "1generic,commute"),
+    "witt": ("witt", "{f}"),
+}
+
+# (field, q, command) -> (exit code, sha256 of stdout)
+DIGESTS = {
+    ("Q", 2, "check"): (0, "b454784c6615deddf428adffad10c52afac952a8639723eb4ef8c0157440373f"),
+    ("Q", 2, "socle"): (0, "b8528ec204657fecd2cb235cfd12412ff80d2f0ff919d3e35efbb49c08f7d75d"),
+    ("Q", 2, "consum"): (0, "cdcd80d0e2a70cd4369cd12c209fc92f2b19d19456ddd0cb73ed2b4a33c1f1ec"),
+    ("Q", 2, "rees"): (0, "b01f59c477f6c5c939b482cba3f6f55c600d2459f5f2fcddec348d3741fa1cc6"),
+    ("Q", 2, "homotopy-const"): (0, "5a4c12fe52cea5edba55bb0f0de26d79054463d81e2a2f8ed8989d6ca10ab48d"),
+    ("Q", 2, "homotopy-mv"): (0, "03f0f6f1ebbee75360e460b94062c559f91c8d9e1257e2155f77dc7fd9c312d9"),
+    ("Q", 2, "degenerate"): (0, "587e893809b2d556a1a16e43201c83ff560e32e4162bbc4a195b120aeb130c82"),
+    ("Q", 2, "tensor"): (0, "b199c6cdc548e6066fdc5b92dfd97805e744dc0776ca1fc53991eba33dfffc7d"),
+    ("Q", 2, "witt"): (0, "8f4eb6c5dd8d47b2606df0be74433210e4e084709fba3181dae16ff3e9ca10ff"),
+    ("Q", 3, "check"): (0, "f3c868e2fdec181556c5c6ae40fa60646f9c461c84259e2e5ec2f6dc63b04a10"),
+    ("Q", 3, "socle"): (0, "d413b17efa2e0cc2311128719052faab48b39660335ead9b7dbaf1568e5fb535"),
+    ("Q", 3, "consum"): (0, "54078132111a298ccccf28c390111389f520d606bdd663fad0fca0553ccf3684"),
+    ("Q", 3, "rees"): (0, "21d99328d03a82f3a99529609772205765a7f4317d4b4f2d47ddf10f7555595e"),
+    ("Q", 3, "homotopy-const"): (0, "e4b6e500c2eeff2f855aa4bf0188932fe889bc7528315d7c25ee35c3ff75fb9c"),
+    ("Q", 3, "homotopy-mv"): (0, "b5c4465ce37dcaf56dee60cdaa50290dc4961c44b96b986d726998e899097369"),
+    ("Q", 3, "degenerate"): (0, "9b02cff7a2023dfa8bf8001aab5c5975992f5eab6eb8a95271fa65a8f2dacfdb"),
+    ("Q", 3, "tensor"): (0, "08fd80268bbf4f2af2e180faa4860ca1b5bc05b1df4e45102599955ec7b42b8a"),
+    ("Q", 3, "witt"): (0, "3a69e118b7f3abe84b5b8a8c74edff5a7989f2b3c7f8aac4bfdc0614f15555d1"),
+    ("F 7", 2, "check"): (0, "361426af7f9df9234b3c39b2f767cb8b99e209aa80f55f07273aadcd2a34294a"),
+    ("F 7", 2, "socle"): (0, "fa95ce2da7c7e6f16372e0be6007945449daa0144902e3d3f1541b5e224ff929"),
+    ("F 7", 2, "consum"): (0, "c382b5908f6d29ade8a665cc71774fdb9d8c642c7c919b8a68a416c5f63c095f"),
+    ("F 7", 2, "rees"): (0, "5f65759a991bcc0d3a24c6ed05ac6808b5f53b833e59339a006665b33594ef1f"),
+    ("F 7", 2, "homotopy-const"): (0, "5249883b7b9d6307942d176746c1d7637623f22fdda1de7376d4f96bcd8fa895"),
+    ("F 7", 2, "homotopy-mv"): (0, "e7810e8646f11e890de010fef52c2d95ce28dde9c664b0502658e9c0d556f0ee"),
+    ("F 7", 2, "degenerate"): (0, "c383d94bf91d9897dbe10f614e836688eb240d9c49d23d262dfc8f61e6b09040"),
+    ("F 7", 2, "tensor"): (0, "910e3d7728a733ec90ef1149405dec1c76f6a8deb9e1d200b8895f262a239455"),
+    ("F 7", 2, "witt"): (0, "a2da17a839a13661575575d93fc726dbd8bd5dbadd5775113c892319bc899778"),
+    ("F 7", 3, "check"): (0, "993362f2a8c0e7bde2be4c56ceba4128f60116215c9df430fd51a14233d20610"),
+    ("F 7", 3, "socle"): (0, "18f7d37ded84a97fb1ff7f1cbe9959f36cedf48996734c87471d05a8a0304742"),
+    ("F 7", 3, "consum"): (0, "b9d22ed052bbd1ef899f4d52c5c49695975b6b9d854717f34a369d8aebb145b0"),
+    ("F 7", 3, "rees"): (0, "76370462fb1047920a0c4ee2a4f30b6886d2e71c6b54034e5281ac47ed7e71df"),
+    ("F 7", 3, "homotopy-const"): (0, "1ee8cb652299a41603d5f07ee3461ee5d7584e573cb1b3cb5d9308a1ce235986"),
+    ("F 7", 3, "homotopy-mv"): (0, "a63d880aec8f50cdf8a5daa1518745230dbf13e355b62a6b4fd2003fb93a7cec"),
+    ("F 7", 3, "degenerate"): (0, "fafdf6d6a584cb769214a680b4dead7fc35fcc5a04535fd199484d9546a16570"),
+    ("F 7", 3, "tensor"): (0, "4e3388d4417deb46d058d4f8ed62348a414dbc318fdfaef22b2e0a647ef93d19"),
+    ("F 7", 3, "witt"): (0, "ed6ad1434f4df4b7818c29a30faba51201c620718711cee3268080533431da1e"),
+}
+
+
+def report(tmp_path, capsys, field, q, command):
+    path = tmp_path / f"a{q}.alg"
+    path.write_text(aq_text(field, q))
+    argv = [a.format(f=path) for a in COMMANDS[command]]
+    code = run_command(argv)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("field,q,command", sorted(DIGESTS))
+def test_report_bytes(tmp_path, capsys, field, q, command):
+    assert report(tmp_path, capsys, field, q, command) == DIGESTS[field, q, command]
+
+
+def test_every_case_is_pinned():
+    cases = {(f, q, c) for f in ("Q", "F 7") for q in (2, 3) for c in COMMANDS}
+    assert set(DIGESTS) == cases
