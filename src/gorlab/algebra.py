@@ -6,10 +6,12 @@ by e_i (row j is e_i e_j), and validation is three matrix identities on
 these planes: c[i][j] = c[j][i] (commutativity); c[i]·c[k] = c[k]·c[i],
 since row j of each side is (e_i e_j) e_k and e_i (e_j e_k) (associativity);
 and sum_m unit[m] c[m] = I (the unit law).  Every later construction leans
-on these checks being exact.
+on these checks being exact; they run on raw coefficient slices.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -19,7 +21,7 @@ from .errors import (
     NotAssociative,
     NotCommutative,
 )
-from .scalar import Field, Scalar
+from .scalar import Field, Scalar, TPoly, as_tpoly
 
 
 class Subspace:
@@ -87,28 +89,58 @@ def zero_space(n: int) -> Subspace:
     return Subspace(n, ())
 
 
+def _coeffs(x):
+    """The raw t-coefficients of a Scalar or TPoly, low degree first."""
+    return [a.value for a in x.coeffs] if isinstance(x, TPoly) else [x.value]
+
+
+def raw_slices(mats, p: int):
+    """Matrices of Scalars or TPolys as slice lists for linalg.slice_mul, and L.
+
+    Entries are ints mod p, or over QQ the coefficients times L, their common
+    denominator (L = 1 over F_p); an identity of products of two matrices,
+    both sides scaled by L², holds exactly when it held before.
+    """
+    raw = [[[_coeffs(x) for x in row] for row in m] for m in mats]
+    L = 1 if p else lcm(*(a.denominator for m in raw for row in m for x in row for a in x))
+    if not p:
+        raw = [[[[a.numerator * L // a.denominator for a in x] for x in row] for row in m]
+               for m in raw]
+    out = []
+    for m in raw:
+        deg = max((len(x) for row in m for x in row), default=0)
+        slices = ([[x[s] if s < len(x) else 0 for x in row] for row in m] for s in range(deg))
+        out.append([(s, M) for s, M in enumerate(slices) if any(map(any, M))])
+    return out, L
+
+
 def validate_structure(c, unit, zero):
     """Check commutativity, associativity and the unit law of a table.
 
-    Ring-generic: entries may be Scalars or TPolys, so the same code
-    validates algebras and one-parameter families (there the checks are
-    polynomial identities).  Raises naming the first violating triple.
+    Entries may be Scalars or TPolys (``zero`` names the ring); the checks
+    are then polynomial identities.  Table and unit are read once by
+    raw_slices, so over QQ the unit law reads unit·c[i] = L² e_i.  Raises
+    naming the first violating triple.
     """
+    p = zero.field.characteristic
     d = len(c)
+    (*planes, unit_row), L = raw_slices([*c, [unit or ()]], p)
     for i in range(d):
         for j in range(i + 1, d):
-            if c[i][j] != c[j][i]:
+            if linalg.slice_row(planes[i], j) != linalg.slice_row(planes[j], i):
                 raise NotCommutative(f"e{i}*e{j} != e{j}*e{i}")
     # row j of c[i]·c[k] is (e_i e_j) e_k, row j of c[k]·c[i] is e_i (e_j e_k)
-    bad = linalg.first_noncommuting(c, 0, zero)
+    bad = linalg.first_noncommuting(planes, p)
     if bad is not None:
         i, k, j = bad
         raise NotAssociative(f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})")
     if unit is not None:
-        for i, plane in enumerate(c):
+        for i, plane in enumerate(planes):
             # row i of sum_m unit[m] c[m] is unit·c[i], by commutativity
-            for l, x in enumerate(linalg.raw_mul([unit], plane, 0, zero)[0]):
-                if x != (1 if l == i else 0):
+            row = linalg.slice_mul(unit_row, plane, p)
+            for l in range(d):
+                want = [(0, L * L)] if l == i else []
+                if [(s, m[0][l]) for s, m in row if m[0][l]] != want:
                     raise BadUnit(f"unit*e{i} has wrong e{l}-component")
 
 
@@ -304,8 +336,6 @@ class AlgebraFamily:
         augmentations=None,
         validate: bool = True,
     ):
-        from .scalar import TPoly, as_tpoly
-
         d = len(labels)
         c = tuple(
             tuple(tuple(as_tpoly(x, field) for x in row) for row in plane)

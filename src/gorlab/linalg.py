@@ -11,17 +11,16 @@ checks that every entry is a Scalar of one field.
 Row-space bases are always canonicalized to reduced row echelon form, so
 subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec``,
 ``vec_mat`` and ``det_in_domain`` stay ring-generic: they also act on TPoly
-entries, which is how family computations stay polynomial.  So does
-``raw_mul``, the one product loop, when called with p = 0 and the ring's
-zero; ``first_noncommuting`` runs on it, and through it the structure-table
-checks of ``algebra`` and Strassen's commutativity test in ``tensors``.
+entries, which is how family computations stay polynomial.  ``raw_mul``,
+the one product loop, takes raw values only; ``slice_mul`` convolves it over
+k[t] on slice lists, and through ``first_noncommuting`` it serves the
+structure-table checks of ``algebra`` and Strassen's test in ``tensors``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, repeat
-from operator import add, mul
+from itertools import combinations, count
 
 from .errors import DimensionMismatch, FieldMismatch, Singular
 from .scalar import Field, Scalar
@@ -76,12 +75,11 @@ def _box(field: Field, rows):
 
 
 def raw_mul(a, b, p: int, zero):
-    """Product of two matrices whose entries sum from ``zero``.
+    """Product of two matrices of raw values whose entries sum from ``zero``.
 
-    For p > 0 the entries are ints and the product is reduced mod p.  For
-    p = 0 the loop is ring-generic: raw Fractions, Scalars and TPolys alike.
-    Each row of the product is a combination of the nonzero rows of b, so
-    zeros in a and zero rows of b cost nothing.
+    The entries are ints, and the product is reduced mod p when p > 0; at
+    p = 0 they may also be Fractions.  Each row of the product is a
+    combination of the nonzero rows of b, so zeros in a and b cost nothing.
     """
     zeros = [zero] * (len(b[0]) if b else 0)
     support = [(k, brow) for k, brow in enumerate(b) if any(brow)]
@@ -91,10 +89,7 @@ def raw_mul(a, b, p: int, zero):
         for k, brow in support:
             x = row[k]
             if x:
-                if p:
-                    acc = list(map(add, acc, map(mul, brow, repeat(x))))
-                else:
-                    acc = [s + x * y if y else s for s, y in zip(acc, brow)]
+                acc = [s + x * y if y else s for s, y in zip(acc, brow)]
         out.append([s % p for s in acc] if p else acc)
     return out
 
@@ -106,18 +101,42 @@ def mat_mul(a, b):
     return _box(field, raw_mul(ra, rb, p, 0 if p else _QQ_ZERO))
 
 
-def first_noncommuting(mats, p: int, zero):
+def slice_mul(a, b, p: int):
+    """Product of two matrices over k[t] given as slice lists.
+
+    [(s, M_s), ...], s increasing, stands for sum_s M_s t^s, M_s as for
+    raw_mul; zero slices may be left out, and then cost nothing.  The product
+    lists, for each u = s + r, the sum of M_s N_r (mod p when p > 0), which
+    may be zero.
+    """
+    out = {}
+    for s, x in a:
+        for r, y in b:
+            m = raw_mul(x, y, p, 0)
+            if s + r in out:
+                m = [[u + v for u, v in zip(ru, rv)] for ru, rv in zip(out[s + r], m)]
+                m = [[v % p for v in row] for row in m] if p else m
+            out[s + r] = m
+    return sorted(out.items())
+
+
+def slice_row(slices, j):
+    """Row j of a matrix given as a slice list: its nonzero (s, row) pairs."""
+    return [(s, m[j]) for s, m in slices if any(m[j])]
+
+
+def first_noncommuting(mats, p: int):
     """The first (i, k, row), i < k, where row ``row`` of mats[i]·mats[k]
     differs from that of mats[k]·mats[i]; None when the matrices commute.
 
-    Entries are as for raw_mul.
+    Each matrix is a slice list, as for slice_mul; both products then list
+    the same powers of t.
     """
     for i, k in combinations(range(len(mats)), 2):
-        ab = raw_mul(mats[i], mats[k], p, zero)
-        ba = raw_mul(mats[k], mats[i], p, zero)
-        for row, (x, y) in enumerate(zip(ab, ba)):
-            if x != y:
-                return i, k, row
+        ab = slice_mul(mats[i], mats[k], p)
+        ba = slice_mul(mats[k], mats[i], p)
+        if ab != ba:
+            return i, k, next(j for j in count() if slice_row(ab, j) != slice_row(ba, j))
     return None
 
 

@@ -233,7 +233,7 @@ def strassen_commuting(T: Tensor3, witness) -> bool:
     p = f.characteristic
     Minv = linalg.unbox(linalg.invert(f, M), f)[1]
     slices = [linalg.raw_mul(Minv, linalg.unbox(layer, f)[1], p, 0) for layer in T.entries]
-    return linalg.first_noncommuting(slices, p, 0) is None
+    return linalg.first_noncommuting([[(0, m)] for m in slices], p) is None
 
 
 def matrix_algebra_tensor(field: Field, n: int) -> Tensor3:

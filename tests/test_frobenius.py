@@ -1,7 +1,10 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from corpus import build_corpus
 from gorlab import GF, QQ, linalg, poly_ring, quotient_algebra
 from gorlab.algebra import (
     FiniteAlgebra,
@@ -160,6 +163,32 @@ def test_isotropy_examples():
     ker = Subspace(4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], QQ)
     ann = annihilator(A4, ker)
     assert ann == Subspace(4, [[0, 0, 0, 1]], QQ)
+
+
+@lru_cache(maxsize=None)
+def _corpus(field):
+    return build_corpus(field, 12, seed=0)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_isotropy_check_is_the_annihilator_criterion(data):
+    # isotropy_check reads e(x) for the socle generator x; it must agree with
+    # Ann(ker e) <= ker e.  On k x A the projection onto k is not isotropic,
+    # while A's own augmentation, pulled back, is.
+    field = data.draw(st.sampled_from((QQ, F7)))
+    t = data.draw(st.sampled_from(_corpus(field)))
+    oa, e = t.oa, t.e
+    if data.draw(st.booleans()):
+        k = FiniteAlgebra(field, ["1"], [[[1]]], unit=[1])
+        a = field.scalar(data.draw(st.integers(1, 6)))
+        oa = OrientedAlgebra(direct_product(k, t.algebra), (a,) + t.oa.phi)
+        z = field.zero
+        e = (field.one,) + (z,) * t.oa.dim if data.draw(st.booleans()) else (z,) + t.e
+    A = oa.algebra
+    ker = Subspace(A.dim, linalg.kernel_basis(field, [e], A.dim))
+    contained = all(not linalg.sum_dot(e, row) for row in annihilator(A, ker).rows)
+    assert isotropy_check(oa, e) == contained
 
 
 def test_local_socle_lemma():

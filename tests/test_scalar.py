@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gorlab.errors import BadParameter, FieldMismatch, ZeroInput
 from gorlab.scalar import (
@@ -82,6 +82,7 @@ def test_field_mismatch():
         QQ.scalar(1) + F7.scalar(1)
 
 
+@settings(derandomize=True, deadline=None)
 @given(rationals, rationals, rationals)
 def test_field_axioms_rationals(x, y, z):
     a, b, c = QQ.scalar(x), QQ.scalar(y), QQ.scalar(z)
@@ -92,6 +93,7 @@ def test_field_axioms_rationals(x, y, z):
         assert a * a.inverse() == QQ.one
 
 
+@settings(derandomize=True, deadline=None)
 @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
 def test_field_axioms_f101(x, y, z):
     f = GF(101)
@@ -118,6 +120,7 @@ def test_square_class_examples():
         square_class(QQ.zero)
 
 
+@settings(derandomize=True, deadline=None)
 @given(rationals, rationals)
 def test_square_class_invariance(x, y):
     if x == 0 or y == 0:
@@ -143,6 +146,7 @@ def test_tpoly_eval_examples():
     assert tpoly_eval(g, 3) == F5.scalar(4)
 
 
+@settings(derandomize=True, deadline=None)
 @given(st.lists(rationals, max_size=6), st.lists(rationals, max_size=6), rationals)
 def test_tpoly_eval_is_ring_hom(fc, gc, c):
     f = TPoly(QQ, fc)

@@ -2,22 +2,27 @@
 
 ``validate_structure`` and ``NonUnitalOriented`` decide associativity, the
 unit law and the compatibility of a pairing through products of the
-multiplication matrices c[i].  The reference functions below are the direct
-loops over basis triples.  On perturbed corpus and quotient-algebra tables
-over QQ and F_7 and on perturbed homotopy families over k[t], both sides
-must raise the same exception with the same message, or both accept.
+multiplication matrices c[i], read into raw coefficient slices.  The
+reference functions below are the direct loops over basis triples.  On
+perturbed corpus and quotient-algebra tables over QQ and F_7 and on
+perturbed homotopy and Rees families over k[t], both sides must raise the
+same exception with the same message, or both accept.  The perturbations
+reach t-degree 5; over QQ they include multiples of 7 and fractions over
+large coprime denominators (both invisible to a check mod a small prime),
+and units with denominators; tables of dimension 0 and 1 are included.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
 from gorlab import GF, QQ, poly_ring, quotient_algebra
-from gorlab.algebra import FiniteAlgebra, multiply, validate_structure
+from gorlab.algebra import FiniteAlgebra, base_change, multiply, validate_structure
 from gorlab.errors import BadUnit, Degenerate, DimensionMismatch, NotAssociative, NotCommutative
 from gorlab.families import homotopy_families
 from gorlab.forms import BilinearForm, is_nondegenerate
-from gorlab.frobenius import NonUnitalOriented, decompose_augmented
+from gorlab.frobenius import NonUnitalOriented, OrientedAlgebra, decompose_augmented, rees_family
 from gorlab.scalar import TPoly
 from gorlab.tensors import aq_algebra, strassen_commuting, structure_tensor
 
@@ -101,11 +106,20 @@ def corpus(field):
 
 @lru_cache(maxsize=None)
 def family_tables(field):
-    """(c, unit) of h_const for the corpus samples of dimension 2, 3 and 4."""
-    return [
+    """(c, unit) over k[t]: h_const for the corpus samples of dimension 2, 3
+    and 4; the Rees families of the samples of dimension 2 to 5 with the
+    orientation moved to phi - phi(1) e; and tables of dimension 0 and 1."""
+    out = [
         (hf.h_const.c, hf.h_const.unit)
         for hf in (homotopy_families(t) for t in corpus(field)[:3])
     ]
+    for t in corpus(field)[:4]:
+        lam = t.oa.phi_of(t.algebra.unit)
+        phi0 = [a - lam * b for a, b in zip(t.oa.phi, t.e)]
+        fam = rees_family(OrientedAlgebra(t.algebra, phi0)).family
+        out.append((fam.c, fam.unit))
+    one = TPoly.const(field.one)
+    return out + [((), ()), ((((one,),),), (one,)), ((((TPoly(field),),),), None)]
 
 
 @lru_cache(maxsize=None)
@@ -120,11 +134,34 @@ def quotient_tables(field):
     return algebras
 
 
+@lru_cache(maxsize=None)
+def edge_tables(field):
+    """Over QQ, the quotient algebras in the basis 2 e_0, 3 e_1, 5 e_2, ...,
+    so that the unit has denominators; over both fields, dimensions 0 and 1."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    scaled = [
+        base_change(A, [[primes[i] if i == j else 0 for j in range(A.dim)] for i in range(A.dim)])
+        for A in quotient_tables(field)
+        if field.characteristic == 0
+    ]
+    return scaled + [
+        FiniteAlgebra(field, [], (), unit=()),
+        FiniteAlgebra(field, ["1"], [[[1]]], unit=[1]),
+        FiniteAlgebra(field, ["x"], [[[0]]]),
+    ]
+
+
 FIELDS = (QQ, GF(7))
+BIG_PRIMES = (10007, 65537, 2**31 - 1)
 
 
 @st.composite
 def scalars(draw, field, nonzero=False):
+    if field.characteristic == 0 and draw(st.integers(0, 3)) == 0:
+        # zero mod 7, or over a large denominator: exact comparisons only
+        if draw(st.booleans()):
+            return field.scalar(7 * draw(st.sampled_from((-2, -1, 1, 3))))
+        return field.scalar(Fraction(draw(st.integers(1, 5)), draw(st.sampled_from(BIG_PRIMES))))
     v = draw(st.integers(-3, 3).filter(lambda v: not nonzero or v % 7))
     return field.scalar(v)
 
@@ -157,7 +194,7 @@ def perturbed(c, moves_):
 
 def perturbed_unit(data, unit, delta):
     """The unit, with one entry moved in about one draw in three."""
-    if unit is None or data.draw(st.integers(0, 2)):
+    if not unit or data.draw(st.integers(0, 2)):
         return unit
     unit = list(unit)
     m = data.draw(st.integers(0, len(unit) - 1))
@@ -169,7 +206,7 @@ def perturbed_unit(data, unit, delta):
 @given(st.data())
 def test_validate_structure_matches_triple_loops(data):
     field = data.draw(st.sampled_from(FIELDS))
-    pool = [t.algebra for t in corpus(field)] + quotient_tables(field)
+    pool = [t.algebra for t in corpus(field)] + quotient_tables(field) + edge_tables(field)
     A = data.draw(st.sampled_from(pool))
     delta = scalars(field, nonzero=True)
     c = perturbed(A.c, data.draw(moves(A.dim, delta)))
@@ -178,7 +215,7 @@ def test_validate_structure_matches_triple_loops(data):
     assert got == outcome(ref_validate_structure, c, unit, field.zero)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.data())
 def test_family_validation_matches_triple_loops(data):
     field = data.draw(st.sampled_from(FIELDS))
@@ -186,8 +223,11 @@ def test_family_validation_matches_triple_loops(data):
 
     @st.composite
     def tpolys(draw):
-        coeffs = [draw(scalars(field)) for _ in range(2)]
-        coeffs[draw(st.integers(0, 1))] = draw(scalars(field, nonzero=True))
+        # degree <= 5; a move with no constant term is invisible at t = 0
+        top = draw(st.integers(0, 5))
+        low = draw(st.integers(0, top))
+        coeffs = [field.zero] * low + [draw(scalars(field)) for _ in range(low, top + 1)]
+        coeffs[draw(st.integers(low, top))] = draw(scalars(field, nonzero=True))
         return TPoly(field, coeffs)
 
     c = perturbed(c, data.draw(moves(len(c), tpolys())))
