@@ -514,11 +514,7 @@ def _cmd_check(args) -> dict:
         out["witness"] = _labelled(cd.algebra.labels, oa.phi)
     else:
         rep = gorenstein_test(cd.algebra, seed=0)
-        out["gorenstein"] = {
-            "oriented": "yes",
-            "not_gorenstein": "no",
-            "inconclusive": "inconclusive",
-        }[rep.status]
+        out["gorenstein"] = "no" if rep.status == "not_gorenstein" else "yes"
         if rep.witness is not None:
             out["witness"] = _labelled(cd.algebra.labels, rep.witness)
     if cd.e is not None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .algebra import (
@@ -543,21 +545,29 @@ def rees_family(oa: OrientedAlgebra) -> ReesResult:
 
 @dataclass(frozen=True)
 class GorensteinResult:
-    status: str  # "oriented" | "not_gorenstein" | "inconclusive"
+    status: str  # "oriented" | "gorenstein" | "not_gorenstein"
     witness: tuple | None
     certificate: MultiPoly | None  # the symbolic determinant, when expanded
     trials: int
+    nilradical: Subspace | None = None  # J, when not_gorenstein
+    socle: Subspace | None = None  # Soc = Ann(J), when not_gorenstein
 
     def serialize(self, labels=None) -> dict:
+        def labelled(v):
+            return {l: str(x) for l, x in zip(labels or [f"e{i}" for i in range(len(v))], v)}
+
         out = {"status": self.status, "trials": self.trials}
         if self.witness is not None:
-            if labels is None:
-                labels = [f"e{i}" for i in range(len(self.witness))]
-            out["witness"] = {l: str(x) for l, x in zip(labels, self.witness)}
+            out["witness"] = labelled(self.witness)
         if self.certificate is not None:
             out["certificate"] = {
                 "symbolic_determinant": str(self.certificate),
                 "is_zero": not self.certificate,
+            }
+        if self.nilradical is not None:
+            out["certificate"] = {
+                "nilradical": [labelled(v) for v in self.nilradical.rows],
+                "socle": [labelled(v) for v in self.socle.rows],
             }
         return out
 
@@ -591,21 +601,96 @@ def _find_nonvanishing(Dpoly: MultiPoly, field: Field):
     return tuple(point)
 
 
+# rank mod a prime never exceeds the rank over QQ, so a trace form of full
+# rank mod this prime proves J = 0 without the slower Fraction elimination
+_RANK_PRIME = 2**61 - 1
+
+
+def _nilradical_and_socle(A: FiniteAlgebra):
+    """Raw RREF bases of the nilradical J of A and of Soc(A) = Ann(J).
+
+    The table is read as ints: mod p, or over QQ times L, the common
+    denominator of its entries.  L·c is the table of an algebra isomorphic
+    to A by x -> x/L, a scaling, so J and Soc are the same subspaces.
+
+    For p = 0 or p > dim A, J is the radical of the trace form
+    (x, y) -> tr(L_xy): on each local factor the trace is the factor's
+    length, nonzero in k, times the residue field's trace, which is
+    non-degenerate.  For 0 < p <= dim A, J is the kernel of the F_p-linear
+    map x -> x^(p^m) with p^m >= dim A, a bound on every nilpotency index.
+    """
+    d = A.dim
+    p = A.field.characteristic
+    if p:
+        table = [[[x.value for x in row] for row in plane] for plane in A.c]
+    else:
+        table = [[[x.value.as_integer_ratio() for x in row] for row in plane] for plane in A.c]
+        L = lcm(*{den for plane in table for row in plane for _, den in row})
+        table = [[[num * (L // den) for num, den in row] for row in plane] for plane in table]
+    if p == 0 or p > d:
+        trace = [sum(plane[j][j] for j in range(d)) for plane in table]
+        support = [(k, v) for k, v in enumerate(trace) if v]
+        gram = [[sum(row[k] * v for k, v in support) for row in plane] for plane in table]
+        if p:
+            J = linalg.raw_kernel([[x % p for x in row] for row in gram], d, p)
+        elif len(linalg.raw_rref([[x % _RANK_PRIME for x in row] for row in gram],
+                                 _RANK_PRIME)) == d:
+            J = []
+        else:
+            J = linalg.raw_kernel([[Fraction(x) for x in row] for row in gram], d, 0)
+    else:
+        # row i of frob is e_i^p, reached by p - 1 products with the plane c[i]
+        frob = []
+        for i, plane in enumerate(table):
+            v = [int(j == i) for j in range(d)]
+            for _ in range(p - 1):
+                v = linalg.raw_mul([v], plane, p, 0)[0]
+            frob.append(v)
+        power, reach = frob, p
+        while reach < d:
+            power, reach = linalg.raw_mul(power, frob, p, 0), reach * p
+        # x^(p^m) = x·power for x over F_p: J is the left kernel of power
+        J = linalg.raw_kernel([list(col) for col in zip(*power)], d, p)
+    constraints = []
+    if J:
+        # column (r, l) of J·[c[0]; ...; c[d-1]] is the e_l-coefficient of
+        # j_r·e_i as i runs: a·j_r = 0 exactly when a is orthogonal to each
+        flat = [[x for row in plane for x in row] for plane in table]
+        prod = linalg.raw_mul(J, flat, p, 0 if p else Fraction(0))
+        constraints = [[row[i * d + l] for i in range(d)] for row in prod for l in range(d)]
+    return J, linalg.raw_kernel([c for c in constraints if any(c)], d, p)
+
+
 def gorenstein_test(
     A: FiniteAlgebra, seed: int = 0, trials: int = 64, symbolic_max_dim: int = 8
 ) -> GorensteinResult:
-    """Decide whether some functional orients A.
+    """Decide whether some functional orients A, and search for one.
 
-    Strategy: seeded sampling of candidate functionals first; on failure and
-    when the dimension is small enough, expand det(B_phi) symbolically.  A
-    zero symbolic determinant certifies NotGorenstein; a nonzero one yields
-    a witness by incremental substitution.  Otherwise the verdict is
-    Inconclusive (honest, e.g. over tiny prime fields).
+    The decision is exact: A is Gorenstein iff dim Soc(A) = dim A - dim J,
+    where J is the nilradical and Soc(A) = Ann(J); in general
+    dim Soc(A) >= dim A - dim J, with equality iff the socle of every local
+    factor is one-dimensional over its residue field (Eisenbud, Commutative
+    Algebra, section 21).  J is linear algebra on the structure table: the
+    radical of the trace form tr(L_xy) when p = 0 or p > dim A, else the
+    kernel of x -> x^(p^m) with p^m >= dim A.  A not-Gorenstein verdict
+    uses no trials and is certified by the bases of J and Soc.
+
+    For a Gorenstein A a witness is searched: ``trials`` seeded random
+    functionals first; on failure and when dim A <= ``symbolic_max_dim``,
+    det(B_phi) is expanded symbolically and a nonvanishing point sought by
+    incremental substitution.  Both bound only this search.  When neither
+    finds a witness (over a small prime field a witness can be rare), the
+    status is "gorenstein": decided, with no witness.
     """
     if not A.is_unital:
         raise BadUnit("the Gorenstein test needs a unital algebra")
     f = A.field
     d = A.dim
+    J, soc = _nilradical_and_socle(A)
+    if len(soc) != d - len(J):
+        return GorensteinResult(
+            "not_gorenstein", None, None, 0, Subspace(d, J, f), Subspace(d, soc, f)
+        )
     rng = random.Random(seed)
     for trial in range(trials):
         if f.characteristic == 0:
@@ -632,9 +717,8 @@ def gorenstein_test(
             for i in range(d)
         ]
         Dpoly = det_multipoly(matrix, f, variables)
-        if not Dpoly:
-            return GorensteinResult("not_gorenstein", None, Dpoly, trials)
         point = _find_nonvanishing(Dpoly, f)
         if point is not None:
             return GorensteinResult("oriented", point, Dpoly, trials)
-    return GorensteinResult("inconclusive", None, None, trials)
+        return GorensteinResult("gorenstein", None, Dpoly, trials)
+    return GorensteinResult("gorenstein", None, None, trials)

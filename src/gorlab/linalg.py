@@ -6,7 +6,9 @@ At the API, matrices are tuples of row tuples of Scalar.  The field routines
 ``extend_to_basis`` and ``complement_in`` -- unbox their input once to raw
 values (ints in [0, p) over F_p, Fractions over QQ), run their one
 elimination or product loop on those, and box the result once.  Unboxing
-checks that every entry is a Scalar of one field.
+checks that every entry is a Scalar of one field.  ``raw_rref`` and
+``raw_kernel`` are that elimination loop and the kernel read off it, for
+callers that already hold raw values.
 
 Row-space bases are always canonicalized to reduced row echelon form, so
 subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec``,
@@ -160,18 +162,16 @@ def vec_mat(v, m):
     return mat_vec(transpose(m), v)
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+def raw_rref(work, p: int, ncols=None):
+    """Bring a list of raw row lists (ints mod p, or Fractions at p = 0) to
+    reduced row echelon form in place; returns the pivot columns.
 
     Pivots are sought in the first ``ncols`` columns (all by default); row
-    operations act on whole rows.
+    operations act on whole rows.  The nonzero rows come first, one per
+    pivot.
     """
-    field, work = unbox(rows)
-    if field is None:
-        return (), ()
-    p = field.characteristic
     if ncols is None:
-        ncols = len(work[0])
+        ncols = len(work[0]) if work else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -198,27 +198,48 @@ def rref(rows, ncols=None):
                         row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
-    return _box(field, work[:r]), tuple(pivots)
+    return pivots
+
+
+def rref(rows, ncols=None):
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Pivots are sought in the first ``ncols`` columns (all by default); row
+    operations act on whole rows.
+    """
+    field, work = unbox(rows)
+    if field is None:
+        return (), ()
+    pivots = raw_rref(work, field.characteristic, ncols)
+    return _box(field, work[: len(pivots)]), tuple(pivots)
 
 
 def rank(rows, ncols=None):
     return len(rref(rows, ncols)[0])
 
 
+def raw_kernel(rows, ncols: int, p: int):
+    """RREF basis of the right null space {x : M x = 0} of a matrix of raw
+    values, as raw row lists; the rows are reduced in place."""
+    pivots = raw_rref(rows, p, ncols)
+    pivset = set(pivots)
+    zero, one = (0, 1) if p else (_QQ_ZERO, Fraction(1))
+    basis = []
+    for fcol in range(ncols):
+        if fcol not in pivset:
+            v = [zero] * ncols
+            v[fcol] = one
+            for r, pcol in enumerate(pivots):
+                v[pcol] = -rows[r][fcol] % p if p else -rows[r][fcol]
+            basis.append(v)
+    raw_rref(basis, p, ncols)
+    return basis
+
+
 def kernel_basis(field: Field, rows, ncols: int):
     """RREF basis of the right null space {x : M x = 0}."""
-    red, pivots = rref(rows, ncols)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    z, o = field.zero, field.one
-    basis = []
-    for fcol in free:
-        v = [z] * ncols
-        v[fcol] = o
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -red[r][fcol]
-        basis.append(tuple(v))
-    return rref(basis, ncols)[0]
+    _, work = unbox(rows, field)
+    return _box(field, raw_kernel(work, ncols, field.characteristic))
 
 
 def det(field: Field, m):

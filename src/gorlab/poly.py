@@ -264,16 +264,18 @@ def poly_ring(field: Field, *names):
 # division and Buchberger
 
 
-def normal_form(f: MultiPoly, gb) -> MultiPoly:
-    """Remainder of f under multivariate division by a Groebner basis."""
-    gb = [g for g in gb if g]
+def _divisor(g: MultiPoly):
+    return g.leading_monomial(), g.leading_coeff(), g
+
+
+def _reduce(f: MultiPoly, divisors) -> MultiPoly:
+    """Remainder of f under division by [(lm, lc, g), ...], tried in order."""
     rem = MultiPoly.zero(f.field, f.variables)
     work = f
-    lms = [(g.leading_monomial(), g.leading_coeff(), g) for g in gb]
     while work:
         m = work.leading_monomial()
         c = work.terms[m]
-        for lm, lc, g in lms:
+        for lm, lc, g in divisors:
             if mono_divides(lm, m):
                 work = work - g.term_mul(mono_div(m, lm), c / lc)
                 break
@@ -281,6 +283,11 @@ def normal_form(f: MultiPoly, gb) -> MultiPoly:
             rem = rem + MultiPoly(f.field, f.variables, {m: c})
             work = work - MultiPoly(f.field, f.variables, {m: c})
     return rem
+
+
+def normal_form(f: MultiPoly, gb) -> MultiPoly:
+    """Remainder of f under multivariate division by a Groebner basis."""
+    return _reduce(f, [_divisor(g) for g in gb if g])
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -308,7 +315,8 @@ def groebner_basis(gens) -> list[MultiPoly]:
         if g.field != field or g.variables != variables:
             raise FieldMismatch("generators live in different rings")
     basis = [g.monic() for g in gens]
-    lms = [g.leading_monomial() for g in basis]
+    divisors = [_divisor(g) for g in basis]
+    lms = [lm for lm, _, _ in divisors]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     queue = [(grevlex_key(mono_lcm(lms[i], lms[j])), i, j) for i, j in pairs]
     heapify(queue)
@@ -331,11 +339,12 @@ def groebner_basis(gens) -> list[MultiPoly]:
                 break
         if skip:
             continue
-        h = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        h = _reduce(s_polynomial(basis[i], basis[j]), divisors)
         if h:
             h = h.monic()
             basis.append(h)
-            lms.append(h.leading_monomial())
+            divisors.append(_divisor(h))
+            lms.append(divisors[-1][0])
             new = len(basis) - 1
             for k in range(new):
                 pairs.add((k, new))
@@ -343,17 +352,17 @@ def groebner_basis(gens) -> list[MultiPoly]:
     # interreduce to the unique reduced basis: minimalize by leading
     # monomial first, then reduce each tail against the others
     lead = {}
-    for g in basis:
-        lead.setdefault(g.leading_monomial(), g)
+    for div in divisors:
+        lead.setdefault(div[0], div)
     minimal = [
-        g
-        for m, g in lead.items()
+        div
+        for m, div in lead.items()
         if not any(m != m2 and mono_divides(m2, m) for m2 in lead)
     ]
     final = []
-    for i, g in enumerate(minimal):
-        others = [h for k, h in enumerate(minimal) if k != i]
-        final.append(normal_form(g, others).monic())
+    for i, (_, _, g) in enumerate(minimal):
+        others = [div for k, div in enumerate(minimal) if k != i]
+        final.append(_reduce(g, others).monic())
     final.sort(key=lambda g: grevlex_key(g.leading_monomial()))
     return final
 

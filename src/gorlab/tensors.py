@@ -36,7 +36,7 @@ from .poly import (
     monomials_of_degree,
     quotient_algebra,
 )
-from .scalar import Field, TPoly
+from .scalar import Field, Scalar, TPoly
 
 
 class Tensor3:
@@ -73,21 +73,20 @@ class Tensor3:
 
     def slice_first(self, a):
         """Contraction sum_i a_i T[i][.][.] (a d2 x d3 matrix)."""
-        a = [self.field.scalar(x) for x in a]
+        f = self.field
+        a = [f.scalar(x).value for x in a]
         if len(a) != self.dims[0]:
             raise ShapeMismatch("contraction vector has wrong length")
-        d1, d2, d3 = self.dims
-        z = self.field.zero
-        out = [[z] * d3 for _ in range(d2)]
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(d2):
-                row = self.entries[i][j]
-                for k in range(d3):
-                    if row[k]:
-                        out[j][k] = out[j][k] + ai * row[k]
-        return linalg.mat(out)
+        # contract on raw values, reduce mod p and box once
+        p = f.characteristic
+        out = [[f.zero.value] * self.dims[2] for _ in range(self.dims[1])]
+        for ai, plane in zip(a, self.entries):
+            if ai:
+                for acc, row in zip(out, plane):
+                    for k, x in enumerate(row):
+                        if x.value:
+                            acc[k] += ai * x.value
+        return tuple(tuple(Scalar(f, v % p if p else v) for v in row) for row in out)
 
     def __eq__(self, other):
         return (
@@ -181,8 +180,9 @@ def one_generic(
 ) -> OneGenericResult:
     """Search for a first-slot contraction of full rank.
 
-    Same sample-then-symbolic strategy as the Gorenstein test, applied to
-    det of the symbolic slice.
+    Seeded sampling first; on failure and when d1 <= symbolic_max_dim, the
+    determinant of the symbolic slice is expanded: zero certifies "no", a
+    nonvanishing point is a witness.
     """
     d1, d2, d3 = T.dims
     if d2 != d3:

@@ -6,6 +6,7 @@ them); any failure surfaces as an ordinary assertion error.
 
 import random
 
+from certificates import assert_not_gorenstein_certificate
 from corpus import random_invertible, random_nondegenerate_form
 
 from gorlab import GF, QQ, linalg, poly_ring, quotient_algebra
@@ -427,8 +428,7 @@ def test_criterion_16_gorenstein_decision():
     x, y = poly_ring(QQ, "x", "y")
     A = quotient_algebra([x**2, x * y, y**2])
     rep = gorenstein_test(A)
-    assert rep.status == "not_gorenstein"
-    assert rep.certificate is not None and not rep.certificate
+    assert_not_gorenstein_certificate(A, rep)
     positives = [aq_algebra(QQ, q) for q in (1, 2, 3)]
     positives += [split_algebra(QQ, d).algebra for d in (2, 4, 6)]
     positives += [chain(QQ, n) for n in range(1, 7)]
@@ -436,7 +436,7 @@ def test_criterion_16_gorenstein_decision():
         r = gorenstein_test(B)
         assert r.status == "oriented"
         assert is_nondegenerate(b_phi(B, r.witness))
-    _pass(16, "Gorenstein decision: zero-determinant certificate and witnesses")
+    _pass(16, "Gorenstein decision: nilradical and socle certificate, and witnesses")
 
 
 def _ev1(x, field):

@@ -150,7 +150,28 @@ def test_orient_command(capsys, tmp_path):
     code, payload, _ = run(capsys, "orient", str(p), "--seed", "1", "--trials", "8")
     assert code == 0
     assert payload["status"] == "not_gorenstein"
-    assert payload["certificate"]["is_zero"] is True
+    assert payload["trials"] == 0 and "witness" not in payload
+    # J = Soc = (x, y) in the basis 1, x, y, re-verified on the library side
+    # by test_frobenius.test_gorenstein_test_negative_certificate
+    basis = [{"1": "0", "x": "1", "y": "0"}, {"1": "0", "x": "0", "y": "1"}]
+    assert payload["certificate"] == {"nilradical": basis, "socle": basis}
+
+
+def test_gorenstein_without_witness_reports(capsys, tmp_path):
+    # F_2^9: idempotents x1..x8 and 1 - (x1 + ... + x8); the only orientation
+    # is 1 on each of them, which 4 sampled functionals miss
+    xs = [f"x{i}" for i in range(1, 9)]
+    lines = ["field F 2", "vars " + " ".join(xs)]
+    lines += [f"rel {x}^2 - {x}" for x in xs]
+    lines += [f"rel {a}*{b}" for i, a in enumerate(xs) for b in xs[i + 1 :]]
+    p = tmp_path / "f2_9.alg"
+    p.write_text("\n".join(lines) + "\n")
+    code, payload, _ = run(capsys, "orient", str(p), "--trials", "4")
+    assert code == 0
+    assert payload == {"schema": "gorlab/1", "command": "orient", "status": "gorenstein", "trials": 4}
+    code, payload, _ = run(capsys, "check", str(p))
+    assert code == 0
+    assert payload["dim"] == 9 and payload["gorenstein"] == "yes"
 
 
 def test_orient_rejects_negative_counts(capsys, a2_file):

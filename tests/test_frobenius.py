@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from certificates import assert_not_gorenstein_certificate
 from corpus import build_corpus
 from gorlab import GF, QQ, linalg, poly_ring, quotient_algebra
 from gorlab.algebra import (
@@ -105,8 +106,9 @@ def test_gorenstein_test_negative_certificate():
     x, y = poly_ring(QQ, "x", "y")
     A = quotient_algebra([x**2, x * y, y**2])
     rep = gorenstein_test(A)
-    assert rep.status == "not_gorenstein"
-    assert rep.certificate is not None and not rep.certificate  # zero polynomial
+    assert_not_gorenstein_certificate(A, rep)
+    # J = Soc = (x, y): a two-dimensional socle over the residue field QQ
+    assert rep.nilradical.dim == 2 and rep.socle == rep.nilradical
 
 
 def test_gorenstein_test_split_field():
@@ -466,9 +468,9 @@ def test_enumerate_augmentations():
         enumerate_augmentations(chain(GF(5), 2), budget=3)
 
 
-def test_gorenstein_inconclusive_beyond_symbolic_cap():
-    # non-Gorenstein of dimension 9 > symbolic cap 8: sampling fails and the
-    # symbolic expansion is out of reach, so the honest verdict is returned
+def test_gorenstein_decided_beyond_symbolic_cap():
+    # non-Gorenstein of dimension 9 > symbolic cap 8: the decision needs
+    # neither sampling nor the symbolic expansion
     x, y = poly_ring(QQ, "x", "y")
     bad = quotient_algebra([x**2, x * y, y**2])
     big = bad
@@ -476,8 +478,23 @@ def test_gorenstein_inconclusive_beyond_symbolic_cap():
         big = direct_product(big, chain(QQ, 1))
     assert big.dim == 9
     rep = gorenstein_test(big, seed=0, trials=12, symbolic_max_dim=8)
-    assert rep.status == "inconclusive"
-    assert rep.trials == 12
+    assert_not_gorenstein_certificate(big, rep)
+    assert rep.nilradical.dim == 2 and rep.socle.dim == 8
+
+
+def test_gorenstein_without_witness():
+    # F_2^9 is Gorenstein, but phi orients it only when phi(e_i) = 1 for
+    # every idempotent e_i: one functional in 512, and d > symbolic cap
+    f = GF(2)
+    big = chain(f, 1)
+    for _ in range(8):
+        big = direct_product(big, chain(f, 1))
+    assert big.dim == 9
+    rep = gorenstein_test(big, seed=0, trials=4)
+    assert rep.status == "gorenstein"
+    assert rep.witness is None and rep.trials == 4
+    assert rep.serialize(big.labels) == {"status": "gorenstein", "trials": 4}
+    assert is_nondegenerate(b_phi(big, [1] * 9))
 
 
 def test_double_annihilator_equality_on_oriented():
