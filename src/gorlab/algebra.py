@@ -7,10 +7,18 @@ these planes: c[i][j] = c[j][i] (commutativity); c[i]·c[k] = c[k]·c[i],
 since row j of each side is (e_i e_j) e_k and e_i (e_j e_k) (associativity);
 and sum_m unit[m] c[m] = I (the unit law).  Every later construction leans
 on these checks being exact; they run on raw coefficient slices.
+
+New tables are built on the same slices by ``_table_on_rows``, the table of
+the rows of a constant matrix in coordinates against a row basis:
+``base_change``, the connected sums and homotopies of
+``frobenius._consum_core``, and ``decompose_augmented``.  ``AlgebraFamily.at``
+evaluates the slices by Horner's rule.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from . import linalg
@@ -20,6 +28,7 @@ from .errors import (
     FieldMismatch,
     NotAssociative,
     NotCommutative,
+    Singular,
 )
 from .scalar import Field, Scalar, TPoly, as_tpoly
 
@@ -220,29 +229,19 @@ def algebra_from_constants(field: Field, labels, c, unit=None) -> FiniteAlgebra:
     return FiniteAlgebra(field, labels, c, unit, validate=True)
 
 
-def table_multiply(c, u, v, zero):
-    """Bilinear contraction against a raw table; ring-generic (TPoly-safe)."""
-    d = len(c)
-    out = [zero] * d
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        plane = c[i]
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            f = ui * vj
-            for k, ck in enumerate(plane[j]):
-                if ck:
-                    out[k] = out[k] + f * ck
-    return tuple(out)
-
-
 def multiply(A: FiniteAlgebra, u, v):
     """The product of two coefficient vectors, by bilinear contraction."""
     u = A.coerce_vector(u)
     v = A.coerce_vector(v)
-    return table_multiply(A.c, u, v, A.field.zero)
+    out = [A.field.zero] * A.dim
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            if ui and vj:
+                f = ui * vj
+                for k, ck in enumerate(A.c[i][j]):
+                    if ck:
+                        out[k] = out[k] + f * ck
+    return tuple(out)
 
 
 def ideal_span(A: FiniteAlgebra, gens) -> Subspace:
@@ -302,17 +301,69 @@ def base_change(A: FiniteAlgebra, P, labels=None) -> FiniteAlgebra:
     if len(P) != A.dim:
         raise DimensionMismatch("change of basis must be square")
     Pinv = linalg.invert(A.field, P)
-    c = []
-    for i in range(A.dim):
-        plane = []
-        for j in range(A.dim):
-            w = multiply(A, P[i], P[j])
-            plane.append(linalg.vec_mat(w, Pinv))
-        c.append(plane)
+    c = _table_on_rows(A.field, [A.c], P, Pinv, 0, A.field.zero)
     unit = linalg.vec_mat(A.unit, Pinv) if A.unit is not None else None
     if labels is None:
         labels = tuple(f"b{i}" for i in range(A.dim))
     return FiniteAlgebra(A.field, labels, c, unit, validate=False)
+
+
+def _box_plane(field: Field, slices, scale: int, zero, shape, memo: dict):
+    """The (rows, columns) matrix, of Scalars or of TPolys as ``zero`` is, of
+    a slice list of raw numerators over ``scale``; later columns are dropped.
+    Equal entries share one immutable object through ``memo``."""
+    p = field.characteristic
+
+    def entry(b, k):
+        key = tuple((s, M[b][k]) for s, M in slices if M[b][k])
+        if key not in memo:
+            coeffs = [field.zero] * (key[-1][0] + 1 if key else 1)
+            for s, v in key:
+                coeffs[s] = Scalar(field, v if p else Fraction(v, scale))
+            memo[key] = TPoly(field, coeffs) if isinstance(zero, TPoly) else coeffs[0]
+        return memo[key]
+
+    return tuple(tuple(entry(b, k) for k in range(shape[1])) for b in range(shape[0]))
+
+
+def _table_on_rows(field: Field, tables, R, M, checks: int, zero):
+    """The table of the rows r_a of R in the block-diagonal algebra
+    tables[0] (+) tables[1] (+) ..., its products mapped by M.
+
+    Plane a is R·(sum_i R[a][i] c[i])·M, row b being (r_a r_b)·M; R is
+    constant, the tables and M may hold TPolys.  The last ``checks`` columns
+    of M must send every product to 0 (with M = [C | N] of a RowSolver: the
+    products lie in its row space), else Singular.  One raw_slices read
+    (common denominator L, so products carry L^4), linalg.slice_mul
+    throughout, and one boxing in the ring of ``zero``.
+    """
+    if not R:
+        return ()
+    p = field.characteristic
+    n, D, w = len(R), sum(map(len, tables)), len(M[0])
+    (*stacks, R, M), L = raw_slices([*([r for pl in c for r in pl] for c in tables), R, M], p)
+    # row i*D + j of stack[s] is e_i e_j in ambient coordinates, zero across blocks
+    stack, o = {}, 0
+    for c, slices in zip(tables, stacks):
+        d = len(c)
+        for s, X in slices:
+            rows = stack.setdefault(s, [[0] * D] * (D * D))
+            for ij, row in enumerate(X):
+                i, j = divmod(ij, d)
+                rows[(o + i) * D + o + j] = [0] * o + row + [0] * (D - o - d)
+        o += d
+    # row i of F is plane i times M, flattened; row a of RF is sum_i R[a][i] F[i]
+    F = [(s, [list(chain(*X[i * D:(i + 1) * D])) for i in range(D)])
+         for s, X in linalg.slice_mul(sorted(stack.items()), M, p)]
+    RF = linalg.slice_mul(R, F, p)
+    out, memo = [], {}
+    for a in range(n):
+        plane = [(s, [X[a][j * w:(j + 1) * w] for j in range(D)]) for s, X in RF]
+        Z = linalg.slice_mul(R, plane, p)
+        if any(x for _, X in Z for row in X for x in row[w - checks:]):
+            raise Singular("vector is not in the row space")
+        out.append(_box_plane(field, Z, L**4, zero, (n, w - checks), memo))
+    return tuple(out)
 
 
 class AlgebraFamily:
@@ -370,13 +421,27 @@ class AlgebraFamily:
         raise AttributeError("AlgebraFamily is immutable")
 
     def at(self, value, validate: bool = True) -> FiniteAlgebra:
-        """The fiber algebra at t = value."""
-        value = self.field.scalar(value)
-        c = [
-            [[x(value) for x in row] for row in plane] for plane in self.c
-        ]
-        unit = [x(value) for x in self.unit] if self.unit is not None else None
-        return FiniteAlgebra(self.field, self.labels, c, unit, validate=validate)
+        """The fiber algebra at t = value, evaluated on raw slices by Horner's
+        rule: at a/b, sum_s M_s (a/b)^s = (sum_s M_s a^s b^(top - s)) / b^top."""
+        f, d, memo = self.field, self.dim, {}
+        p = f.characteristic
+        value = f.scalar(value)
+        a, b = (value.value, 1) if p else value.value.as_integer_ratio()
+        (*planes, unit), L = raw_slices([*self.c, [self.unit or ()]], p)
+        top = max((s for pl in (*planes, unit) for s, _ in pl), default=0)
+
+        def fiber(slices, rows):
+            X, acc = dict(slices), [[0] * d] * rows
+            for s in range(top, -1, -1):
+                bs = b ** (top - s)
+                acc = [[u * a + x * bs for u, x in zip(ra, rx)]
+                       for ra, rx in zip(acc, X.get(s, [[0] * d] * rows))]
+            acc = [[u % p for u in ra] for ra in acc] if p else acc
+            return _box_plane(f, [(0, acc)], L * b**top, f.zero, (rows, d), memo)
+
+        c = [fiber(pl, d) for pl in planes]
+        unit = fiber(unit, 1)[0] if self.unit is not None else None
+        return FiniteAlgebra(f, self.labels, c, unit, validate=validate)
 
     def gram(self):
         """Family Gram matrix of the orientation pairing, entries in k[t]."""

@@ -84,31 +84,24 @@ def family_det_is_unit(F: AlgebraFamily) -> bool:
 def family_socle_generator(F: AlgebraFamily, aug: str):
     """Socle generator of a family augmentation, as a TPoly vector.
 
-    Solves gram * x = e by Cramer determinants (Bareiss, fraction-free);
-    since a valid oriented family has unit determinant, the solution is
-    polynomial.
+    Solves gram * x = e by one fraction-free elimination of [gram | e]
+    (linalg.bareiss) and back substitution.  The last pivot is det(gram), a
+    unit in a valid oriented family; the solution is then polynomial, so
+    every division by an earlier pivot is exact.
     """
-    gram = [list(r) for r in F.gram()]
+    gram = F.gram()
     e = F.augmentations[aug]
-    zero = TPoly(F.field)
-    one = TPoly.const(F.field.one)
-
-    def bdet(m):
-        return linalg.det_in_domain(zero, one, m, lambda a, b: a.divexact(b))
-
-    D = bdet(gram)
-    if not D or not D.is_constant():
-        raise Singular("family Gram determinant is not a unit")
-    dinv = D.constant_value().inverse()
-    out = []
+    zero, one = TPoly(F.field), TPoly.const(F.field.one)
     d = F.dim
-    for i in range(d):
-        m = [
-            [e[r] if c == i else gram[r][c] for c in range(d)]
-            for r in range(d)
-        ]
-        out.append(bdet(m) * dinv)
-    return tuple(out)
+    work = linalg.bareiss(zero, one, [r + (b,) for r, b in zip(gram, e)], TPoly.divexact)
+    det = (work[-1][-2] if d else one) if work is not None else zero
+    if not det or not det.is_constant():
+        raise Singular("family Gram determinant is not a unit")
+    x = [zero] * d
+    for i in reversed(range(d)):
+        rhs = work[i][d] - sum((work[i][j] * x[j] for j in range(i + 1, d)), zero)
+        x[i] = rhs.divexact(work[i][i])
+    return tuple(x)
 
 
 def robber_family(field: Field) -> AlgebraFamily:
@@ -209,23 +202,11 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
     for name in ("const", "mv"):  # pragma: no branch
         if not augmentation_check(base, base.augmentations[name]):  # pragma: no cover
             raise Singular(f"augmentation {name} does not descend to the sum")
-    h_const = AlgebraFamily(
-        f,
-        base.labels,
-        base.c,
-        unit=base.unit,
-        orientation=base.orientation,
-        augmentations={"aug": base.augmentations["const"], **base.augmentations},
-        validate=False,
-    )
-    h_mv = AlgebraFamily(
-        f,
-        base.labels,
-        base.c,
-        unit=base.unit,
-        orientation=base.orientation,
-        augmentations={"aug": base.augmentations["mv"], **base.augmentations},
-        validate=False,
+    h_const, h_mv = (
+        AlgebraFamily(f, base.labels, base.c, unit=base.unit, orientation=base.orientation,
+                      augmentations={"aug": base.augmentations[k], **base.augmentations},
+                      validate=False)
+        for k in ("const", "mv")
     )
     return HomotopyFamilies(h_const, h_mv, data.project)
 

@@ -19,10 +19,9 @@ from .algebra import (
     AlgebraFamily,
     FiniteAlgebra,
     Subspace,
+    _table_on_rows,
     base_change,
-    multiply,
     raw_slices,
-    table_multiply,
 )
 from .errors import (
     BadUnit,
@@ -223,26 +222,14 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     V = orth_complement(oa.form, span1x)
     vrows = V.rows
     m = len(vrows)
-    # projection onto V along span(1, x): subtract the 2x2 correction
-    small = ((lam, f.one), (f.one, f.zero))
-    solver = linalg.RowSolver(f, vrows) if m else None
-    z = f.zero
-    cV = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            w = multiply(A, vrows[i], vrows[j])
-            rhs = (oa.form.apply(w, A.unit), oa.form.apply(w, x))
-            ab = linalg.solve_right(f, small, rhs)
-            proj = tuple(
-                wc - ab[0] * uc - ab[1] * xc for wc, uc, xc in zip(w, A.unit, x)
-            )
-            coords = solver.coords(proj)
-            cV[i][j] = coords
-            cV[j][i] = coords
+    # projection along span(1, x): w -> w - B(w, x) 1 - (B(w, 1) - lam B(w, x)) x
+    gx, g1 = linalg.mat_vec(oa.form.gram, x), linalg.mat_vec(oa.form.gram, A.unit)
+    proj = [[int(j == k) - gx[j] * A.unit[k] - (g1[j] - lam * gx[j]) * x[k]
+             for k in range(A.dim)] for j in range(A.dim)]
+    M = linalg.mat_mul(proj, linalg.RowSolver(f, vrows).map) if m else ()
+    cV = _table_on_rows(f, [A.c], vrows, M, A.dim - m, f.zero)
     gramV = linalg.mat_mul(linalg.mat_mul(vrows, oa.form.gram), linalg.transpose(vrows))
-    alg = FiniteAlgebra(
-        f, [f"v{i + 1}" for i in range(m)], cV if m else [], None, validate=True
-    )
+    alg = FiniteAlgebra(f, [f"v{i + 1}" for i in range(m)], cV, None, validate=True)
     nonu = NonUnitalOriented(alg, BilinearForm(f, gramV))
     adapted = linalg.mat([A.unit, x] + list(vrows))
     return Decomposition(lam, nonu, adapted)
@@ -386,19 +373,9 @@ def _consum_core(field, c1, unit1, c2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
             coords = tuple(a - factor * b for a, b in zip(coords, w_coords))
         return tuple(coords[i] for i in keep)
 
-    def product(u, v):
-        p1 = table_multiply(c1, u[:d1], v[:d1], zero)
-        p2 = table_multiply(c2, u[d1:], v[d1:], zero)
-        return p1 + p2
-
-    n = len(keep)
-    c = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            coords = solver.coords(product(rows[keep[a]], rows[keep[b]]))
-            red = reduce(coords)
-            c[a][b] = red
-            c[b][a] = red
+    # [C | N] of the fiber-product rows, C followed by the elimination of w
+    M = [reduce(row[:-1]) + row[-1:] for row in solver.map]
+    c = _table_on_rows(field, [c1, c2], [rows[i] for i in keep], M, 1, zero)
     phi = tuple(
         linalg.sum_dot(phi1, rows[i][:d1]) + linalg.sum_dot(phi2, rows[i][d1:])
         for i in keep
@@ -407,7 +384,7 @@ def _consum_core(field, c1, unit1, c2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
     if linalg.sum_dot(phi1, x1) != linalg.sum_dot(phi2, x2):  # pragma: no cover
         raise Singular("orientation does not descend to the connected sum")
     e_left = tuple(linalg.sum_dot(e1, rows[i][:d1]) for i in keep)
-    unit = tuple(field.one if i == 0 else field.zero for i in range(n))
+    unit = tuple(field.one if i == 0 else field.zero for i in range(len(keep)))
 
     def e_right_of(functional):
         return tuple(linalg.sum_dot(functional, rows[i][d1:]) for i in keep)
@@ -420,9 +397,7 @@ def _consum_core(field, c1, unit1, c2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
     def project(ambient):
         return reduce(solver.coords(tuple(ambient)))
 
-    return _ConsumData(
-        labels, tuple(map(tuple, c)), unit, phi, e_left, e_right_of, project
-    )
+    return _ConsumData(labels, c, unit, phi, e_left, e_right_of, project)
 
 
 def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:

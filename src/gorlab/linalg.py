@@ -12,11 +12,15 @@ callers that already hold raw values.
 
 Row-space bases are always canonicalized to reduced row echelon form, so
 subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec``,
-``vec_mat`` and ``det_in_domain`` stay ring-generic: they also act on TPoly
-entries, which is how family computations stay polynomial.  ``raw_mul``,
-the one product loop, takes raw values only; ``slice_mul`` convolves it over
-k[t] on slice lists, and through ``first_noncommuting`` it serves the
-structure-table checks of ``algebra`` and Strassen's test in ``tensors``.
+``vec_mat``, ``bareiss`` and ``det_in_domain`` stay ring-generic: they also
+act on TPoly entries, which is how family computations stay polynomial.
+``raw_mul``, the one product loop, takes raw values only; ``slice_mul``
+convolves it over k[t] on slice lists.  Through ``first_noncommuting`` it
+serves the structure-table checks of ``algebra`` and Strassen's test in
+``tensors``, and through ``algebra._table_on_rows`` every new structure
+table: ``base_change``, ``connected_sum``, ``homotopy_families`` and
+``decompose_augmented``.  ``RowSolver.map`` is the coordinate map those
+constructors hand it.
 """
 
 from __future__ import annotations
@@ -273,34 +277,45 @@ def det(field: Field, m):
     return Scalar(field, out % p if p else out)
 
 
-def det_in_domain(zero, one, m, exact_div):
-    """Bareiss fraction-free determinant over an integral domain.
+def bareiss(zero, one, m, exact_div):
+    """Bareiss's fraction-free elimination (1968) of an n x (n + k) matrix
+    over an integral domain, with row swaps; None when its left n x n block
+    is found singular before the last column.
 
-    ``exact_div(a, b)`` must perform the (guaranteed exact) division used by
-    the Bareiss recurrence; used for determinants of TPoly matrices.
+    Row i of the result vanishes left of column i, every row is a
+    combination of the input rows, and the last row is signed so that its
+    entry in column n - 1 is the determinant of the left block.
+    ``exact_div(a, b)`` performs the (guaranteed exact) division of the
+    recurrence.
     """
     n = len(m)
-    if n == 0:
-        return one
     work = [list(r) for r in m]
     sign = 1
     prev = one
     for c in range(n - 1):
         pivot = next((i for i in range(c, n) if work[i][c]), None)
         if pivot is None:
-            return zero
+            return None
         if pivot != c:
             work[c], work[pivot] = work[pivot], work[c]
             sign = -sign
         for i in range(c + 1, n):
-            for j in range(c + 1, n):
+            for j in range(c + 1, len(work[i])):
                 work[i][j] = exact_div(
                     work[c][c] * work[i][j] - work[i][c] * work[c][j], prev
                 )
             work[i][c] = zero
         prev = work[c][c]
-    d = work[n - 1][n - 1]
-    return -d if sign < 0 else d
+    if sign < 0:
+        work[-1] = [-x for x in work[-1]]
+    return work
+
+
+def det_in_domain(zero, one, m, exact_div):
+    """Fraction-free determinant over an integral domain, by bareiss; used
+    for determinants of TPoly matrices."""
+    work = bareiss(zero, one, m, exact_div) if m else [[one]]
+    return work[-1][-1] if work else zero
 
 
 def invert(field: Field, m):
@@ -339,33 +354,34 @@ def solve_right_affine(field: Field, m, b):
 
 
 class RowSolver:
-    """Coordinates with respect to a fixed full-rank row basis.
+    """Coordinates with respect to a fixed full-rank row basis Q of k^D.
 
-    The basis must have field entries; the vectors being expressed may have
-    TPoly entries (constant matrix, polynomial right-hand side), which keeps
-    all family computations free of polynomial elimination.
+    One elimination: the RREF of [Q^T | I] is [[I; 0] | T], T·Q^T = [I; 0],
+    and ``map`` is the D x D matrix [C | N] = T^T.  A vector v lies in the
+    row space iff v·N = 0, and then v·C are its coordinates.  The basis must
+    have field entries; v may have TPoly entries (constant matrix,
+    polynomial right-hand side), which keeps all family computations free of
+    polynomial elimination.  ``frobenius._consum_core`` expresses the socle
+    difference and ``project`` through ``coords``; the connected sums and
+    ``decompose_augmented`` hand ``map`` to ``algebra._table_on_rows``.
     """
 
     def __init__(self, field: Field, rows):
         self.rows = mat(rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        red, pivots = rref(self.rows, self.ncols)
-        if len(red) != len(self.rows):
+        m = len(self.rows)
+        ncols = len(self.rows[0]) if self.rows else 0
+        aug = [list(col) + list(e) for col, e in zip(zip(*self.rows), identity(field, ncols))]
+        red, pivots = rref(aug)
+        if sum(c < m for c in pivots) < m:
             raise Singular("rows are dependent")
-        self.pivots = pivots
-        # coords of v = v[pivots] @ inv(rows[:, pivots])
-        sub = mat(tuple(row[p] for p in pivots) for row in self.rows)
-        self._inv = invert(field, sub)
+        self.map = transpose([row[m:] for row in red])
 
     def coords(self, v):
-        sel = tuple(v[p] for p in self.pivots)
-        c = vec_mat(sel, self._inv)
-        # membership check: the expressed combination must reproduce v
-        recon = [sum_dot(c, col) for col in zip(*self.rows)]
-        for a, b in zip(recon, v):
-            if a != b:
-                raise Singular("vector is not in the row space")
-        return c
+        m = len(self.rows)
+        out = tuple(sum_dot(v, col) for col in zip(*self.map))
+        if any(out[m:]):
+            raise Singular("vector is not in the row space")
+        return out[:m]
 
 
 def extend_to_basis(field: Field, rows, ambient: int):

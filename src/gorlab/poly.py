@@ -420,11 +420,12 @@ def _quotient_with_index(gens, cap: int = 100_000):
     index = {m: i for i, m in enumerate(monos)}
     d = len(monos)
     z = field.zero
+    divisors = [_divisor(g) for g in gb if g]
     c = [[[z] * d for _ in range(d)] for _ in range(d)]
     for i, mi in enumerate(monos):
         for j in range(i, d):
             prod = MultiPoly(field, variables, {mono_mul(mi, monos[j]): 1})
-            nf = normal_form(prod, gb)
+            nf = _reduce(prod, divisors)
             row = [z] * d
             for m, coeff in nf.terms.items():
                 row[index[m]] = coeff

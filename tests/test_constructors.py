@@ -1,0 +1,393 @@
+"""The table constructors against the boxed loops they replaced.
+
+``base_change``, the connected-sum core (``connected_sum`` and
+``homotopy_families``), ``decompose_augmented`` and ``AlgebraFamily.at``
+build their tables through ``algebra._table_on_rows`` or on raw slices.  The
+reference functions below are the boxed loops: one ``multiply`` or
+``table_multiply`` per pair of rows, coordinates through a pivot-inverse row
+solver with a reconstruction check, and ``tpoly_eval`` per entry.  Both
+sides must return the same entries with the same value types (Fractions
+over QQ, ints over F_p), or raise the same exception with the same message:
+on corpus samples over QQ and F_7, on random change-of-basis matrices (with
+denominators over QQ, and singular ones), on fibers at t = 0, 1 and random
+values, and on row bases that are not closed under multiplication.
+``family_socle_generator`` is compared with Cramer's rule.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
+from gorlab import GF, QQ, linalg
+from gorlab.algebra import (
+    FiniteAlgebra,
+    Subspace,
+    _table_on_rows,
+    base_change,
+    ideal_span,
+    multiply,
+)
+from gorlab.errors import Singular
+from gorlab.families import (
+    family_socle_generator,
+    homotopy_families,
+    robber_family,
+    scale_multiplication_family,
+)
+from gorlab.forms import BilinearForm, orth_complement
+from gorlab.frobenius import (
+    NonUnitalOriented,
+    OrientedAlgebra,
+    _consum_core,
+    decompose_augmented,
+    isotropy_check,
+    rees_family,
+    socle_generator,
+)
+from gorlab.scalar import Scalar, TPoly
+
+from corpus import build_corpus
+
+FIELDS = (QQ, GF(7))
+
+
+class RefRowSolver:
+    def __init__(self, field, rows):
+        self.rows = linalg.mat(rows)
+        self.ncols = len(self.rows[0]) if self.rows else 0
+        red, pivots = linalg.rref(self.rows, self.ncols)
+        if len(red) != len(self.rows):
+            raise Singular("rows are dependent")
+        self.pivots = pivots
+        sub = linalg.mat(tuple(row[p] for p in pivots) for row in self.rows)
+        self._inv = linalg.invert(field, sub)
+
+    def coords(self, v):
+        sel = tuple(v[p] for p in self.pivots)
+        c = linalg.vec_mat(sel, self._inv)
+        recon = [linalg.sum_dot(c, col) for col in zip(*self.rows)]
+        for a, b in zip(recon, v):
+            if a != b:
+                raise Singular("vector is not in the row space")
+        return c
+
+
+def ref_table_multiply(c, u, v, zero):
+    d = len(c)
+    out = [zero] * d
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        plane = c[i]
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            f = ui * vj
+            for k, ck in enumerate(plane[j]):
+                if ck:
+                    out[k] = out[k] + f * ck
+    return tuple(out)
+
+
+def ref_base_change(A, P):
+    P = tuple(A.coerce_vector(row) for row in P)
+    Pinv = linalg.invert(A.field, P)
+    c = [[linalg.vec_mat(multiply(A, P[i], P[j]), Pinv) for j in range(A.dim)]
+         for i in range(A.dim)]
+    unit = linalg.vec_mat(A.unit, Pinv) if A.unit is not None else None
+    return FiniteAlgebra(A.field, [f"b{i}" for i in range(A.dim)], c, unit, validate=False)
+
+
+def ref_consum_core(field, c1, unit1, c2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
+    d1, d2 = len(c1), len(c2)
+    k1 = linalg.kernel_basis(field, [e1], d1)
+    k2 = linalg.kernel_basis(field, [e2], d2)
+    z1, z2 = (field.zero,) * d1, (field.zero,) * d2
+    rows = [tuple(unit1) + tuple(unit2)]
+    rows += [tuple(r) + z2 for r in k1]
+    rows += [z1 + tuple(r) for r in k2]
+    solver = RefRowSolver(field, rows)
+    w_coords = solver.coords(tuple(x1) + tuple(-x for x in x2))
+
+    def is_const_nonzero(v):
+        if isinstance(v, TPoly):
+            return v.is_constant() and bool(v)
+        return bool(v)
+
+    elim = max((i for i, v in enumerate(w_coords) if is_const_nonzero(v)), default=None)
+    if elim is None or elim == 0:
+        raise Singular("no constant coordinate available to eliminate")
+    w_at = w_coords[elim]
+    inv = (w_at.constant_value() if isinstance(w_at, TPoly) else w_at).inverse()
+    keep = [i for i in range(len(rows)) if i != elim]
+
+    def reduce(coords):
+        factor = coords[elim] * inv
+        if factor:
+            coords = tuple(a - factor * b for a, b in zip(coords, w_coords))
+        return tuple(coords[i] for i in keep)
+
+    def product(u, v):
+        return ref_table_multiply(c1, u[:d1], v[:d1], zero) + ref_table_multiply(
+            c2, u[d1:], v[d1:], zero
+        )
+
+    n = len(keep)
+    c = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            red = reduce(solver.coords(product(rows[keep[a]], rows[keep[b]])))
+            c[a][b] = red
+            c[b][a] = red
+    phi = tuple(
+        linalg.sum_dot(phi1, rows[i][:d1]) + linalg.sum_dot(phi2, rows[i][d1:]) for i in keep
+    )
+    if linalg.sum_dot(phi1, x1) != linalg.sum_dot(phi2, x2):
+        raise Singular("orientation does not descend to the connected sum")
+    e_left = tuple(linalg.sum_dot(e1, rows[i][:d1]) for i in keep)
+    unit = tuple(field.one if i == 0 else field.zero for i in range(n))
+    return tuple(map(tuple, c)), unit, phi, e_left
+
+
+def ref_decompose(oa, e):
+    A = oa.algebra
+    e = A.coerce_vector(e)
+    f = oa.field
+    x = socle_generator(oa, e)
+    lam = oa.phi_of(A.unit)
+    vrows = orth_complement(oa.form, Subspace(A.dim, [A.unit, x])).rows
+    m = len(vrows)
+    small = ((lam, f.one), (f.one, f.zero))
+    solver = RefRowSolver(f, vrows) if m else None
+    cV = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            w = multiply(A, vrows[i], vrows[j])
+            rhs = (oa.form.apply(w, A.unit), oa.form.apply(w, x))
+            ab = linalg.solve_right(f, small, rhs)
+            proj = tuple(wc - ab[0] * uc - ab[1] * xc for wc, uc, xc in zip(w, A.unit, x))
+            cV[i][j] = cV[j][i] = solver.coords(proj)
+    gramV = linalg.mat_mul(linalg.mat_mul(vrows, oa.form.gram), linalg.transpose(vrows))
+    alg = FiniteAlgebra(f, [f"v{i + 1}" for i in range(m)], cV if m else [], None)
+    return lam, NonUnitalOriented(alg, BilinearForm(f, gramV)), linalg.mat([A.unit, x] + list(vrows))
+
+
+def ref_at(F, value):
+    value = F.field.scalar(value)
+    c = [[[x(value) for x in row] for row in plane] for plane in F.c]
+    unit = [x(value) for x in F.unit] if F.unit is not None else None
+    return FiniteAlgebra(F.field, F.labels, c, unit, validate=False)
+
+
+def ref_socle_generator(F, aug):
+    gram = [list(r) for r in F.gram()]
+    e = F.augmentations[aug]
+    zero, one = TPoly(F.field), TPoly.const(F.field.one)
+
+    def bdet(m):
+        return linalg.det_in_domain(zero, one, m, lambda a, b: a.divexact(b))
+
+    D = bdet(gram)
+    if not D or not D.is_constant():
+        raise Singular("family Gram determinant is not a unit")
+    dinv = D.constant_value().inverse()
+    d = F.dim
+    return tuple(
+        bdet([[e[r] if c == i else gram[r][c] for c in range(d)] for r in range(d)]) * dinv
+        for i in range(d)
+    )
+
+
+def exact(x):
+    """Scalars and TPolys with the types of their raw values, for comparison."""
+    if isinstance(x, Scalar):
+        return type(x.value), x.value
+    if isinstance(x, TPoly):
+        return tuple(exact(a) for a in x.coeffs)
+    if isinstance(x, (tuple, list)):
+        return tuple(exact(y) for y in x)
+    return x
+
+
+def outcome(fn, *args):
+    """exact(fn(*args)), or the type and message of what it raised."""
+    try:
+        return exact(fn(*args))
+    except Exception as ex:  # noqa: BLE001 - any difference is a failure
+        return type(ex), str(ex)
+
+
+@lru_cache(maxsize=None)
+def corpus(field):
+    return build_corpus(field, 10, seed=1)
+
+
+@lru_cache(maxsize=None)
+def homotopies(field):
+    return [homotopy_families(t) for t in corpus(field)[:6]]
+
+
+@st.composite
+def scalars(draw, field):
+    if field.characteristic == 0 and draw(st.booleans()):
+        return field.scalar(Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from((2, 3, 7, 10007)))))
+    return field.scalar(draw(st.integers(-3, 3)))
+
+
+def core_args(t1, e1, x2, c2, unit2, e2, phi2, zero):
+    return (t1.oa.field, t1.algebra.c, t1.algebra.unit, c2, unit2, e1, e2,
+            socle_generator(t1.oa, t1.e), x2, t1.oa.phi, phi2, zero)
+
+
+def perturbed_augmentation(data, t):
+    """t.e, or in about one draw in two a nearby functional that is not an
+    algebra map, so that the fiber product is no subalgebra: moved in one
+    coordinate, or along a functional that vanishes on the unit and on the
+    socle generator (the difference of socle generators then stays in the
+    fiber product, and only the products leave it)."""
+    mode = data.draw(st.integers(0, 3))
+    e = list(t.e)
+    if mode == 1:
+        k = data.draw(st.integers(1, len(e) - 1))
+        e[k] = e[k] + data.draw(scalars(t.oa.field))
+    elif mode == 2:
+        x = socle_generator(t.oa, t.e)
+        moves = linalg.kernel_basis(t.oa.field, [x, t.algebra.unit], len(e))
+        if moves:
+            move, delta = data.draw(st.sampled_from(moves)), data.draw(scalars(t.oa.field))
+            e = [a + delta * b for a, b in zip(e, move)]
+    return tuple(e)
+
+
+def core_table(*args):
+    data = _consum_core(*args)
+    return data.c, data.unit, data.phi, data.e_left
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_connected_sum_core_matches_boxed_loops(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    t1, t2 = data.draw(st.sampled_from(corpus(field))), data.draw(st.sampled_from(corpus(field)))
+    e1 = perturbed_augmentation(data, t1)
+    args = core_args(t1, e1, socle_generator(t2.oa, t2.e), t2.algebra.c, t2.algebra.unit,
+                     t2.e, t2.oa.phi, field.zero)
+    assert outcome(core_table, *args) == outcome(ref_consum_core, *args)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_homotopy_core_matches_boxed_loops(data):
+    # the arguments homotopy_families passes: the robber family on the right
+    field = data.draw(st.sampled_from(FIELDS))
+    t = data.draw(st.sampled_from(corpus(field)[:6]))
+    rob = robber_family(field)
+    const = tuple(u.constant_value() for u in rob.augmentations["const"])
+    args = core_args(t, perturbed_augmentation(data, t), family_socle_generator(rob, "const"),
+                     rob.c, tuple(u.constant_value() for u in rob.unit), const,
+                     rob.orientation, TPoly(field))
+    assert outcome(core_table, *args) == outcome(ref_consum_core, *args)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_decompose_matches_boxed_loops(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    t = data.draw(st.sampled_from(corpus(field)))
+    assert isotropy_check(t.oa, t.e)
+    dec = decompose_augmented(t.oa, t.e)
+    lam, nu, adapted = ref_decompose(t.oa, t.e)
+    assert exact(dec.lam) == exact(lam) and exact(dec.adapted_basis) == exact(adapted)
+    assert exact(dec.nonunital.algebra.c) == exact(nu.algebra.c)
+    assert exact(dec.nonunital.form.gram) == exact(nu.form.gram)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.data())
+def test_base_change_matches_boxed_loops(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    A = data.draw(st.sampled_from(corpus(field))).algebra
+    # mostly invertible: a perturbed identity; sometimes any matrix
+    dense = data.draw(st.integers(0, 3)) == 0
+    P = [[data.draw(scalars(field)) if dense or i != j else field.one for j in range(A.dim)]
+         for i in range(A.dim)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = data.draw(st.integers(0, A.dim - 1)), data.draw(st.integers(0, A.dim - 1))
+        P[i][j] = P[i][j] + data.draw(scalars(field))
+
+    def both(fn):
+        B = fn(A, P)
+        return B.labels, B.c, B.unit
+
+    assert outcome(both, base_change) == outcome(both, ref_base_change)
+
+
+@lru_cache(maxsize=None)
+def families(field):
+    out = [h for hf in homotopies(field) for h in (hf.h_const, hf.h_mv)]
+    for t in corpus(field)[:4]:
+        lam = t.oa.phi_of(t.algebra.unit)
+        phi0 = [a - lam * b for a, b in zip(t.oa.phi, t.e)]
+        out.append(rees_family(OrientedAlgebra(t.algebra, phi0)).family)
+        out.append(scale_multiplication_family(decompose_augmented(t.oa, t.e).nonunital))
+    return out + [robber_family(field)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_fibers_match_entrywise_evaluation(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    F = data.draw(st.sampled_from(families(field)))
+    value = data.draw(st.one_of(st.sampled_from((0, 1)), scalars(field)))
+    B, ref = F.at(value, validate=False), ref_at(F, value)
+    assert exact((B.labels, B.c, B.unit)) == exact((ref.labels, ref.c, ref.unit))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_table_on_rows_checks_the_row_space(data):
+    # rows spanning an ideal are closed under multiplication; random rows
+    # mostly are not, and both sides must then raise the same Singular
+    field = data.draw(st.sampled_from(FIELDS))
+    A = data.draw(st.sampled_from(corpus(field))).algebra
+    gens = [[data.draw(scalars(field)) for _ in range(A.dim)]
+            for _ in range(data.draw(st.integers(1, 2)))]
+    R = ideal_span(A, gens).rows if data.draw(st.booleans()) else linalg.rref(gens)[0]
+    if not R:
+        return
+
+    def new():
+        M = linalg.RowSolver(field, R).map
+        return _table_on_rows(field, [A.c], R, M, A.dim - len(R), field.zero)
+
+    def ref():
+        solver = RefRowSolver(field, R)
+        return tuple(tuple(solver.coords(multiply(A, ra, rb)) for rb in R) for ra in R)
+
+    assert outcome(new) == outcome(ref)
+
+
+def test_socle_generator_matches_cramer():
+    for field in (QQ, GF(2), GF(7)):
+        fams = [robber_family(field)]
+        if field.characteristic != 2:
+            fams += [hf.h_const for hf in homotopies(field)]
+        for F in fams:
+            gram = F.gram()
+            for aug in ("const", "mv"):
+                x = family_socle_generator(F, aug)
+                assert exact(x) == exact(ref_socle_generator(F, aug))
+                # B(x, e_i) = e(e_i) as an identity in k[t]
+                assert linalg.mat_vec(gram, x) == F.augmentations[aug]
+
+
+def test_socle_generator_needs_a_unit_determinant():
+    rob = robber_family(QQ)
+    t = TPoly.t(QQ)
+    for scale in (t, TPoly(QQ)):
+        bad = type(rob)(QQ, rob.labels, rob.c, rob.unit, [scale * x for x in rob.orientation],
+                        rob.augmentations, validate=False)
+        assert outcome(family_socle_generator, bad, "const") == outcome(
+            ref_socle_generator, bad, "const"
+        ) == (Singular, "family Gram determinant is not a unit")
