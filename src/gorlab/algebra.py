@@ -98,11 +98,6 @@ def zero_space(n: int) -> Subspace:
     return Subspace(n, ())
 
 
-def _coeffs(x):
-    """The raw t-coefficients of a Scalar or TPoly, low degree first."""
-    return [a.value for a in x.coeffs] if isinstance(x, TPoly) else [x.value]
-
-
 def raw_slices(mats, p: int):
     """Matrices of Scalars or TPolys as slice lists for linalg.slice_mul, and L.
 
@@ -110,17 +105,22 @@ def raw_slices(mats, p: int):
     denominator (L = 1 over F_p); an identity of products of two matrices,
     both sides scaled by L², holds exactly when it held before.
     """
-    raw = [[[_coeffs(x) for x in row] for row in m] for m in mats]
-    L = 1 if p else lcm(*(a.denominator for m in raw for row in m for x in row for a in x))
+    raw = []
+    for m in mats:
+        try:
+            raw.append([[[x.value for x in row] for row in m]])
+        except AttributeError:  # TPoly entries: one coefficient matrix per power of t
+            coeffs = [[[a.value for a in x.coeffs] if isinstance(x, TPoly) else [x.value]
+                       for x in row] for row in m]
+            deg = max((len(x) for row in coeffs for x in row), default=0)
+            raw.append([[[x[s] if s < len(x) else 0 for x in row] for row in coeffs]
+                        for s in range(deg)])
+    L = 1
     if not p:
-        raw = [[[[a.numerator * L // a.denominator for a in x] for x in row] for row in m]
-               for m in raw]
-    out = []
-    for m in raw:
-        deg = max((len(x) for row in m for x in row), default=0)
-        slices = ([[x[s] if s < len(x) else 0 for x in row] for row in m] for s in range(deg))
-        out.append([(s, M) for s, M in enumerate(slices) if any(map(any, M))])
-    return out, L
+        raw = [[[[a.as_integer_ratio() for a in row] for row in M] for M in ms] for ms in raw]
+        L = lcm(*{den for ms in raw for M in ms for row in M for _, den in row})
+        raw = [[[[num * (L // den) for num, den in row] for row in M] for M in ms] for ms in raw]
+    return [[(s, M) for s, M in enumerate(ms) if any(map(any, M))] for ms in raw], L
 
 
 def validate_structure(c, unit, zero):

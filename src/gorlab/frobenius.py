@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .algebra import (
@@ -576,6 +575,42 @@ def _find_nonvanishing(Dpoly: MultiPoly, field: Field):
     return tuple(point)
 
 
+def _nonsingular_point(field: Field, terms, names, seed: int, trials: int,
+                       symbolic_max_dim: int):
+    """The witness search shared by gorenstein_test and tensors.one_generic.
+
+    ``terms[r][s]`` lists the nonzero (k, raw value) pairs of entry (r, s) of
+    the pencil M(a) = sum_k a_k M_k in the variables ``names``.  ``trials``
+    seeded points a are tried first: each contracts on raw values and runs
+    linalg.raw_det.  On failure and when len(names) <= ``symbolic_max_dim``,
+    det M is expanded symbolically and, unless it is zero, a nonvanishing
+    point is sought by incremental substitution.
+
+    Returns (point or None, the symbolic determinant or None, trials used).
+    """
+    p = field.characteristic
+    m = len(names)
+    rng = random.Random(seed)
+    for trial in range(trials):
+        if p:
+            a = [rng.randrange(p) for _ in range(m)]
+            work = [[sum([a[k] * v for k, v in entry]) % p for entry in row] for row in terms]
+        else:
+            a = [rng.randint(-9, 9) for _ in range(m)]
+            work = [[sum([a[k] * v for k, v in entry]) for entry in row] for row in terms]
+        if linalg.raw_det(work, p):
+            return tuple(field.scalar(x) for x in a), None, trial + 1
+    if m > symbolic_max_dim:
+        return None, None, trials
+    monomials = [tuple(int(v == k) for v in range(m)) for k in range(m)]
+    matrix = [
+        [MultiPoly(field, names, {monomials[k]: v for k, v in entry}) for entry in row]
+        for row in terms
+    ]
+    Dpoly = det_multipoly(matrix, field, names)
+    return (_find_nonvanishing(Dpoly, field) if Dpoly else None), Dpoly, trials
+
+
 # rank mod a prime never exceeds the rank over QQ, so a trace form of full
 # rank mod this prime proves J = 0 without the slower Fraction elimination
 _RANK_PRIME = 2**61 - 1
@@ -584,9 +619,10 @@ _RANK_PRIME = 2**61 - 1
 def _nilradical_and_socle(A: FiniteAlgebra):
     """Raw RREF bases of the nilradical J of A and of Soc(A) = Ann(J).
 
-    The table is read as ints: mod p, or over QQ times L, the common
-    denominator of its entries.  L·c is the table of an algebra isomorphic
-    to A by x -> x/L, a scaling, so J and Soc are the same subspaces.
+    The table is read by raw_slices as ints: mod p, or over QQ times L, the
+    common denominator of its entries.  L·c is the table of an algebra
+    isomorphic to A by x -> x/L, a scaling, so J and Soc are the same
+    subspaces.
 
     For p = 0 or p > dim A, J is the radical of the trace form
     (x, y) -> tr(L_xy): on each local factor the trace is the factor's
@@ -596,12 +632,8 @@ def _nilradical_and_socle(A: FiniteAlgebra):
     """
     d = A.dim
     p = A.field.characteristic
-    if p:
-        table = [[[x.value for x in row] for row in plane] for plane in A.c]
-    else:
-        table = [[[x.value.as_integer_ratio() for x in row] for row in plane] for plane in A.c]
-        L = lcm(*{den for plane in table for row in plane for _, den in row})
-        table = [[[num * (L // den) for num, den in row] for row in plane] for plane in table]
+    zeros = [[0] * d] * d
+    table = [dict(plane).get(0, zeros) for plane in raw_slices(A.c, p)[0]]
     if p == 0 or p > d:
         trace = [sum(plane[j][j] for j in range(d)) for plane in table]
         support = [(k, v) for k, v in enumerate(trace) if v]
@@ -650,7 +682,9 @@ def gorenstein_test(
     kernel of x -> x^(p^m) with p^m >= dim A.  A not-Gorenstein verdict
     uses no trials and is certified by the bases of J and Soc.
 
-    For a Gorenstein A a witness is searched: ``trials`` seeded random
+    For a Gorenstein A a witness phi, with B_phi non-degenerate, is sought
+    by _nonsingular_point, the search shared with tensors.one_generic, on
+    the pencil B_phi = sum_k phi_k c[.][.][k]: ``trials`` seeded random
     functionals first; on failure and when dim A <= ``symbolic_max_dim``,
     det(B_phi) is expanded symbolically and a nonvanishing point sought by
     incremental substitution.  Both bound only this search.  When neither
@@ -666,34 +700,8 @@ def gorenstein_test(
         return GorensteinResult(
             "not_gorenstein", None, None, 0, Subspace(d, J, f), Subspace(d, soc, f)
         )
-    rng = random.Random(seed)
-    for trial in range(trials):
-        if f.characteristic == 0:
-            phi = tuple(f.scalar(rng.randint(-9, 9)) for _ in range(d))
-        else:
-            phi = tuple(f.scalar(rng.randrange(f.characteristic)) for _ in range(d))
-        if is_nondegenerate(b_phi(A, phi)):
-            return GorensteinResult("oriented", phi, None, trial + 1)
-    if d <= symbolic_max_dim:
-        variables = tuple(f"p{i}" for i in range(d))
-        matrix = [
-            [
-                MultiPoly(
-                    f,
-                    variables,
-                    {
-                        tuple(1 if v == k else 0 for v in range(d)): A.c[i][j][k]
-                        for k in range(d)
-                        if A.c[i][j][k]
-                    },
-                )
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        Dpoly = det_multipoly(matrix, f, variables)
-        point = _find_nonvanishing(Dpoly, f)
-        if point is not None:
-            return GorensteinResult("oriented", point, Dpoly, trials)
-        return GorensteinResult("gorenstein", None, Dpoly, trials)
-    return GorensteinResult("gorenstein", None, None, trials)
+    terms = [[[(k, x.value) for k, x in enumerate(row) if x.value] for row in plane]
+             for plane in A.c]
+    names = tuple(f"p{i}" for i in range(d))
+    point, Dpoly, used = _nonsingular_point(f, terms, names, seed, trials, symbolic_max_dim)
+    return GorensteinResult("gorenstein" if point is None else "oriented", point, Dpoly, used)

@@ -6,9 +6,11 @@ At the API, matrices are tuples of row tuples of Scalar.  The field routines
 ``extend_to_basis`` and ``complement_in`` -- unbox their input once to raw
 values (ints in [0, p) over F_p, Fractions over QQ), run their one
 elimination or product loop on those, and box the result once.  Unboxing
-checks that every entry is a Scalar of one field.  ``raw_rref`` and
-``raw_kernel`` are that elimination loop and the kernel read off it, for
-callers that already hold raw values.
+checks that every entry is a Scalar of one field.  ``raw_rref``,
+``raw_kernel`` and ``raw_det`` are that elimination loop, the kernel read
+off it and the determinant, for callers that already hold raw values;
+``frobenius._nonsingular_point`` runs ``raw_det`` on every seeded trial of
+the witness searches for ``gorenstein_test`` and ``one_generic``.
 
 Row-space bases are always canonicalized to reduced row echelon form, so
 subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec``,
@@ -246,16 +248,15 @@ def kernel_basis(field: Field, rows, ncols: int):
     return _box(field, raw_kernel(work, ncols, field.characteristic))
 
 
-def det(field: Field, m):
-    """Determinant by exact Gaussian elimination (field entries)."""
-    _, work = unbox(m, field)
-    p = field.characteristic
+def raw_det(work, p: int):
+    """Determinant of a square matrix of raw values (ints mod p, or Fractions
+    at p = 0) by Gaussian elimination; the rows are reduced in place."""
     n = len(work)
     out = 1 if p else Fraction(1)
     for c in range(n):
         pivot = next((i for i in range(c, n) if work[i][c]), None)
         if pivot is None:
-            return field.zero
+            return 0 if p else _QQ_ZERO
         if pivot != c:
             work[c], work[pivot] = work[pivot], work[c]
             out = -out
@@ -274,7 +275,13 @@ def det(field: Field, m):
                     f = f * inv
                     for j in nz:
                         row[j] -= f * prow[j]
-    return Scalar(field, out % p if p else out)
+    return out % p if p else out
+
+
+def det(field: Field, m):
+    """Determinant by exact Gaussian elimination (field entries)."""
+    _, work = unbox(m, field)
+    return Scalar(field, raw_det(work, field.characteristic))
 
 
 def bareiss(zero, one, m, exact_div):

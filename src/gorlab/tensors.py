@@ -18,19 +18,19 @@ from .errors import (
     BadParameter,
     GenericityFailure,
     ShapeMismatch,
+    Singular,
     SingularWitness,
 )
 from .forms import BilinearForm, WittInvariants, is_even, witt_invariants
 from .frobenius import (
     Augmented,
     GorensteinResult,
-    _find_nonvanishing,
+    _nonsingular_point,
     decompose_augmented,
     gorenstein_test,
 )
 from .poly import (
     MultiPoly,
-    det_multipoly,
     graded_hilbert,
     lowest_degree_initial_ideal,
     monomials_of_degree,
@@ -180,58 +180,37 @@ def one_generic(
 ) -> OneGenericResult:
     """Search for a first-slot contraction of full rank.
 
-    Seeded sampling first; on failure and when d1 <= symbolic_max_dim, the
-    determinant of the symbolic slice is expanded: zero certifies "no", a
-    nonvanishing point is a witness.
+    The search is frobenius._nonsingular_point, shared with gorenstein_test,
+    on the pencil sum_i a_i T[i]: seeded sampling first; on failure and when
+    d1 <= symbolic_max_dim, the determinant of the symbolic slice is
+    expanded: zero certifies "no", a nonvanishing point is a witness.
     """
     d1, d2, d3 = T.dims
     if d2 != d3:
         raise ShapeMismatch("slices are not square")
-    f = T.field
-    rng = random.Random(seed)
-    for trial in range(trials):
-        if f.characteristic == 0:
-            a = tuple(f.scalar(rng.randint(-9, 9)) for _ in range(d1))
-        else:
-            a = tuple(f.scalar(rng.randrange(f.characteristic)) for _ in range(d1))
-        if linalg.det(f, T.slice_first(a)):
-            return OneGenericResult("witness", a, None, trial + 1)
-    if d1 <= symbolic_max_dim:
-        variables = tuple(f"a{i}" for i in range(d1))
-        matrix = [
-            [
-                MultiPoly(
-                    f,
-                    variables,
-                    {
-                        tuple(1 if v == i else 0 for v in range(d1)): T.entries[i][j][k]
-                        for i in range(d1)
-                        if T.entries[i][j][k]
-                    },
-                )
-                for k in range(d3)
-            ]
-            for j in range(d2)
-        ]
-        Dpoly = det_multipoly(matrix, f, variables)
-        if not Dpoly:
-            return OneGenericResult("no", None, Dpoly, trials)
-        point = _find_nonvanishing(Dpoly, f)
-        if point is not None:
-            return OneGenericResult("witness", point, Dpoly, trials)
-    return OneGenericResult("inconclusive", None, None, trials)
+    # entry (j, k) of the pencil: the nonzero T[i][j][k] as i runs
+    terms = [[[(i, x.value) for i, x in enumerate(col) if x.value] for col in zip(*rows)]
+             for rows in zip(*T.entries)]
+    names = tuple(f"a{i}" for i in range(d1))
+    point, Dpoly, used = _nonsingular_point(T.field, terms, names, seed, trials, symbolic_max_dim)
+    if point is not None:
+        return OneGenericResult("witness", point, Dpoly, used)
+    if Dpoly is not None and not Dpoly:
+        return OneGenericResult("no", None, Dpoly, used)
+    return OneGenericResult("inconclusive", None, None, used)
 
 
 def strassen_commuting(T: Tensor3, witness) -> bool:
     """Whether the normalized slices N_i = slice(a)^-1 slice(e_i) pairwise
     commute (Strassen's commutativity, necessary for minimal border rank)."""
     f = T.field
-    M = T.slice_first(witness)
-    if not linalg.det(f, M):
-        raise SingularWitness("witness slice is singular")
+    try:
+        Minv = linalg.invert(f, T.slice_first(witness))
+    except Singular:
+        raise SingularWitness("witness slice is singular") from None
     # products of raw matrices: slice(e_i) is the i-th layer of T
     p = f.characteristic
-    Minv = linalg.unbox(linalg.invert(f, M), f)[1]
+    Minv = linalg.unbox(Minv, f)[1]
     slices = [linalg.raw_mul(Minv, linalg.unbox(layer, f)[1], p, 0) for layer in T.entries]
     return linalg.first_noncommuting([[(0, m)] for m in slices], p) is None
 
