@@ -11,15 +11,15 @@ on these checks being exact; they run on raw coefficient slices.
 New tables are built on the same slices by ``_table_on_rows``, the table of
 the rows of a constant matrix in coordinates against a row basis:
 ``base_change``, the connected sums and homotopies of
-``frobenius._consum_core``, and ``decompose_augmented``.  ``AlgebraFamily.at``
-evaluates the slices by Horner's rule.
+``frobenius._consum_core``, and ``decompose_augmented``.  An AlgebraFamily
+keeps the one read its validation uses; ``AlgebraFamily.at`` evaluates it by
+Horner's rule and validates the fiber on the evaluated slices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 from . import linalg
 from .errors import (
@@ -98,42 +98,18 @@ def zero_space(n: int) -> Subspace:
     return Subspace(n, ())
 
 
-def raw_slices(mats, p: int):
-    """Matrices of Scalars or TPolys as slice lists for linalg.slice_mul, and L.
-
-    Entries are ints mod p, or over QQ the coefficients times L, their common
-    denominator (L = 1 over F_p); an identity of products of two matrices,
-    both sides scaled by L², holds exactly when it held before.
-    """
-    raw = []
-    for m in mats:
-        try:
-            raw.append([[[x.value for x in row] for row in m]])
-        except AttributeError:  # TPoly entries: one coefficient matrix per power of t
-            coeffs = [[[a.value for a in x.coeffs] if isinstance(x, TPoly) else [x.value]
-                       for x in row] for row in m]
-            deg = max((len(x) for row in coeffs for x in row), default=0)
-            raw.append([[[x[s] if s < len(x) else 0 for x in row] for row in coeffs]
-                        for s in range(deg)])
-    L = 1
-    if not p:
-        raw = [[[[a.as_integer_ratio() for a in row] for row in M] for M in ms] for ms in raw]
-        L = lcm(*{den for ms in raw for M in ms for row in M for _, den in row})
-        raw = [[[[num * (L // den) for num, den in row] for row in M] for M in ms] for ms in raw]
-    return [[(s, M) for s, M in enumerate(ms) if any(map(any, M))] for ms in raw], L
-
-
-def validate_structure(c, unit, zero):
+def validate_structure(c, unit, zero, read=None):
     """Check commutativity, associativity and the unit law of a table.
 
     Entries may be Scalars or TPolys (``zero`` names the ring); the checks
     are then polynomial identities.  Table and unit are read once by
-    raw_slices, so over QQ the unit law reads unit·c[i] = L² e_i.  Raises
-    naming the first violating triple.
+    raw_slices, so over QQ the unit law reads unit·c[i] = L² e_i.  A caller
+    that already holds that read, ([*plane slices, unit slices], L), passes
+    it as ``read``.  Raises naming the first violating triple.
     """
     p = zero.field.characteristic
     d = len(c)
-    (*planes, unit_row), L = raw_slices([*c, [unit or ()]], p)
+    (*planes, unit_row), L = read or linalg.raw_slices([*c, [unit or ()]], p)
     for i in range(d):
         for j in range(i + 1, d):
             if linalg.slice_row(planes[i], j) != linalg.slice_row(planes[j], i):
@@ -341,7 +317,8 @@ def _table_on_rows(field: Field, tables, R, M, checks: int, zero):
         return ()
     p = field.characteristic
     n, D, w = len(R), sum(map(len, tables)), len(M[0])
-    (*stacks, R, M), L = raw_slices([*([r for pl in c for r in pl] for c in tables), R, M], p)
+    tables_rows = ([r for pl in c for r in pl] for c in tables)
+    (*stacks, R, M), L = linalg.raw_slices([*tables_rows, R, M], p)
     # row i*D + j of stack[s] is e_i e_j in ambient coordinates, zero across blocks
     stack, o = {}, 0
     for c, slices in zip(tables, stacks):
@@ -366,16 +343,30 @@ def _table_on_rows(field: Field, tables, R, M, checks: int, zero):
     return tuple(out)
 
 
+def _tpoly_vector(v, field: Field, d: int):
+    if v is None:
+        return None
+    v = tuple(as_tpoly(x, field) for x in v)
+    if len(v) != d:
+        raise DimensionMismatch("vector has wrong length")
+    return v
+
+
 class AlgebraFamily:
     """An algebra whose structure constants are polynomials in t.
 
     Commutativity, associativity and the unit law are required as exact
     polynomial identities, so every specialization is valid at once.  An
     optional orientation and named augmentations ride along as TPoly
-    vectors.  (Exposed through the families module.)
+    vectors.  ``raw`` is the one raw_slices read of the table and the unit,
+    ([*plane slices, unit slices], L), taken at construction or handed to
+    ``on_read`` by code that built the table on raw slices; validation,
+    ``at``, ``gram`` and the family checks of ``families`` and
+    ``frobenius.augmentation_check`` all work from it.  (Exposed through the
+    families module.)
     """
 
-    __slots__ = ("field", "dim", "labels", "c", "unit", "orientation", "augmentations")
+    __slots__ = ("field", "dim", "labels", "c", "unit", "orientation", "augmentations", "raw")
 
     def __init__(
         self,
@@ -394,40 +385,49 @@ class AlgebraFamily:
         )
         if len(c) != d or any(len(p) != d or any(len(r) != d for r in p) for p in c):
             raise DimensionMismatch("structure constants are not d*d*d")
+        unit = _tpoly_vector(unit, field, d)
+        raw = linalg.raw_slices([*c, [unit or ()]], field.characteristic)
+        self._fill(field, labels, c, unit, raw, orientation, augmentations, validate)
 
-        def vec(v):
-            if v is None:
-                return None
-            v = tuple(as_tpoly(x, field) for x in v)
-            if len(v) != d:
-                raise DimensionMismatch("vector has wrong length")
-            return v
+    @classmethod
+    def on_read(cls, field: Field, labels, c, unit, raw, orientation=None, augmentations=None,
+                validate: bool = True) -> "AlgebraFamily":
+        """A family whose table and unit the caller built as TPoly tuples
+        together with their read ``raw``, as raw_slices would give it; the
+        table is neither coerced nor read again."""
+        out = object.__new__(cls)
+        out._fill(field, labels, c, unit, raw, orientation, augmentations, validate)
+        return out
 
+    def _fill(self, field, labels, c, unit, raw, orientation, augmentations, validate):
+        d = len(c)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "labels", tuple(str(x) for x in labels))
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "unit", vec(unit))
-        object.__setattr__(self, "orientation", vec(orientation))
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "orientation", _tpoly_vector(orientation, field, d))
         object.__setattr__(
             self,
             "augmentations",
-            {k: vec(v) for k, v in (augmentations or {}).items()},
+            {k: _tpoly_vector(v, field, d) for k, v in (augmentations or {}).items()},
         )
+        object.__setattr__(self, "raw", raw)
         if validate:
-            validate_structure(c, self.unit, TPoly(field))
+            validate_structure(c, unit, TPoly(field), read=raw)
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraFamily is immutable")
 
     def at(self, value, validate: bool = True) -> FiniteAlgebra:
-        """The fiber algebra at t = value, evaluated on raw slices by Horner's
-        rule: at a/b, sum_s M_s (a/b)^s = (sum_s M_s a^s b^(top - s)) / b^top."""
+        """The fiber algebra at t = value, evaluated on the read by Horner's
+        rule: at a/b, sum_s M_s (a/b)^s = (sum_s M_s a^s b^(top - s)) / b^top.
+        The fiber is validated on these raw planes."""
         f, d, memo = self.field, self.dim, {}
         p = f.characteristic
         value = f.scalar(value)
         a, b = (value.value, 1) if p else value.value.as_integer_ratio()
-        (*planes, unit), L = raw_slices([*self.c, [self.unit or ()]], p)
+        (*planes, unit), L = self.raw
         top = max((s for pl in (*planes, unit) for s, _ in pl), default=0)
 
         def fiber(slices, rows):
@@ -437,17 +437,44 @@ class AlgebraFamily:
                 acc = [[u * a + x * bs for u, x in zip(ra, rx)]
                        for ra, rx in zip(acc, X.get(s, [[0] * d] * rows))]
             acc = [[u % p for u in ra] for ra in acc] if p else acc
-            return _box_plane(f, [(0, acc)], L * b**top, f.zero, (rows, d), memo)
+            return [(0, acc)] if any(map(any, acc)) else []
 
-        c = [fiber(pl, d) for pl in planes]
-        unit = fiber(unit, 1)[0] if self.unit is not None else None
-        return FiniteAlgebra(f, self.labels, c, unit, validate=validate)
+        planes, unit = [fiber(pl, d) for pl in planes], fiber(unit, 1)
+        scale = L * b**top
+        c = [_box_plane(f, pl, scale, f.zero, (d, d), memo) for pl in planes]
+        u = _box_plane(f, unit, scale, f.zero, (1, d), memo)[0] if self.unit is not None else None
+        A = FiniteAlgebra(f, self.labels, c, u, validate=False)
+        if validate:
+            validate_structure(A.c, A.unit, f.zero, read=([*planes, unit], scale))
+        return A
+
+    def contract(self, col):
+        """The d x d matrix (v(e_i e_j)) of a functional v on the read: ``col``
+        is v as a raw d x 1 slice list, and the result, a slice list, is
+        scaled by the table's L times v's scale."""
+        p, d = self.field.characteristic, self.dim
+        (*planes, _), _ = self.raw
+        # row i*d + j of stacked[s] is row j of plane i: e_i e_j
+        stacked = {}
+        for i, plane in enumerate(planes):
+            for s, X in plane:
+                stacked.setdefault(s, [[0] * d] * (d * d))[i * d:(i + 1) * d] = X
+        return [(s, [[x for x, in X[i * d:(i + 1) * d]] for i in range(d)])
+                for s, X in linalg.slice_mul(sorted(stacked.items()), col, p)]
+
+    def gram_slices(self):
+        """The Gram matrix of the orientation pairing on the read, as a slice
+        list, and its scale: the raw values are the Gram entries times it."""
+        if self.orientation is None:
+            raise BadUnit("family carries no orientation")
+        p = self.field.characteristic
+        (col,), L_phi = linalg.raw_slices([[[x] for x in self.orientation]], p)
+        return self.contract(col), self.raw[1] * L_phi
 
     def gram(self):
         """Family Gram matrix of the orientation pairing, entries in k[t]."""
-        if self.orientation is None:
-            raise BadUnit("family carries no orientation")
-        return tuple(linalg.mat_vec(plane, self.orientation) for plane in self.c)
+        slices, scale = self.gram_slices()
+        return _box_plane(self.field, slices, scale, TPoly(self.field), (self.dim, self.dim), {})
 
     def serialize(self) -> dict:
         out = {

@@ -5,11 +5,19 @@ the two homotopies built from its augmentations, multiplication-scaling
 degenerations of non-unital algebras, and the rescaling symmetry check for
 degeneration families.  Family validity always means exact polynomial
 identities, which subsumes validity of every fiber at once.
+
+An AlgebraFamily reads its table once, at construction (``raw``: raw
+coefficient slices, see ``linalg.raw_slices``).  The family Gram matrix,
+its unit determinant and the socle solve (``linalg.bareiss`` on raw
+coefficient lists), the family augmentation check and the fibers all work
+from that read.  The robber family is built from coefficient lists and fully
+validated on every call; the homotopies share the read of their base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .algebra import AlgebraFamily, FiniteAlgebra
@@ -23,7 +31,7 @@ from .frobenius import (
     isotropy_check,
     socle_generator,
 )
-from .scalar import Field, TPoly, as_tpoly, tpoly_eval
+from .scalar import Field, TPoly, tpoly_eval
 
 __all__ = [
     "AlgebraFamily",
@@ -73,35 +81,41 @@ def specialize(F: AlgebraFamily, c) -> Fiber:
 
 def family_det_is_unit(F: AlgebraFamily) -> bool:
     """Whether det of the family Gram matrix is a nonzero constant, i.e. the
-    orientation is non-degenerate simultaneously in every fiber."""
-    gram = F.gram()
-    zero = TPoly(F.field)
-    one = TPoly.const(F.field.one)
-    d = linalg.det_in_domain(zero, one, gram, lambda a, b: a.divexact(b))
-    return bool(d) and d.is_constant()
+    orientation is non-degenerate simultaneously in every fiber: bareiss on
+    the raw Gram read off the family's table."""
+    slices, _ = F.gram_slices()
+    work = linalg.poly_entries(slices, F.dim, F.dim)
+    return not work or (linalg.bareiss(work, F.field.characteristic) and len(work[-1][-1]) == 1)
 
 
 def family_socle_generator(F: AlgebraFamily, aug: str):
     """Socle generator of a family augmentation, as a TPoly vector.
 
     Solves gram * x = e by one fraction-free elimination of [gram | e]
-    (linalg.bareiss) and back substitution.  The last pivot is det(gram), a
-    unit in a valid oriented family; the solution is then polynomial, so
-    every division by an earlier pivot is exact.
+    (linalg.bareiss on raw coefficient lists) and back substitution.  The
+    last pivot D is det(gram) times a constant, a unit in a valid oriented
+    family.  Back substitution finds y = D x, whose entries are polynomial
+    (Cramer's rule), so every division by a pivot is exact; then x = y / D.
     """
-    gram = F.gram()
-    e = F.augmentations[aug]
-    zero, one = TPoly(F.field), TPoly.const(F.field.one)
-    d = F.dim
-    work = linalg.bareiss(zero, one, [r + (b,) for r, b in zip(gram, e)], TPoly.divexact)
-    det = (work[-1][-2] if d else one) if work is not None else zero
-    if not det or not det.is_constant():
+    f, d = F.field, F.dim
+    p = f.characteristic
+    slices, scale = F.gram_slices()
+    (e,), L_e = linalg.raw_slices([[[x] for x in F.augmentations[aug]]], p)
+    # [L_e gram_raw | scale e_raw] is scale L_e [gram | e]
+    work = [[[L_e * v for v in x] for x in row] + [[scale * v for v in b]]
+            for row, (b,) in zip(linalg.poly_entries(slices, d, d), linalg.poly_entries(e, d, 1))]
+    det = (work[-1][d - 1] if d else [1]) if linalg.bareiss(work, p) else []
+    if len(det) != 1:
         raise Singular("family Gram determinant is not a unit")
-    x = [zero] * d
+    y = [[]] * d
     for i in reversed(range(d)):
-        rhs = work[i][d] - sum((work[i][j] * x[j] for j in range(i + 1, d)), zero)
-        x[i] = rhs.divexact(work[i][i])
-    return tuple(x)
+        acc = linalg.poly_mul(det, work[i][d], p)
+        for j in range(i + 1, d):
+            acc = linalg.poly_sub(acc, linalg.poly_mul(work[i][j], y[j], p), p)
+        y[i] = linalg.poly_divexact(acc, work[i][i], p)
+    D = det[0]
+    inv = pow(D, -1, p) if p else None
+    return tuple(TPoly(f, [v * inv if p else Fraction(v, D) for v in yi]) for yi in y)
 
 
 def robber_family(field: Field) -> AlgebraFamily:
@@ -109,32 +123,30 @@ def robber_family(field: Field) -> AlgebraFamily:
     (1, x, x^2, x^3) with rewrite x^4 = 2t x^3 - t^2 x^2.
 
     Carries the orientation extracting the x^3 coefficient and the two
-    augmentations sending x to 0 ("const") and to t ("mv").
+    augmentations sending x to 0 ("const") and to t ("mv").  Built from
+    coefficient lists (low degree first) and validated on every call.
     """
-    t = TPoly.t(field)
-    z = TPoly(field)
-    o = TPoly.const(field.one)
 
     def vec(*coeffs):
-        return tuple(as_tpoly(x, field) for x in coeffs)
+        return tuple(TPoly(field, c) for c in coeffs)
 
-    powers = {
-        0: vec(1, 0, 0, 0),
-        1: vec(0, 1, 0, 0),
-        2: vec(0, 0, 1, 0),
-        3: vec(0, 0, 0, 1),
-        4: (z, z, -(t**2), 2 * t),
-        5: (z, z, -2 * t**3, 3 * t**2),
-        6: (z, z, -3 * t**4, 4 * t**3),
-    }
-    c = tuple(tuple(powers[i + j] for j in range(4)) for i in range(4))
+    # x^n in the basis: x^0..x^3, then x^4, x^5, x^6 by the rewrite rule
+    powers = [
+        vec((1,), (), (), ()),
+        vec((), (1,), (), ()),
+        vec((), (), (1,), ()),
+        vec((), (), (), (1,)),
+        vec((), (), (0, 0, -1), (0, 2)),
+        vec((), (), (0, 0, 0, -2), (0, 0, 3)),
+        vec((), (), (0, 0, 0, 0, -3), (0, 0, 0, 4)),
+    ]
     fam = AlgebraFamily(
         field,
         ("1", "x", "x^2", "x^3"),
-        c,
-        unit=vec(1, 0, 0, 0),
-        orientation=vec(0, 0, 0, 1),
-        augmentations={"const": vec(1, 0, 0, 0), "mv": (o, t, t**2, t**3)},
+        [[powers[i + j] for j in range(4)] for i in range(4)],
+        unit=powers[0],
+        orientation=powers[3],
+        augmentations={"const": powers[0], "mv": vec((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1))},
         validate=True,
     )
     if not family_det_is_unit(fam):  # pragma: no cover
@@ -202,10 +214,11 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
     for name in ("const", "mv"):  # pragma: no branch
         if not augmentation_check(base, base.augmentations[name]):  # pragma: no cover
             raise Singular(f"augmentation {name} does not descend to the sum")
+    # the homotopies share base's table and read; only "aug" differs
     h_const, h_mv = (
-        AlgebraFamily(f, base.labels, base.c, unit=base.unit, orientation=base.orientation,
-                      augmentations={"aug": base.augmentations[k], **base.augmentations},
-                      validate=False)
+        AlgebraFamily.on_read(f, base.labels, base.c, base.unit, base.raw, base.orientation,
+                              {"aug": base.augmentations[k], **base.augmentations},
+                              validate=False)
         for k in ("const", "mv")
     )
     return HomotopyFamilies(h_const, h_mv, data.project)

@@ -18,9 +18,9 @@ from .algebra import (
     AlgebraFamily,
     FiniteAlgebra,
     Subspace,
+    _box_plane,
     _table_on_rows,
     base_change,
-    raw_slices,
 )
 from .errors import (
     BadUnit,
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .forms import BilinearForm, FormFamily, is_nondegenerate, surgery
 from .poly import MultiPoly, det_multipoly
-from .scalar import Field, Scalar, TPoly
+from .scalar import Field, Scalar, TPoly, as_tpoly
 
 
 def b_phi(A: FiniteAlgebra, phi) -> BilinearForm:
@@ -108,7 +108,7 @@ class NonUnitalOriented:
             raise Degenerate("pairing is degenerate")
         # P[i][j][k] = L² B(e_i e_j, e_k); B is symmetric, so L² B(e_i, e_j e_k) = P[j][k][i]
         p, zeros = A.field.characteristic, [[0] * A.dim] * A.dim
-        (*planes, gram), _ = raw_slices([*A.c, B.gram], p)
+        (*planes, gram), _ = linalg.raw_slices([*A.c, B.gram], p)
         P = [dict(linalg.slice_mul(plane, gram, p)).get(0, zeros) for plane in planes]
         for i in range(A.dim):
             for j in range(A.dim):
@@ -144,16 +144,40 @@ class Augmented:
 def augmentation_check(A, e) -> bool:
     """Whether e(1) = 1 and e is multiplicative on all basis pairs.
 
-    A may also be an AlgebraFamily with e a TPoly vector; the checks are
-    then exact polynomial identities, so e is an algebra map to k[t].
+    A may also be an AlgebraFamily with e a vector over k[t]; the checks are
+    then exact polynomial identities on the family's raw read, so e is an
+    algebra map to k[t].
     """
-    if isinstance(A, FiniteAlgebra):
-        e = A.coerce_vector(e)
+    if isinstance(A, AlgebraFamily):
+        return _family_augmentation_check(A, e)
+    e = A.coerce_vector(e)
     if A.unit is None or linalg.sum_dot(e, A.unit) != 1:
         return False
     for i in range(A.dim):
         for j in range(i, A.dim):
             if linalg.sum_dot(A.c[i][j], e) != e[i] * e[j]:
+                return False
+    return True
+
+
+def _family_augmentation_check(F: AlgebraFamily, e) -> bool:
+    d, p = F.dim, F.field.characteristic
+    if len(e) != d:
+        raise DimensionMismatch(f"expected length {d}, got {len(e)}")
+    if F.unit is None:
+        return False
+    (*_, unit), L = F.raw
+    (col,), L_e = linalg.raw_slices([[[as_tpoly(x, F.field)] for x in e]], p)
+    # raw values: the table and the unit times L, e times L_e
+    one = [(s, X[0][0]) for s, X in linalg.slice_mul(unit, col, p) if X[0][0]]
+    if one != [(0, L * L_e)]:
+        return False
+    e = [x for x, in linalg.poly_entries(col, d, 1)]
+    # entry (i, j) is e(e_i e_j) times L L_e; e_i e_j is times L_e²
+    values = linalg.poly_entries(F.contract(col), d, d)
+    for i in range(d):
+        for j in range(i, d):
+            if [L_e * v for v in values[i][j]] != [L * v for v in linalg.poly_mul(e[i], e[j], p)]:
                 return False
     return True
 
@@ -483,32 +507,28 @@ def rees_family(oa: OrientedAlgebra) -> ReesResult:
     x = linalg.solve_right_affine(f, constraints, rhs)
     adapted = linalg.mat([A.unit] + list(evecs) + [x])
     ad_alg = base_change(A, adapted)
-    d = A.dim
+    d, p = A.dim, f.characteristic
     weights = [0] + [1] * len(evecs) + [2]
-    t = TPoly.t(f)
-    zt = TPoly(f)
-    c = []
-    for i in range(d):
-        plane = []
-        for j in range(d):
-            row = []
-            for k in range(d):
-                coeff = ad_alg.c[i][j][k]
-                if not coeff:
-                    row.append(zt)
-                    continue
-                exp = weights[i] + weights[j] - weights[k]
-                if exp < 0:  # pragma: no cover
-                    raise Singular("filtration is not multiplicative")
-                row.append(TPoly.const(coeff).shift(exp))
-            plane.append(tuple(row))
-        c.append(tuple(plane))
+    # entry (i, j, k) of the adapted table moves to t^(w_i + w_j - w_k)
+    planes, L = linalg.raw_slices(ad_alg.c, p)
+    graded, c, memo, zt = [], [], {}, TPoly(f)
+    for i, plane in enumerate(planes):
+        by_exp = {}
+        for _, X in plane:
+            for j, row in enumerate(X):
+                for k, v in enumerate(row):
+                    if v:
+                        exp = weights[i] + weights[j] - weights[k]
+                        if exp < 0:  # pragma: no cover
+                            raise Singular("filtration is not multiplicative")
+                        by_exp.setdefault(exp, [[0] * d for _ in range(d)])[j][k] = v
+        graded.append(sorted(by_exp.items()))
+        c.append(_box_plane(f, graded[-1], L, zt, (d, d), memo))
     labels = ["1"] + [f"e{i + 1}*t" for i in range(len(evecs))] + ["x*t^2"]
-    unit = [f.one] + [f.zero] * (d - 1)
-    phi = [zt] * (d - 1) + [TPoly.const(f.one)]
-    fam = AlgebraFamily(
-        f, labels, c, unit=unit, orientation=phi, validate=True
-    )
+    unit = (TPoly.const(f.one),) + (zt,) * (d - 1)
+    phi = [f.zero] * (d - 1) + [f.one]
+    raw = [*graded, [(0, [[L] + [0] * (d - 1)])]], L
+    fam = AlgebraFamily.on_read(f, labels, tuple(c), unit, raw, orientation=phi)
     gram = FormFamily(f, fam.gram())
     return ReesResult(fam, adapted, gram, D)
 
@@ -633,7 +653,7 @@ def _nilradical_and_socle(A: FiniteAlgebra):
     d = A.dim
     p = A.field.characteristic
     zeros = [[0] * d] * d
-    table = [dict(plane).get(0, zeros) for plane in raw_slices(A.c, p)[0]]
+    table = [dict(plane).get(0, zeros) for plane in linalg.raw_slices(A.c, p)[0]]
     if p == 0 or p > d:
         trace = [sum(plane[j][j] for j in range(d)) for plane in table]
         support = [(k, v) for k, v in enumerate(trace) if v]

@@ -13,25 +13,35 @@ off it and the determinant, for callers that already hold raw values;
 the witness searches for ``gorenstein_test`` and ``one_generic``.
 
 Row-space bases are always canonicalized to reduced row echelon form, so
-subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec``,
-``vec_mat``, ``bareiss`` and ``det_in_domain`` stay ring-generic: they also
-act on TPoly entries, which is how family computations stay polynomial.
-``raw_mul``, the one product loop, takes raw values only; ``slice_mul``
-convolves it over k[t] on slice lists.  Through ``first_noncommuting`` it
-serves the structure-table checks of ``algebra`` and Strassen's test in
-``tensors``, and through ``algebra._table_on_rows`` every new structure
-table: ``base_change``, ``connected_sum``, ``homotopy_families`` and
-``decompose_augmented``.  ``RowSolver.map`` is the coordinate map those
-constructors hand it.
+subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec`` and
+``vec_mat`` stay ring-generic: they also act on TPoly entries.
+
+Matrices over k[t] are read once by ``raw_slices`` into slice lists (one
+matrix of raw coefficients per power of t; over QQ integers, the
+coefficients times a common denominator L).  ``raw_mul``, the one product
+loop, takes raw values only; ``slice_mul`` convolves it over k[t] on slice
+lists.  Through ``first_noncommuting`` it serves the structure-table checks
+of ``algebra`` and Strassen's test in ``tensors``, and through
+``algebra._table_on_rows`` every new structure table: ``base_change``,
+``connected_sum``, ``homotopy_families`` and ``decompose_augmented``.
+``RowSolver.map`` is the coordinate map those constructors hand it.
+
+``bareiss`` is the one fraction-free elimination over k[t].  It works on raw
+coefficient lists (``poly_entries`` of a slice list): ints mod p, or over QQ
+integers, with the exact division ``poly_divexact``, and no TPoly
+arithmetic.  It serves ``families.family_det_is_unit``, the socle solve of
+``families.family_socle_generator`` and ``det_in_domain``, which unboxes a
+TPoly matrix, runs it and boxes the determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, count
+from math import lcm
 
-from .errors import DimensionMismatch, FieldMismatch, Singular
-from .scalar import Field, Scalar
+from .errors import DimensionMismatch, FieldMismatch, Singular, ZeroInput
+from .scalar import Field, Scalar, TPoly
 
 _QQ_ZERO = Fraction(0)
 
@@ -107,6 +117,31 @@ def mat_mul(a, b):
     field, rb = unbox(b, field)
     p = field.characteristic if field else 0
     return _box(field, raw_mul(ra, rb, p, 0 if p else _QQ_ZERO))
+
+
+def raw_slices(mats, p: int):
+    """Matrices of Scalars or TPolys as slice lists for slice_mul, and L.
+
+    Entries are ints mod p, or over QQ the coefficients times L, their common
+    denominator (L = 1 over F_p); an identity of products of two matrices,
+    both sides scaled by L², holds exactly when it held before.
+    """
+    raw = []
+    for m in mats:
+        try:
+            raw.append([[[x.value for x in row] for row in m]])
+        except AttributeError:  # TPoly entries: one coefficient matrix per power of t
+            coeffs = [[[a.value for a in x.coeffs] if isinstance(x, TPoly) else [x.value]
+                       for x in row] for row in m]
+            deg = max((len(x) for row in coeffs for x in row), default=0)
+            raw.append([[[x[s] if s < len(x) else 0 for x in row] for row in coeffs]
+                        for s in range(deg)])
+    L = 1
+    if not p:
+        raw = [[[[a.as_integer_ratio() for a in row] for row in M] for M in ms] for ms in raw]
+        L = lcm(*{den for ms in raw for M in ms for row in M for _, den in row})
+        raw = [[[[num * (L // den) for num, den in row] for row in M] for M in ms] for ms in raw]
+    return [[(s, M) for s, M in enumerate(ms) if any(map(any, M))] for ms in raw], L
 
 
 def slice_mul(a, b, p: int):
@@ -284,45 +319,118 @@ def det(field: Field, m):
     return Scalar(field, raw_det(work, field.characteristic))
 
 
-def bareiss(zero, one, m, exact_div):
-    """Bareiss's fraction-free elimination (1968) of an n x (n + k) matrix
-    over an integral domain, with row swaps; None when its left n x n block
-    is found singular before the last column.
+def poly_mul(a, b, p: int):
+    """Product of two raw coefficient lists (low degree first, no trailing
+    zeros, [] for 0): ints mod p, or integers at p = 0."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [v % p for v in out] if p else out
 
-    Row i of the result vanishes left of column i, every row is a
+
+def poly_sub(a, b, p: int):
+    """Difference of two raw coefficient lists, as for poly_mul."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = [x - y for x, y in zip(a, b)] + a[len(b):]
+    if p:
+        out = [v % p for v in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def poly_divexact(a, b, p: int):
+    """The quotient a / b of raw coefficient lists, b nonzero, when b divides
+    a: over F_p[t], or over Z[t] at p = 0, where every quotient coefficient
+    must be an integer.  Raises ZeroInput on a nonzero remainder."""
+    rem, n, lead = list(a), len(b), b[-1]
+    inv = pow(lead, -1, p) if p else None
+    q = [0] * max(len(rem) - n + 1, 0)
+    for k in reversed(range(len(q))):
+        top = rem[k + n - 1]
+        if not top:
+            continue
+        if p:
+            f = top * inv % p
+        else:
+            f, r = divmod(top, lead)
+            if r:
+                raise ZeroInput("inexact division of coefficient lists")
+        q[k] = f
+        for i, y in enumerate(b):
+            rem[k + i] = (rem[k + i] - f * y) % p if p else rem[k + i] - f * y
+    if any(rem):
+        raise ZeroInput("inexact division of coefficient lists")
+    return q
+
+
+def poly_entries(slices, n: int, m: int):
+    """The n x m matrix of raw coefficient lists of a slice list (as for
+    slice_mul), trailing zeros dropped."""
+    out = [[[] for _ in range(m)] for _ in range(n)]
+    for s, M in slices:
+        for i, row in enumerate(M):
+            for j, v in enumerate(row):
+                if v:
+                    e = out[i][j]
+                    e += [0] * (s - len(e)) + [v]
+    return out
+
+
+def bareiss(work, p: int) -> bool:
+    """Bareiss's fraction-free elimination (1968), in place, of an n x (n + k)
+    matrix of raw coefficient lists over F_p[t], or at p = 0 over Z[t] (a
+    matrix over Q[t] times a common denominator L, whose determinant is then
+    L^n times the original one), with row swaps.
+
+    Each entry of the recurrence is a minor of the input (Sylvester's
+    identity), so every division is exact; poly_divexact checks it.  Returns
+    False when the left n x n block is found singular before its last
+    column.  Otherwise row i vanishes left of column i, every row is a
     combination of the input rows, and the last row is signed so that its
     entry in column n - 1 is the determinant of the left block.
-    ``exact_div(a, b)`` performs the (guaranteed exact) division of the
-    recurrence.
     """
-    n = len(m)
-    work = [list(r) for r in m]
-    sign = 1
-    prev = one
+    n = len(work)
+    sign, prev = 1, [1]
     for c in range(n - 1):
         pivot = next((i for i in range(c, n) if work[i][c]), None)
         if pivot is None:
-            return None
+            return False
         if pivot != c:
             work[c], work[pivot] = work[pivot], work[c]
             sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, len(work[i])):
-                work[i][j] = exact_div(
-                    work[c][c] * work[i][j] - work[i][c] * work[c][j], prev
-                )
-            work[i][c] = zero
-        prev = work[c][c]
+        prow = work[c]
+        pc = prow[c]
+        for row in work[c + 1 :]:
+            f = row[c]
+            for j in range(c + 1, len(row)):
+                x = poly_sub(poly_mul(pc, row[j], p), poly_mul(f, prow[j], p), p)
+                row[j] = poly_divexact(x, prev, p)
+            row[c] = []
+        prev = pc
     if sign < 0:
-        work[-1] = [-x for x in work[-1]]
-    return work
+        work[-1] = [[-v % p for v in x] if p else [-v for v in x] for x in work[-1]]
+    return True
 
 
-def det_in_domain(zero, one, m, exact_div):
-    """Fraction-free determinant over an integral domain, by bareiss; used
-    for determinants of TPoly matrices."""
-    work = bareiss(zero, one, m, exact_div) if m else [[one]]
-    return work[-1][-1] if work else zero
+def det_in_domain(zero, one, m, exact_div=None):
+    """Determinant of a square matrix over k[t], ``zero`` being TPoly(k) and
+    ``one`` the determinant of the empty matrix: one raw_slices read, bareiss
+    on the raw coefficient lists, and one boxing.  ``exact_div`` is accepted
+    for the old ring-generic call form and unused."""
+    if not m:
+        return one
+    field = zero.field
+    p = field.characteristic
+    (slices,), L = raw_slices([m], p)
+    work = poly_entries(slices, len(m), len(m))
+    det = work[-1][-1] if bareiss(work, p) else []
+    return TPoly(field, det if p else [Fraction(v, L ** len(m)) for v in det])
 
 
 def invert(field: Field, m):

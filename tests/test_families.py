@@ -46,6 +46,17 @@ def test_robber_socles_match_quoted_formulas():
     assert family_socle_generator(rob, "mv") == (z, z, -t, 1 + z)
 
 
+def test_family_augmentation_check_needs_length_d():
+    from gorlab.errors import DimensionMismatch
+    from gorlab.frobenius import augmentation_check
+
+    rob = robber_family(QQ)
+    e = rob.augmentations["mv"]
+    for bad in (e + (TPoly(QQ),), e[:-1]):
+        with pytest.raises(DimensionMismatch, match=f"expected length 4, got {len(bad)}"):
+            augmentation_check(rob, bad)
+
+
 def test_robber_over_f2_is_a_valid_family():
     # char 2 collapses the rewrite to x^4 = t^2 x^2; the family is still a
     # valid oriented family (the split-fiber statements need char != 2)

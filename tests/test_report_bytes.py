@@ -1,9 +1,12 @@
-"""CLI report bytes on the G-fat points A_2 and A_3, over QQ and F_7.
+"""CLI report bytes on the G-fat points A_2 and A_3 and on the robber
+family, over QQ and F_7.
 
 Each case runs one command through ``run_command`` and compares the exit
 code and the sha256 of stdout with values recorded before the structure
-table checks were rewritten as products of multiplication matrices.  A
-changed verdict, number, label order or error message changes a digest.
+table checks were rewritten as products of multiplication matrices (the
+``robber`` cases and the ``homotopy --at t=1`` fibers: before the k[t]
+family checks moved to raw coefficient lists).  A changed verdict, number,
+label order or error message changes a digest.
 """
 
 import hashlib
@@ -35,6 +38,7 @@ COMMANDS = {
     "rees": ("rees", "{f}"),
     "homotopy-const": ("homotopy", "{f}", "--which", "const"),
     "homotopy-mv": ("homotopy", "{f}", "--which", "mv"),
+    "homotopy-mv-at1": ("homotopy", "{f}", "--which", "mv", "--at", "t=1"),
     "degenerate": ("degenerate", "{f}"),
     "tensor": ("tensor", "{f}", "--check", "1generic,commute"),
     "witt": ("witt", "{f}"),
@@ -48,6 +52,7 @@ DIGESTS = {
     ("Q", 2, "rees"): (0, "b01f59c477f6c5c939b482cba3f6f55c600d2459f5f2fcddec348d3741fa1cc6"),
     ("Q", 2, "homotopy-const"): (0, "5a4c12fe52cea5edba55bb0f0de26d79054463d81e2a2f8ed8989d6ca10ab48d"),
     ("Q", 2, "homotopy-mv"): (0, "03f0f6f1ebbee75360e460b94062c559f91c8d9e1257e2155f77dc7fd9c312d9"),
+    ("Q", 2, "homotopy-mv-at1"): (0, "eff8a7197a8af6e2d043d97ec702aa6b8e2600c610fcebe5ff206235667ad0f1"),
     ("Q", 2, "degenerate"): (0, "587e893809b2d556a1a16e43201c83ff560e32e4162bbc4a195b120aeb130c82"),
     ("Q", 2, "tensor"): (0, "b199c6cdc548e6066fdc5b92dfd97805e744dc0776ca1fc53991eba33dfffc7d"),
     ("Q", 2, "witt"): (0, "8f4eb6c5dd8d47b2606df0be74433210e4e084709fba3181dae16ff3e9ca10ff"),
@@ -57,6 +62,7 @@ DIGESTS = {
     ("Q", 3, "rees"): (0, "21d99328d03a82f3a99529609772205765a7f4317d4b4f2d47ddf10f7555595e"),
     ("Q", 3, "homotopy-const"): (0, "e4b6e500c2eeff2f855aa4bf0188932fe889bc7528315d7c25ee35c3ff75fb9c"),
     ("Q", 3, "homotopy-mv"): (0, "b5c4465ce37dcaf56dee60cdaa50290dc4961c44b96b986d726998e899097369"),
+    ("Q", 3, "homotopy-mv-at1"): (0, "2af51795a76763a9b1445621b39bcfcbe2e65a051063d2ffaa837407f2791abe"),
     ("Q", 3, "degenerate"): (0, "9b02cff7a2023dfa8bf8001aab5c5975992f5eab6eb8a95271fa65a8f2dacfdb"),
     ("Q", 3, "tensor"): (0, "08fd80268bbf4f2af2e180faa4860ca1b5bc05b1df4e45102599955ec7b42b8a"),
     ("Q", 3, "witt"): (0, "3a69e118b7f3abe84b5b8a8c74edff5a7989f2b3c7f8aac4bfdc0614f15555d1"),
@@ -66,6 +72,7 @@ DIGESTS = {
     ("F 7", 2, "rees"): (0, "5f65759a991bcc0d3a24c6ed05ac6808b5f53b833e59339a006665b33594ef1f"),
     ("F 7", 2, "homotopy-const"): (0, "5249883b7b9d6307942d176746c1d7637623f22fdda1de7376d4f96bcd8fa895"),
     ("F 7", 2, "homotopy-mv"): (0, "e7810e8646f11e890de010fef52c2d95ce28dde9c664b0502658e9c0d556f0ee"),
+    ("F 7", 2, "homotopy-mv-at1"): (0, "e2333fc1ad6a0b586521024a94e995c49d7f4ee595d1f361747f9389ed6536eb"),
     ("F 7", 2, "degenerate"): (0, "c383d94bf91d9897dbe10f614e836688eb240d9c49d23d262dfc8f61e6b09040"),
     ("F 7", 2, "tensor"): (0, "910e3d7728a733ec90ef1149405dec1c76f6a8deb9e1d200b8895f262a239455"),
     ("F 7", 2, "witt"): (0, "a2da17a839a13661575575d93fc726dbd8bd5dbadd5775113c892319bc899778"),
@@ -75,19 +82,31 @@ DIGESTS = {
     ("F 7", 3, "rees"): (0, "76370462fb1047920a0c4ee2a4f30b6886d2e71c6b54034e5281ac47ed7e71df"),
     ("F 7", 3, "homotopy-const"): (0, "1ee8cb652299a41603d5f07ee3461ee5d7584e573cb1b3cb5d9308a1ce235986"),
     ("F 7", 3, "homotopy-mv"): (0, "a63d880aec8f50cdf8a5daa1518745230dbf13e355b62a6b4fd2003fb93a7cec"),
+    ("F 7", 3, "homotopy-mv-at1"): (0, "011ca2845d99b7a92b6185f80ad7987d39f1d5d4028cc8f84b8a8c8d5469575a"),
     ("F 7", 3, "degenerate"): (0, "fafdf6d6a584cb769214a680b4dead7fc35fcc5a04535fd199484d9546a16570"),
     ("F 7", 3, "tensor"): (0, "4e3388d4417deb46d058d4f8ed62348a414dbc318fdfaef22b2e0a647ef93d19"),
     ("F 7", 3, "witt"): (0, "ed6ad1434f4df4b7818c29a30faba51201c620718711cee3268080533431da1e"),
 }
 
 
+# robber --field F [--at t=0]: (field argument, --at value) -> (exit code, sha256)
+ROBBER_DIGESTS = {
+    ("Q", None): (0, "e00b394301b9be1134a2d02ac274e1a93c862b3c56ea1839c21c77379cd45fac"),
+    ("Q", "t=0"): (0, "fd3f55131aca893114e878ba38ecb7056a29bd9cd9b555a0b2706f2bd3b3ed10"),
+    ("7", None): (0, "9d5efc596c81114a0fd103303b6bd14038391dfd2bbc4ab3924fd6be8420b307"),
+    ("7", "t=0"): (0, "e65d9f8d20438a6749d6bfa1f92a0e078d6be1ce6b130dfdcf0d89beed5ca583"),
+}
+
+
+def digest(capsys, argv):
+    code = run_command(argv)
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 def report(tmp_path, capsys, field, q, command):
     path = tmp_path / f"a{q}.alg"
     path.write_text(aq_text(field, q))
-    argv = [a.format(f=path) for a in COMMANDS[command]]
-    code = run_command(argv)
-    out = capsys.readouterr().out
-    return code, hashlib.sha256(out.encode()).hexdigest()
+    return digest(capsys, [a.format(f=path) for a in COMMANDS[command]])
 
 
 @pytest.mark.parametrize("field,q,command", sorted(DIGESTS))
@@ -98,3 +117,9 @@ def test_report_bytes(tmp_path, capsys, field, q, command):
 def test_every_case_is_pinned():
     cases = {(f, q, c) for f in ("Q", "F 7") for q in (2, 3) for c in COMMANDS}
     assert set(DIGESTS) == cases
+
+
+@pytest.mark.parametrize("field,at", sorted(ROBBER_DIGESTS, key=str))
+def test_robber_report_bytes(capsys, field, at):
+    argv = ["robber", "--field", field] + (["--at", at] if at else [])
+    assert digest(capsys, argv) == ROBBER_DIGESTS[field, at]
