@@ -13,6 +13,15 @@ Polynomials use + - * ^ with integer or rational literals; juxtaposition is
 forbidden.  Reports are JSON objects tagged "schema": "gorlab/1"; identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1 domain
 error, 2 usage error.
+
+Design.  Each call builds the argument parser afresh, since a real call is
+a fresh process, but only as much of it as the call needs: argv naming a
+command gets that command's subparser alone, from the declarative table
+``_COMMANDS``; help, an unknown command or no arguments get all of them.
+``_parse_poly`` builds each relation on raw term dicts {monomial: raw
+value} (ints mod p, or Fractions over QQ) with ``poly._raw_add`` and
+``poly._raw_mul`` and boxes one MultiPoly per relation;
+``poly._quotient_with_index`` compiles the relations on raw values as well.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from .frobenius import (
     socle_generator,
 )
 from .algebra import Subspace
-from .poly import MultiPoly, _quotient_with_index, grevlex_key, mono_label
+from .poly import MultiPoly, _quotient_with_index, _raw_add, _raw_mul, grevlex_key, mono_label
 from .scalar import GF, QQ, Field, Scalar
 from .tensors import (
     cw_tensor,
@@ -59,6 +68,8 @@ from .tensors import (
 )
 
 SCHEMA = "gorlab/1"
+# `gorlab -h` shows the grammar part of this docstring
+_DESCRIPTION = (__doc__ or "").partition("\nDesign.")[0] or None
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +204,14 @@ def _poly_source(p: MultiPoly) -> str:
     return " ".join(parts)
 
 
+def _integer(p: _Parser, what: str) -> int:
+    """A NUMBER token where the grammar needs a non-negative integer."""
+    t = p.expect("NUMBER")
+    if "/" in t.text:
+        raise ParseError(f"{what} must be an integer", t.line, t.col)
+    return int(t.text)
+
+
 def _parse_scalar(p: _Parser, field: Field) -> Scalar:
     neg = False
     if p.peek().kind == "OP" and p.peek().text == "-":
@@ -205,9 +224,14 @@ def _parse_scalar(p: _Parser, field: Field) -> Scalar:
 
 
 def _parse_poly(p: _Parser, field: Field, variables) -> MultiPoly:
+    """One polynomial, built on raw term dicts {monomial: raw value} and
+    boxed once."""
     var_index = {v: i for i, v in enumerate(variables)}
+    char = field.characteristic
+    n = len(variables)
+    one = field.one.value
 
-    def parse_atom() -> MultiPoly:
+    def parse_atom() -> dict:
         t = p.peek()
         if t.kind == "OP" and t.text == "(":
             p.next()
@@ -216,31 +240,37 @@ def _parse_poly(p: _Parser, field: Field, variables) -> MultiPoly:
             return e
         if t.kind == "OP" and t.text == "-":
             p.next()
-            return -parse_atom_pow()
+            return _raw_add({}, parse_atom_pow(), -1, char)
         if t.kind == "NUMBER":
             p.next()
-            return MultiPoly.constant(field, variables, field.scalar(Fraction(t.text)))
+            c = field.scalar(Fraction(t.text)).value
+            return {(0,) * n: c} if c else {}
         if t.kind == "IDENT":
             if t.text not in var_index:
                 raise UnknownVariable(
                     f"unknown variable {t.text!r} at line {t.line}, column {t.col}"
                 )
             p.next()
-            return MultiPoly.variable(field, variables, var_index[t.text])
+            i = var_index[t.text]
+            return {(0,) * i + (1,) + (0,) * (n - i - 1): one}
         raise ParseError(
             f"expected a term, found {t.text or t.kind!r}", t.line, t.col,
             expected="term",
         )
 
-    def parse_atom_pow() -> MultiPoly:
+    def parse_atom_pow() -> dict:
         base = parse_atom()
         t = p.peek()
         if t.kind == "OP" and t.text == "^":
             p.next()
-            ex = p.expect("NUMBER")
-            if "/" in ex.text:
-                raise ParseError("exponent must be an integer", ex.line, ex.col)
-            base = base ** int(ex.text)
+            e = _integer(p, "exponent")
+            out = {(0,) * n: one}
+            while e:
+                if e & 1:
+                    out = _raw_mul(out, base, char)
+                base = _raw_mul(base, base, char)
+                e >>= 1
+            base = out
         # juxtaposition is forbidden: the next token must be an operator
         nxt = p.peek()
         if nxt.kind in ("IDENT", "NUMBER") or (nxt.kind == "OP" and nxt.text == "("):
@@ -250,22 +280,21 @@ def _parse_poly(p: _Parser, field: Field, variables) -> MultiPoly:
             )
         return base
 
-    def parse_term() -> MultiPoly:
+    def parse_term() -> dict:
         out = parse_atom_pow()
         while p.peek().kind == "OP" and p.peek().text == "*":
             p.next()
-            out = out * parse_atom_pow()
+            out = _raw_mul(out, parse_atom_pow(), char)
         return out
 
-    def parse_expr() -> MultiPoly:
+    def parse_expr() -> dict:
         out = parse_term()
         while p.peek().kind == "OP" and p.peek().text in "+-":
             op = p.next().text
-            rhs = parse_term()
-            out = out + rhs if op == "+" else out - rhs
+            out = _raw_add(out, parse_term(), 1 if op == "+" else -1, char)
         return out
 
-    return parse_expr()
+    return MultiPoly(field, variables, parse_expr())
 
 
 def _parse_monomial_text(p: _Parser, variables):
@@ -285,8 +314,7 @@ def _parse_monomial_text(p: _Parser, variables):
         e = 1
         if p.peek().kind == "OP" and p.peek().text == "^":
             p.next()
-            ex = p.expect("NUMBER")
-            e = int(ex.text)
+            e = _integer(p, "exponent")
         expo[var_index[t.text]] += e
         if p.peek().kind == "OP" and p.peek().text == "*":
             p.next()
@@ -315,8 +343,7 @@ def parse_presentation(text: str) -> PresentationDocument:
             if t.text == "Q":
                 fld = QQ
             elif t.text == "F":
-                num = p.expect("NUMBER")
-                fld = GF(int(num.text))
+                fld = GF(_integer(p, "characteristic"))
             else:
                 raise ParseError("expected Q or F <p>", t.line, t.col, expected="Q|F")
         elif head.text == "vars":
@@ -713,64 +740,68 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser2(prog="gorlab", description=__doc__)
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+# command name -> (handler, its arguments after --pretty), in help order
+_COMMANDS = {
+    "check": (_cmd_check, _arg("file")),
+    "orient": (
+        _cmd_orient,
+        _arg("file"),
+        _arg("--seed", type=int, default=0),
+        _arg("--trials", type=_nonnegative_int, default=64),
+        _arg("--symbolic-max-dim", type=_nonnegative_int, default=8, dest="symbolic_max_dim"),
+    ),
+    "socle": (_cmd_socle, _arg("file")),
+    "consum": (_cmd_consum, _arg("file1"), _arg("file2")),
+    "rees": (_cmd_rees, _arg("file")),
+    "robber": (_cmd_robber, _arg("--at", default=None), _arg("--field", default="Q")),
+    "homotopy": (
+        _cmd_homotopy,
+        _arg("file"),
+        _arg("--which", choices=("const", "mv"), required=True),
+        _arg("--at", default=None),
+    ),
+    "degenerate": (_cmd_degenerate, _arg("file"), _arg("--at", default=None)),
+    "points-degenerate": (
+        _cmd_points_degenerate,
+        _arg("--q", type=int, required=True),
+        _arg("--seed", type=int, default=0),
+    ),
+    "tensor": (_cmd_tensor, _arg("file"), _arg("--check", default="")),
+    "cw": (_cmd_cw, _arg("--q", type=int, required=True), _arg("--field", default="Q")),
+    "witt": (_cmd_witt, _arg("file")),
+    "embed-hyp": (_cmd_embed_hyp, _arg("formfile")),
+    "gro": (_cmd_gro, _arg("formfile"), _arg("--subspace", required=True)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gorlab argument parser with every command's subparser, or with
+    only the subparser of ``command``."""
+    top = _Parser2(prog="gorlab", description=_DESCRIPTION)
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
-        p.add_argument("--pretty", action="store_true")
-        return p
-
-    p = add("check", _cmd_check)
-    p.add_argument("file")
-    p = add("orient", _cmd_orient)
-    p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_nonnegative_int, default=64)
-    p.add_argument(
-        "--symbolic-max-dim", type=_nonnegative_int, default=8, dest="symbolic_max_dim"
-    )
-    p = add("socle", _cmd_socle)
-    p.add_argument("file")
-    p = add("consum", _cmd_consum)
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p = add("rees", _cmd_rees)
-    p.add_argument("file")
-    p = add("robber", _cmd_robber)
-    p.add_argument("--at", default=None)
-    p.add_argument("--field", default="Q")
-    p = add("homotopy", _cmd_homotopy)
-    p.add_argument("file")
-    p.add_argument("--which", choices=("const", "mv"), required=True)
-    p.add_argument("--at", default=None)
-    p = add("degenerate", _cmd_degenerate)
-    p.add_argument("file")
-    p.add_argument("--at", default=None)
-    p = add("points-degenerate", _cmd_points_degenerate)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p = add("tensor", _cmd_tensor)
-    p.add_argument("file")
-    p.add_argument("--check", default="")
-    p = add("cw", _cmd_cw)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--field", default="Q")
-    p = add("witt", _cmd_witt)
-    p.add_argument("file")
-    p = add("embed-hyp", _cmd_embed_hyp)
-    p.add_argument("formfile")
-    p = add("gro", _cmd_gro)
-    p.add_argument("formfile")
-    p.add_argument("--subspace", required=True)
+    for name, (fn, *arguments) in _COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name)
+            p.set_defaults(fn=fn)
+            p.add_argument("--pretty", action="store_true")
+            for flags, kw in arguments:
+                p.add_argument(*flags, **kw)
     return top
 
 
 def run_command(argv) -> int:
-    """Dispatch one CLI invocation; returns the exit code."""
-    parser = build_parser()
+    """Dispatch one CLI invocation; returns the exit code.
+
+    A call that names a command builds only that command's subparser; any
+    other argv (help, an unknown command, nothing) gets the full parser, so
+    help and usage errors list every command.
+    """
+    argv = list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as ex:

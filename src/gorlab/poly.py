@@ -6,6 +6,15 @@ increasing along the declared variable list (the last declared variable is
 the largest).  This is the order under which the G-fat-point relations
 y_i*y_j, y_i^2 - y_j^2, y_1^3 leave exactly {1, y_1, ..., y_q, y_1^2}
 standard, which fixes the basis labels everywhere downstream.
+
+Division and Buchberger run on raw coefficients: a polynomial is a dict
+{monomial: raw value}, ints in [0, p) over F_p or Fractions over QQ, and a
+divisor is stored monic as (leading monomial, tail).  ``_reduce`` is the one
+reduction loop; it serves ``groebner_basis`` (whose S-polynomials are formed
+straight from two tails), ``normal_form`` and the structure constants of
+``_quotient_with_index``.  ``_raw_add`` and ``_raw_mul`` are the sum and
+product of raw polynomials; ``cli._parse_poly`` builds its relations with
+them.  MultiPolys are unboxed on input and boxed once on output.
 """
 
 from __future__ import annotations
@@ -261,40 +270,120 @@ def poly_ring(field: Field, *names):
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# division and Buchberger, on raw coefficients
+
+
+def _raw(f: MultiPoly) -> dict:
+    return {m: c.value for m, c in f.terms.items()}
+
+
+def _boxed(field: Field, variables, raw: dict) -> MultiPoly:
+    """The MultiPoly of a raw term dict with reduced nonzero values."""
+    f = object.__new__(MultiPoly)
+    object.__setattr__(f, "field", field)
+    object.__setattr__(f, "variables", variables)
+    object.__setattr__(f, "terms", {m: Scalar(field, c) for m, c in raw.items()})
+    object.__setattr__(f, "_lm", None)
+    return f
+
+
+def _raw_add(a: dict, b: dict, sign: int, p: int) -> dict:
+    """a + sign*b on raw term dicts; a is updated in place."""
+    for m, c in b.items():
+        v = a.get(m)
+        v = sign * c if v is None else v + sign * c
+        if p:
+            v %= p
+        if v:
+            a[m] = v
+        else:
+            a.pop(m, None)
+    return a
+
+
+def _raw_mul(a: dict, b: dict, p: int) -> dict:
+    """a*b on raw term dicts."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            v = out.get(m)
+            out[m] = c1 * c2 if v is None else v + c1 * c2
+    if p:
+        return {m: v % p for m, v in out.items() if v % p}
+    return {m: v for m, v in out.items() if v}
+
+
+def _monic(lm, h: dict, p: int):
+    """The monic divisor (lm, tail) of the raw polynomial h (consumed) with
+    leading monomial lm."""
+    lc = h.pop(lm)
+    if p:
+        inv = pow(lc, -1, p)
+        return lm, {m: c * inv % p for m, c in h.items()}
+    return lm, {m: c / lc for m, c in h.items()}
 
 
 def _divisor(g: MultiPoly):
-    return g.leading_monomial(), g.leading_coeff(), g
+    return _monic(g.leading_monomial(), _raw(g), g.field.characteristic)
 
 
-def _reduce(f: MultiPoly, divisors) -> MultiPoly:
-    """Remainder of f under division by [(lm, lc, g), ...], tried in order."""
-    rem = MultiPoly.zero(f.field, f.variables)
-    work = f
-    while work:
-        m = work.leading_monomial()
-        c = work.terms[m]
-        for lm, lc, g in divisors:
-            if mono_divides(lm, m):
-                work = work - g.term_mul(mono_div(m, lm), c / lc)
+def _s_poly(f, g, p: int) -> dict:
+    """S-polynomial of two monic divisors, straight from their tails."""
+    (lf, tf), (lg, tg) = f, g
+    l = mono_lcm(lf, lg)
+    qf, qg = mono_div(l, lf), mono_div(l, lg)
+    out = {tuple(map(add, qf, m)): c for m, c in tf.items()}
+    return _raw_add(out, {tuple(map(add, qg, m)): c for m, c in tg.items()}, -1, p)
+
+
+def _reduce(work: dict, divisors, p: int) -> dict:
+    """Remainder of the raw polynomial work (consumed) under division by the
+    monic divisors [(lm, tail), ...], tried in order.
+
+    The terms of work wait on a heap keyed by (-degree, monomial), whose
+    minimum is the grevlex-largest monomial; a key whose monomial has since
+    cancelled is skipped.  The remainder's terms come out in descending
+    order, so its first key is its leading monomial.
+    """
+    heap = [(-sum(m), m) for m in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for lm, tail in divisors:
+            if all(map(le, lm, m)):
+                q = tuple(map(sub, m, lm))
+                for tm, tc in tail.items():
+                    n = tuple(map(add, q, tm))
+                    v = work.get(n)
+                    if v is None:
+                        work[n] = -c * tc % p if p else -c * tc
+                        heappush(heap, (-sum(n), n))
+                    else:
+                        v = (v - c * tc) % p if p else v - c * tc
+                        if v:
+                            work[n] = v
+                        else:
+                            del work[n]
                 break
         else:
-            rem = rem + MultiPoly(f.field, f.variables, {m: c})
-            work = work - MultiPoly(f.field, f.variables, {m: c})
+            rem[m] = c
     return rem
 
 
 def normal_form(f: MultiPoly, gb) -> MultiPoly:
     """Remainder of f under multivariate division by a Groebner basis."""
-    return _reduce(f, [_divisor(g) for g in gb if g])
+    divisors = [_divisor(g) for g in gb if g]
+    return _boxed(f.field, f.variables, _reduce(_raw(f), divisors, f.field.characteristic))
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    l = mono_lcm(lf, lg)
-    return f.term_mul(mono_div(l, lf), f.leading_coeff().inverse()) - g.term_mul(
-        mono_div(l, lg), g.leading_coeff().inverse()
+    return _boxed(
+        f.field, f.variables, _s_poly(_divisor(f), _divisor(g), f.field.characteristic)
     )
 
 
@@ -306,6 +395,10 @@ def groebner_basis(gens) -> list[MultiPoly]:
     the coprimality criterion or by the chain criterion (some other leading
     monomial divides the lcm and both side pairs are done).  The output is
     the unique reduced basis, sorted by ascending leading monomial.
+
+    The basis is kept as monic divisors (lm, tail) of raw values; the
+    S-polynomials are formed from the tails and reduced by ``_reduce``, and
+    the reduced basis is boxed once.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -314,9 +407,9 @@ def groebner_basis(gens) -> list[MultiPoly]:
     for g in gens[1:]:
         if g.field != field or g.variables != variables:
             raise FieldMismatch("generators live in different rings")
-    basis = [g.monic() for g in gens]
-    divisors = [_divisor(g) for g in basis]
-    lms = [lm for lm, _, _ in divisors]
+    p = field.characteristic
+    basis = [_divisor(g) for g in gens]
+    lms = [lm for lm, _ in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     queue = [(grevlex_key(mono_lcm(lms[i], lms[j])), i, j) for i, j in pairs]
     heapify(queue)
@@ -339,12 +432,10 @@ def groebner_basis(gens) -> list[MultiPoly]:
                 break
         if skip:
             continue
-        h = _reduce(s_polynomial(basis[i], basis[j]), divisors)
+        h = _reduce(_s_poly(basis[i], basis[j], p), basis, p)
         if h:
-            h = h.monic()
-            basis.append(h)
-            divisors.append(_divisor(h))
-            lms.append(divisors[-1][0])
+            basis.append(_monic(next(iter(h)), h, p))
+            lms.append(basis[-1][0])
             new = len(basis) - 1
             for k in range(new):
                 pairs.add((k, new))
@@ -352,7 +443,7 @@ def groebner_basis(gens) -> list[MultiPoly]:
     # interreduce to the unique reduced basis: minimalize by leading
     # monomial first, then reduce each tail against the others
     lead = {}
-    for div in divisors:
+    for div in basis:
         lead.setdefault(div[0], div)
     minimal = [
         div
@@ -360,11 +451,11 @@ def groebner_basis(gens) -> list[MultiPoly]:
         if not any(m != m2 and mono_divides(m2, m) for m2 in lead)
     ]
     final = []
-    for i, (_, _, g) in enumerate(minimal):
+    for i, (lm, tail) in enumerate(minimal):
         others = [div for k, div in enumerate(minimal) if k != i]
-        final.append(_reduce(g, others).monic())
-    final.sort(key=lambda g: grevlex_key(g.leading_monomial()))
-    return final
+        final.append({lm: field.one.value, **_reduce(dict(tail), others, p)})
+    final.sort(key=lambda g: grevlex_key(next(iter(g))))
+    return [_boxed(field, variables, g) for g in final]
 
 
 def standard_monomials(gb, cap: int = 100_000) -> list[Monomial]:
@@ -408,7 +499,11 @@ def quotient_algebra(gens, cap: int = 100_000) -> FiniteAlgebra:
 
 
 def _quotient_with_index(gens, cap: int = 100_000):
-    """quotient_algebra and its basis index {standard monomial: position}."""
+    """quotient_algebra and its basis index {standard monomial: position}.
+
+    Each product of two standard monomials is reduced once, on raw values,
+    by the monic divisors of the reduced basis.
+    """
     gens = [g for g in gens if g]
     if not gens:
         raise InfiniteDimensional("the zero ideal has infinite quotient")
@@ -419,16 +514,17 @@ def _quotient_with_index(gens, cap: int = 100_000):
         raise UnitIdeal("the relations generate the unit ideal")
     index = {m: i for i, m in enumerate(monos)}
     d = len(monos)
+    p = field.characteristic
+    one = field.one.value
     z = field.zero
-    divisors = [_divisor(g) for g in gb if g]
-    c = [[[z] * d for _ in range(d)] for _ in range(d)]
+    divisors = [_divisor(g) for g in gb]
+    c = [[None] * d for _ in range(d)]
     for i, mi in enumerate(monos):
         for j in range(i, d):
-            prod = MultiPoly(field, variables, {mono_mul(mi, monos[j]): 1})
-            nf = _reduce(prod, divisors)
+            nf = _reduce({mono_mul(mi, monos[j]): one}, divisors, p)
             row = [z] * d
-            for m, coeff in nf.terms.items():
-                row[index[m]] = coeff
+            for m, coeff in nf.items():
+                row[index[m]] = Scalar(field, coeff)
             c[i][j] = row
             c[j][i] = row
     unit = [z] * d

@@ -189,6 +189,9 @@ QQ = Field(0)
 
 @lru_cache(maxsize=None)
 def GF(p: int) -> Field:
+    """The prime field F_p; QQ is Field(0), never GF(0)."""
+    if p == 0:
+        raise BadParameter("0 is not prime")
     return Field(p)
 
 

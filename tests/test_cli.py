@@ -345,6 +345,40 @@ def test_non_utf8_form_file_is_json_io_error(capsys, tmp_path):
     assert "not UTF-8" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "text,message,location",
+    [
+        ("field F 7/2\nvars x\nrel x^2\n", "characteristic must be an integer", (1, 9)),
+        (
+            "field Q\nvars x y\nrel x^2\nrel y^2\norient x^1/2*y : 1\n",
+            "exponent must be an integer",
+            (5, 10),
+        ),
+    ],
+)
+def test_rational_literal_where_an_integer_is_needed(capsys, tmp_path, text, message, location):
+    p = tmp_path / "rational.alg"
+    p.write_text(text)
+    code, payload, _ = run(capsys, "check", str(p))
+    assert code == 1
+    assert payload["kind"] == "SyntaxError"
+    assert payload["message"] == message
+    assert payload["location"] == dict(zip(("line", "col"), location))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cw", "--q", "2", "--field", "0"], ["robber", "--field", "0"], ["check", "{f}"]],
+)
+def test_characteristic_zero_is_not_a_prime_field(capsys, tmp_path, argv):
+    p = tmp_path / "f0.alg"
+    p.write_text("field F 0\nvars x\nrel x^2\n")
+    code, payload, _ = run(capsys, *[a.format(f=p) for a in argv])
+    assert code == 1
+    assert payload["kind"] == "BadParameter"
+    assert payload["message"] == "0 is not prime"
+
+
 def test_usage_error_exit_code(capsys):
     code = run_command(["no-such-command"])
     out = capsys.readouterr().out

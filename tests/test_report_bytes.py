@@ -1,5 +1,5 @@
 """CLI report bytes on the G-fat points A_2 and A_3 and on the robber
-family, over QQ and F_7.
+family, over QQ and F_7, and of help and usage errors.
 
 Each case runs one command through ``run_command`` and compares the exit
 code and the sha256 of stdout with values recorded before the structure
@@ -7,13 +7,21 @@ table checks were rewritten as products of multiplication matrices (the
 ``robber`` cases and the ``homotopy --at t=1`` fibers: before the k[t]
 family checks moved to raw coefficient lists).  A changed verdict, number,
 label order or error message changes a digest.
+
+The help and usage cases hash exit code, stdout and stderr together.  Their
+digests were recorded with Python 3.11 and an 80-column terminal, before
+``run_command`` built only the subparser of the command it runs; argparse
+words its help and errors differently in other Python versions, so there
+the same argv are compared with a parse by the full parser instead.
 """
 
+import argparse
 import hashlib
+import sys
 
 import pytest
 
-from gorlab.cli import run_command
+from gorlab.cli import build_parser, run_command
 
 
 def aq_text(field: str, q: int) -> str:
@@ -123,3 +131,78 @@ def test_every_case_is_pinned():
 def test_robber_report_bytes(capsys, field, at):
     argv = ["robber", "--field", field] + (["--at", at] if at else [])
     assert digest(capsys, argv) == ROBBER_DIGESTS[field, at]
+
+
+# help and usage argv -> sha256 of f"{exit code}\n{stdout}\0{stderr}"
+USAGE_DIGESTS = {
+    (): "61bcdaf877359508b1c58a144e0a0ca705ff8b51706930058b8c26e7f2039c94",
+    ("-h",): "663be454aa1308f850aa1fbbaa017de59bf6989f80255665f0a663affd9b0f2e",
+    ("--pretty",): "61bcdaf877359508b1c58a144e0a0ca705ff8b51706930058b8c26e7f2039c94",
+    ("nope",): "27fe972bfd6833d7c4fa27c752bf1a7ee1fb9244f93adb3125d206ccf59babcd",
+    ("che",): "6f4b49a5d469098c87f32f5d6bdacd845c9da7d6f2f55cee0961eb6f5e5a0aa5",
+    ("check",): "330a8bce80c79b7f937e0e523ac7d0f7383e66fa46787d7dd02bc88f3ea37fa0",
+    ("check", "-h"): "54713f10e15d2d41d591754f4d3ea89062d0d266e12d4839dbd4263a0d486577",
+    ("check", "a", "b"): "88f0d9f2d4b44e44d8ceaa2f449063ec3eaf121714b50f49a45ebad6885b0c54",
+    ("orient", "x.alg", "--trials", "-1"): "e8b9960d60b529e7447b0e9ab703f0d36618ff0599c4195dc139421ddf1c1fec",
+    ("orient", "x.alg", "--trials", "abc"): "2ed0dbab1532483a079f9eca9a3fb9a9116f55190013abcb243505cc4358753c",
+    ("homotopy", "x.alg"): "740000e2c6da7b456efb0c67544c4bd9d252aac349faaf1ab879862624a9f63e",
+    ("homotopy", "x.alg", "--which", "zz"): "4df9bd4146aee5e0ddd33078c38d249263c56a61ddef66e3b3d61d31183fc62f",
+    ("cw",): "25247df8619775572cb2ee45ebdd45f98cf7fe013e267131134acbc3ae262305",
+    ("gro", "-h"): "c8edcb50ff12b1623237edc6d45e7e34eab1fe2974e79af8aa94433a915a157a",
+    ("points-degenerate", "--q", "x"): "5d6e35dfe162a8d1dc91f25da00578f0154d7b06906b1c8dc3bc648dd7abfb39",
+}
+
+ALL_COMMANDS = (
+    "check", "orient", "socle", "consum", "rees", "robber", "homotopy",
+    "degenerate", "points-degenerate", "tensor", "cw", "witt", "embed-hyp", "gro",
+)
+
+
+def usage_blob(capsys, code):
+    out = capsys.readouterr()
+    return f"{code}\n{out.out}\0{out.err}"
+
+
+def full_parser_blob(capsys, argv):
+    """What a parse of argv by the parser with every subparser prints."""
+    with pytest.raises(SystemExit) as ex:
+        build_parser().parse_args(argv)
+    return usage_blob(capsys, int(ex.value.code or 0))
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_DIGESTS))
+def test_usage_and_help_bytes(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    blob = usage_blob(capsys, run_command(list(argv)))
+    if sys.version_info[:2] == (3, 11):
+        assert hashlib.sha256(blob.encode()).hexdigest() == USAGE_DIGESTS[argv]
+    assert blob == full_parser_blob(capsys, list(argv))
+
+
+def count_add_parser(monkeypatch):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kw):
+        names.append(name)
+        return add_parser(self, name, **kw)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return names
+
+
+def test_a_command_builds_only_its_subparser(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "a2.alg"
+    path.write_text(aq_text("Q", 2))
+    names = count_add_parser(monkeypatch)
+    assert run_command(["check", str(path)]) == 0
+    assert names == ["check"]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["nope"]])
+def test_help_and_unknown_command_list_every_command(monkeypatch, capsys, argv):
+    names = count_add_parser(monkeypatch)
+    run_command(argv)
+    assert tuple(names) == ALL_COMMANDS
+    listed = capsys.readouterr().out.replace("'", "").replace(", ", ",")
+    assert ",".join(ALL_COMMANDS) in listed

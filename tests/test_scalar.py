@@ -39,6 +39,13 @@ def test_prime_validation():
     GF(2), GF(101), GF(2**61 - 1)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -7])
+def test_gf_of_a_non_prime_is_rejected(p):
+    # GF(0) is not QQ: QQ is Field(0)
+    with pytest.raises(BadParameter, match=f"^{p} is not prime$"):
+        GF(p)
+
+
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
