@@ -8,18 +8,21 @@ since row j of each side is (e_i e_j) e_k and e_i (e_j e_k) (associativity);
 and sum_m unit[m] c[m] = I (the unit law).  Every later construction leans
 on these checks being exact; they run on raw coefficient slices.
 
-New tables are built on the same slices by ``_table_on_rows``, the table of
-the rows of a constant matrix in coordinates against a row basis:
-``base_change``, the connected sums and homotopies of
-``frobenius._consum_core``, and ``decompose_augmented``.  An AlgebraFamily
-keeps the one read its validation uses; ``AlgebraFamily.at`` evaluates it by
-Horner's rule and validates the fiber on the evaluated slices.
+The read of a table lives on its object: FiniteAlgebra, AlgebraFamily and
+tensors.Tensor3 keep ``raw`` (see ``_Read``), and validation and every
+consumer of the table work from it.  New tables are built on reads by
+``_table_on_rows``, the table of the rows of a constant matrix in
+coordinates against a row basis (``base_change``, ``direct_product``, the
+connected sums and homotopies of ``frobenius._consum_core``, and
+``decompose_augmented``), and by ``AlgebraFamily.at``, which evaluates the
+family's read by Horner's rule; each hands its raw planes to ``on_read``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -129,42 +132,148 @@ def validate_structure(c, unit, zero, read=None):
                     raise BadUnit(f"unit*e{i} has wrong e{l}-component")
 
 
-class FiniteAlgebra:
-    """A commutative (optionally unital) algebra of finite dimension."""
+class _Read:
+    """The one raw read of a table, kept by the object that owns the table:
+    FiniteAlgebra, AlgebraFamily and tensors.Tensor3.
+
+    ``raw`` is ([*plane slices, unit slices], L): the planes and the unit (no
+    unit: no slices) as one linalg.raw_slices read gives them, ints mod p or
+    over QQ the entries times a common denominator L.  A constructor that
+    built the table on raw slices hands them over their scale to ``on_read``,
+    which neither coerces nor reads the table again; any other object is
+    read on first use.  Validation and every consumer work from this read.
+    """
+
+    __slots__ = ("_raw",)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def on_read(cls, planes, scale, *args, **kwargs):
+        """cls(*args, **kwargs) for a table already built as tuples of Scalars
+        or TPolys, whose raw plane slices over ``scale`` are ``planes``: the
+        table is neither coerced nor read again."""
+        out = object.__new__(cls)
+        out._fill(*args, read=(planes, scale), **kwargs)
+        return out
+
+    def _table(self):
+        return self.c, self.unit
+
+    @property
+    def raw(self):
+        try:
+            return self._raw
+        except AttributeError:
+            planes, unit = self._table()
+            self._keep(*linalg.raw_slices(planes, self.field.characteristic), unit)
+            return self._raw
+
+    def _keep(self, planes, scale, unit):
+        """Keep plane slices over ``scale`` and the unit's (a vector, or None)
+        as the read, over their least common scale."""
+        (u,), L_u = linalg.raw_slices([[unit or ()]], self.field.characteristic)
+        L = lcm(scale, L_u)
+        if L != scale:
+            planes = [[(s, [[x * (L // scale) for x in row] for row in X]) for s, X in pl]
+                      for pl in planes]
+        u = [(s, [[x * (L // L_u) for x in X[0]]]) for s, X in u]
+        object.__setattr__(self, "_raw", ([*planes, u], L))
+
+
+def _constant_planes(read, rows: int, cols: int):
+    """The planes of the read of a table over k as raw rows x cols matrices."""
+    zeros = [[0] * cols] * rows
+    return [dict(plane).get(0, zeros) for plane in read[0][:-1]]
+
+
+class _Table(_Read):
+    """A d*d*d structure table ``c`` on basis ``labels`` with an optional
+    unit, entries coerced by ``_entry``: what FiniteAlgebra (Scalars) and
+    AlgebraFamily (TPolys) share, with the contractions on the read."""
 
     __slots__ = ("field", "dim", "labels", "c", "unit")
 
-    def __init__(self, field: Field, labels, c, unit=None, validate: bool = True):
+    def _table_of(self, field, labels, c):
         d = len(labels)
-        c = tuple(
-            tuple(tuple(field.scalar(x) for x in row) for row in plane) for plane in c
-        )
+        c = tuple(tuple(tuple(self._entry(x, field) for x in row) for row in plane) for plane in c)
         if len(c) != d or any(len(p) != d or any(len(r) != d for r in p) for p in c):
             raise DimensionMismatch("structure constants are not d*d*d")
-        if unit is not None:
-            unit = tuple(field.scalar(x) for x in unit)
-            if len(unit) != d:
-                raise DimensionMismatch("unit has wrong length")
+        return c
+
+    def _fill(self, field, labels, c, unit=None, validate=True, read=None):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "dim", len(c))
         object.__setattr__(self, "labels", tuple(str(x) for x in labels))
         object.__setattr__(self, "c", c)
+        if unit is not None:
+            unit = tuple(self._entry(x, field) for x in unit)
+            if len(unit) != len(c):
+                raise DimensionMismatch("unit has wrong length")
         object.__setattr__(self, "unit", unit)
+        if read:
+            self._keep(*read, unit)
         if validate:
-            validate_structure(c, unit, field.zero)
+            validate_structure(c, unit, self._entry(0, field), read=self.raw)
 
-    def __setattr__(self, *a):
-        raise AttributeError("FiniteAlgebra is immutable")
+    def coerce_vector(self, v):
+        v = tuple(self._entry(x, self.field) for x in v)
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"expected length {self.dim}, got {len(v)}")
+        return v
+
+    def contract(self, col):
+        """The d x d matrix (v(e_i e_j)) of a functional v on the read of an
+        algebra's table: ``col`` is v as a raw d x 1 slice list, and the
+        result, a slice list, is scaled by the table's L times v's scale."""
+        (*planes, _), _ = self.raw
+        d = len(planes)
+        # row i*d + j of stacked[s] is row j of plane i: e_i e_j
+        stacked = {}
+        for i, plane in enumerate(planes):
+            for s, X in plane:
+                stacked.setdefault(s, [[0] * d] * (d * d))[i * d:(i + 1) * d] = X
+        return [(s, [[x for x, in X[i * d:(i + 1) * d]] for i in range(d)])
+                for s, X in linalg.slice_mul(sorted(stacked.items()), col,
+                                             self.field.characteristic)]
+
+    def pairing(self, phi):
+        """The Gram matrix (phi(e_i e_j)) of a functional phi (Scalars or
+        TPolys) on the read, as a slice list, and its scale: the raw values
+        are the Gram entries times it."""
+        (col,), L_phi = linalg.raw_slices([[[x] for x in phi]], self.field.characteristic)
+        return self.contract(col), self.raw[1] * L_phi
+
+    def serialize(self) -> dict:
+        out = {
+            "field": {"kind": self.field.kind, "characteristic": self.field.characteristic},
+            "labels": list(self.labels),
+            "structure_constants": [
+                [[self._show(x) for x in row] for row in plane] for plane in self.c
+            ],
+        }
+        if self.unit is not None:
+            out["unit"] = [self._show(x) for x in self.unit]
+        return out
+
+
+class FiniteAlgebra(_Table):
+    """A commutative (optionally unital) algebra of finite dimension."""
+
+    __slots__ = ()
+    _show = str
+
+    def __init__(self, field: Field, labels, c, unit=None, validate: bool = True):
+        self._fill(field, labels, self._table_of(field, labels, c), unit, validate)
+
+    @staticmethod
+    def _entry(x, field):
+        return field.scalar(x)
 
     @property
     def is_unital(self) -> bool:
         return self.unit is not None
-
-    def coerce_vector(self, v):
-        v = tuple(self.field.scalar(x) for x in v)
-        if len(v) != self.dim:
-            raise DimensionMismatch(f"expected length {self.dim}, got {len(v)}")
-        return v
 
     def basis_vector(self, i: int):
         return tuple(
@@ -186,18 +295,6 @@ class FiniteAlgebra:
     def __repr__(self):
         u = "unital" if self.is_unital else "non-unital"
         return f"FiniteAlgebra(dim {self.dim}, {u}, basis {self.labels})"
-
-    def serialize(self) -> dict:
-        out = {
-            "field": {"kind": self.field.kind, "characteristic": self.field.characteristic},
-            "labels": list(self.labels),
-            "structure_constants": [
-                [[str(x) for x in row] for row in plane] for plane in self.c
-            ],
-        }
-        if self.unit is not None:
-            out["unit"] = [str(x) for x in self.unit]
-        return out
 
 
 def algebra_from_constants(field: Field, labels, c, unit=None) -> FiniteAlgebra:
@@ -236,39 +333,40 @@ def ideal_span(A: FiniteAlgebra, gens) -> Subspace:
 
 
 def annihilator(A: FiniteAlgebra, I: Subspace) -> Subspace:
-    """{a in A : a * I = 0}, the kernel of the stacked multiplication maps."""
+    """{a in A : a * I = 0}, on A's read."""
     if I.ambient_dim != A.dim:
         raise DimensionMismatch("subspace lives in the wrong ambient space")
+    _, rows = linalg.unbox(I.rows, A.field)
+    return Subspace(A.dim, _raw_ann(A, rows), A.field)
+
+
+def _raw_ann(A: FiniteAlgebra, rows):
+    """RREF basis, as raw rows, of {a : a·r = 0 for each row r}, r given by
+    raw values (ints mod p, or Fractions at p = 0); over QQ the read is
+    scaled, which leaves the annihilator alone."""
+    d, p = A.dim, A.field.characteristic
     constraints = []
-    for v in I.rows:
-        # row i of the constraint block is e_i * v
-        block = [multiply(A, A.basis_vector(i), v) for i in range(A.dim)]
-        # a * v = sum_i a_i (e_i v); one linear condition per component
-        constraints.extend(zip(*block))
-    return Subspace(A.dim, linalg.kernel_basis(A.field, constraints, A.dim))
+    if rows:
+        # column (r, l) of rows·[c[0]; ...; c[d-1]] is the e_l-coefficient of
+        # r·e_i as i runs: a·r = 0 exactly when a is orthogonal to each
+        flat = [[x for row in plane for x in row] for plane in _constant_planes(A.raw, d, d)]
+        prod = linalg.raw_mul(rows, flat, p, 0 if p else Fraction(0))
+        constraints = [[row[i * d + l] for i in range(d)] for row in prod for l in range(d)]
+    return linalg.raw_kernel([c for c in constraints if any(c)], d, p)
 
 
 def direct_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
-    """Componentwise product algebra on the concatenated basis."""
+    """Componentwise product algebra on the concatenated basis: the table of
+    the rows of the identity in A (+) B, built on the two reads."""
     if A.field != B.field:
         raise FieldMismatch("factors live over different fields")
-    da, db = A.dim, B.dim
-    d = da + db
-    z = A.field.zero
-    c = [[[z] * d for _ in range(d)] for _ in range(d)]
-    for i in range(da):
-        for j in range(da):
-            for k in range(da):
-                c[i][j][k] = A.c[i][j][k]
-    for i in range(db):
-        for j in range(db):
-            for k in range(db):
-                c[da + i][da + j][da + k] = B.c[i][j][k]
+    I = linalg.identity(A.field, A.dim + B.dim)
+    c, planes, scale = _table_on_rows(A.field, [A, B], I, I, 0, A.field.zero)
     unit = None
     if A.unit is not None and B.unit is not None:
         unit = tuple(A.unit) + tuple(B.unit)
     labels = tuple(f"{l}.1" for l in A.labels) + tuple(f"{l}.2" for l in B.labels)
-    return FiniteAlgebra(A.field, labels, c, unit, validate=False)
+    return FiniteAlgebra.on_read(planes, scale, A.field, labels, c, unit, validate=False)
 
 
 def base_change(A: FiniteAlgebra, P, labels=None) -> FiniteAlgebra:
@@ -277,11 +375,11 @@ def base_change(A: FiniteAlgebra, P, labels=None) -> FiniteAlgebra:
     if len(P) != A.dim:
         raise DimensionMismatch("change of basis must be square")
     Pinv = linalg.invert(A.field, P)
-    c = _table_on_rows(A.field, [A.c], P, Pinv, 0, A.field.zero)
+    c, planes, scale = _table_on_rows(A.field, [A], P, Pinv, 0, A.field.zero)
     unit = linalg.vec_mat(A.unit, Pinv) if A.unit is not None else None
     if labels is None:
         labels = tuple(f"b{i}" for i in range(A.dim))
-    return FiniteAlgebra(A.field, labels, c, unit, validate=False)
+    return FiniteAlgebra.on_read(planes, scale, A.field, labels, c, unit, validate=False)
 
 
 def _box_plane(field: Field, slices, scale: int, zero, shape, memo: dict):
@@ -304,69 +402,63 @@ def _box_plane(field: Field, slices, scale: int, zero, shape, memo: dict):
 
 def _table_on_rows(field: Field, tables, R, M, checks: int, zero):
     """The table of the rows r_a of R in the block-diagonal algebra
-    tables[0] (+) tables[1] (+) ..., its products mapped by M.
+    tables[0] (+) tables[1] (+) ..., its products mapped by M, with its raw
+    plane slices and their scale.
 
     Plane a is R·(sum_i R[a][i] c[i])·M, row b being (r_a r_b)·M; R is
-    constant, the tables and M may hold TPolys.  The last ``checks`` columns
-    of M must send every product to 0 (with M = [C | N] of a RowSolver: the
-    products lie in its row space), else Singular.  One raw_slices read
-    (common denominator L, so products carry L^4), linalg.slice_mul
-    throughout, and one boxing in the ring of ``zero``.
+    constant, the tables (algebras or families) and M may hold TPolys.  The
+    last ``checks`` columns of M must send every product to 0 (with
+    M = [C | N] of a RowSolver: the products lie in its row space), else
+    Singular.  The tables come from their reads, brought to a common scale
+    Lc, and R and M from one raw_slices read (L), so products carry L³ Lc;
+    linalg.slice_mul throughout, and one boxing in the ring of ``zero``.
     """
     if not R:
-        return ()
+        return (), [], 1
     p = field.characteristic
-    n, D, w = len(R), sum(map(len, tables)), len(M[0])
-    tables_rows = ([r for pl in c for r in pl] for c in tables)
-    (*stacks, R, M), L = linalg.raw_slices([*tables_rows, R, M], p)
+    n, D, w = len(R), sum(t.dim for t in tables), len(M[0])
+    (R, M), L = linalg.raw_slices([R, M], p)
+    Lc = lcm(*(t.raw[1] for t in tables))
     # row i*D + j of stack[s] is e_i e_j in ambient coordinates, zero across blocks
     stack, o = {}, 0
-    for c, slices in zip(tables, stacks):
-        d = len(c)
-        for s, X in slices:
-            rows = stack.setdefault(s, [[0] * D] * (D * D))
-            for ij, row in enumerate(X):
-                i, j = divmod(ij, d)
-                rows[(o + i) * D + o + j] = [0] * o + row + [0] * (D - o - d)
+    for t in tables:
+        (*planes, _), Lt = t.raw
+        d, f = t.dim, Lc // Lt
+        for i, plane in enumerate(planes):
+            for s, X in plane:
+                rows = stack.setdefault(s, [[0] * D] * (D * D))
+                for j, row in enumerate(X):
+                    rows[(o + i) * D + o + j] = [0] * o + [x * f for x in row] + [0] * (D - o - d)
         o += d
     # row i of F is plane i times M, flattened; row a of RF is sum_i R[a][i] F[i]
     F = [(s, [list(chain(*X[i * D:(i + 1) * D])) for i in range(D)])
          for s, X in linalg.slice_mul(sorted(stack.items()), M, p)]
     RF = linalg.slice_mul(R, F, p)
-    out, memo = [], {}
+    out, planes, memo = [], [], {}
     for a in range(n):
         plane = [(s, [X[a][j * w:(j + 1) * w] for j in range(D)]) for s, X in RF]
         Z = linalg.slice_mul(R, plane, p)
         if any(x for _, X in Z for row in X for x in row[w - checks:]):
             raise Singular("vector is not in the row space")
-        out.append(_box_plane(field, Z, L**4, zero, (n, w - checks), memo))
-    return tuple(out)
+        planes.append([(s, [row[:w - checks] for row in X]) for s, X in Z if any(map(any, X))])
+        out.append(_box_plane(field, planes[-1], L**3 * Lc, zero, (n, w - checks), memo))
+    return tuple(out), planes, L**3 * Lc
 
 
-def _tpoly_vector(v, field: Field, d: int):
-    if v is None:
-        return None
-    v = tuple(as_tpoly(x, field) for x in v)
-    if len(v) != d:
-        raise DimensionMismatch("vector has wrong length")
-    return v
-
-
-class AlgebraFamily:
+class AlgebraFamily(_Table):
     """An algebra whose structure constants are polynomials in t.
 
     Commutativity, associativity and the unit law are required as exact
     polynomial identities, so every specialization is valid at once.  An
     optional orientation and named augmentations ride along as TPoly
-    vectors.  ``raw`` is the one raw_slices read of the table and the unit,
-    ([*plane slices, unit slices], L), taken at construction or handed to
-    ``on_read`` by code that built the table on raw slices; validation,
-    ``at``, ``gram`` and the family checks of ``families`` and
-    ``frobenius.augmentation_check`` all work from it.  (Exposed through the
-    families module.)
+    vectors.  Validation, ``at``, ``gram`` and the family checks of
+    ``families`` and ``frobenius.augmentation_check`` all work from the
+    read ``raw``.  (Exposed through the families module.)
     """
 
-    __slots__ = ("field", "dim", "labels", "c", "unit", "orientation", "augmentations", "raw")
+    __slots__ = ("orientation", "augmentations")
+    _entry = staticmethod(as_tpoly)
+    _show = staticmethod(TPoly.serialize)
 
     def __init__(
         self,
@@ -378,51 +470,21 @@ class AlgebraFamily:
         augmentations=None,
         validate: bool = True,
     ):
-        d = len(labels)
-        c = tuple(
-            tuple(tuple(as_tpoly(x, field) for x in row) for row in plane)
-            for plane in c
-        )
-        if len(c) != d or any(len(p) != d or any(len(r) != d for r in p) for p in c):
-            raise DimensionMismatch("structure constants are not d*d*d")
-        unit = _tpoly_vector(unit, field, d)
-        raw = linalg.raw_slices([*c, [unit or ()]], field.characteristic)
-        self._fill(field, labels, c, unit, raw, orientation, augmentations, validate)
+        c = self._table_of(field, labels, c)
+        self._fill(field, labels, c, unit, orientation, augmentations, validate)
 
-    @classmethod
-    def on_read(cls, field: Field, labels, c, unit, raw, orientation=None, augmentations=None,
-                validate: bool = True) -> "AlgebraFamily":
-        """A family whose table and unit the caller built as TPoly tuples
-        together with their read ``raw``, as raw_slices would give it; the
-        table is neither coerced nor read again."""
-        out = object.__new__(cls)
-        out._fill(field, labels, c, unit, raw, orientation, augmentations, validate)
-        return out
-
-    def _fill(self, field, labels, c, unit, raw, orientation, augmentations, validate):
-        d = len(c)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "labels", tuple(str(x) for x in labels))
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "orientation", _tpoly_vector(orientation, field, d))
-        object.__setattr__(
-            self,
-            "augmentations",
-            {k: _tpoly_vector(v, field, d) for k, v in (augmentations or {}).items()},
-        )
-        object.__setattr__(self, "raw", raw)
-        if validate:
-            validate_structure(c, unit, TPoly(field), read=raw)
-
-    def __setattr__(self, *a):
-        raise AttributeError("AlgebraFamily is immutable")
+    def _fill(self, field, labels, c, unit=None, orientation=None, augmentations=None,
+              validate=True, read=None):
+        super()._fill(field, labels, c, unit, validate, read)
+        object.__setattr__(self, "orientation",
+                           None if orientation is None else self.coerce_vector(orientation))
+        object.__setattr__(self, "augmentations",
+                           {k: self.coerce_vector(v) for k, v in (augmentations or {}).items()})
 
     def at(self, value, validate: bool = True) -> FiniteAlgebra:
         """The fiber algebra at t = value, evaluated on the read by Horner's
         rule: at a/b, sum_s M_s (a/b)^s = (sum_s M_s a^s b^(top - s)) / b^top.
-        The fiber is validated on these raw planes."""
+        The fiber keeps these raw planes as its read."""
         f, d, memo = self.field, self.dim, {}
         p = f.characteristic
         value = f.scalar(value)
@@ -439,37 +501,19 @@ class AlgebraFamily:
             acc = [[u % p for u in ra] for ra in acc] if p else acc
             return [(0, acc)] if any(map(any, acc)) else []
 
-        planes, unit = [fiber(pl, d) for pl in planes], fiber(unit, 1)
-        scale = L * b**top
-        c = [_box_plane(f, pl, scale, f.zero, (d, d), memo) for pl in planes]
-        u = _box_plane(f, unit, scale, f.zero, (1, d), memo)[0] if self.unit is not None else None
-        A = FiniteAlgebra(f, self.labels, c, u, validate=False)
-        if validate:
-            validate_structure(A.c, A.unit, f.zero, read=([*planes, unit], scale))
-        return A
-
-    def contract(self, col):
-        """The d x d matrix (v(e_i e_j)) of a functional v on the read: ``col``
-        is v as a raw d x 1 slice list, and the result, a slice list, is
-        scaled by the table's L times v's scale."""
-        p, d = self.field.characteristic, self.dim
-        (*planes, _), _ = self.raw
-        # row i*d + j of stacked[s] is row j of plane i: e_i e_j
-        stacked = {}
-        for i, plane in enumerate(planes):
-            for s, X in plane:
-                stacked.setdefault(s, [[0] * d] * (d * d))[i * d:(i + 1) * d] = X
-        return [(s, [[x for x, in X[i * d:(i + 1) * d]] for i in range(d)])
-                for s, X in linalg.slice_mul(sorted(stacked.items()), col, p)]
+        planes, scale = [fiber(pl, d) for pl in planes], L * b**top
+        c = tuple(_box_plane(f, pl, scale, f.zero, (d, d), memo) for pl in planes)
+        u = None
+        if self.unit is not None:
+            u = _box_plane(f, fiber(unit, 1), scale, f.zero, (1, d), memo)[0]
+        return FiniteAlgebra.on_read(planes, scale, f, self.labels, c, u, validate=validate)
 
     def gram_slices(self):
         """The Gram matrix of the orientation pairing on the read, as a slice
         list, and its scale: the raw values are the Gram entries times it."""
         if self.orientation is None:
             raise BadUnit("family carries no orientation")
-        p = self.field.characteristic
-        (col,), L_phi = linalg.raw_slices([[[x] for x in self.orientation]], p)
-        return self.contract(col), self.raw[1] * L_phi
+        return self.pairing(self.orientation)
 
     def gram(self):
         """Family Gram matrix of the orientation pairing, entries in k[t]."""
@@ -477,15 +521,7 @@ class AlgebraFamily:
         return _box_plane(self.field, slices, scale, TPoly(self.field), (self.dim, self.dim), {})
 
     def serialize(self) -> dict:
-        out = {
-            "field": {"kind": self.field.kind, "characteristic": self.field.characteristic},
-            "labels": list(self.labels),
-            "structure_constants": [
-                [[x.serialize() for x in row] for row in plane] for plane in self.c
-            ],
-        }
-        if self.unit is not None:
-            out["unit"] = [x.serialize() for x in self.unit]
+        out = super().serialize()
         if self.orientation is not None:
             out["orientation"] = [x.serialize() for x in self.orientation]
         if self.augmentations:

@@ -212,15 +212,21 @@ def _integer(p: _Parser, what: str) -> int:
     return int(t.text)
 
 
+def _literal(t: _Token) -> Fraction:
+    """The value of a NUMBER token; a zero denominator is a ParseError there."""
+    den = t.text.partition("/")[2]
+    if den and not int(den):
+        raise ParseError("zero denominator", t.line, t.col)
+    return Fraction(t.text)
+
+
 def _parse_scalar(p: _Parser, field: Field) -> Scalar:
     neg = False
     if p.peek().kind == "OP" and p.peek().text == "-":
         p.next()
         neg = True
-    t = p.expect("NUMBER")
-    val = Fraction(t.text)
-    s = field.scalar(-val if neg else val)
-    return s
+    val = _literal(p.expect("NUMBER"))
+    return field.scalar(-val if neg else val)
 
 
 def _parse_poly(p: _Parser, field: Field, variables) -> MultiPoly:
@@ -243,7 +249,7 @@ def _parse_poly(p: _Parser, field: Field, variables) -> MultiPoly:
             return _raw_add({}, parse_atom_pow(), -1, char)
         if t.kind == "NUMBER":
             p.next()
-            c = field.scalar(Fraction(t.text)).value
+            c = field.scalar(_literal(t)).value
             return {(0,) * n: c} if c else {}
         if t.kind == "IDENT":
             if t.text not in var_index:

@@ -6,12 +6,13 @@ degenerations of non-unital algebras, and the rescaling symmetry check for
 degeneration families.  Family validity always means exact polynomial
 identities, which subsumes validity of every fiber at once.
 
-An AlgebraFamily reads its table once, at construction (``raw``: raw
-coefficient slices, see ``linalg.raw_slices``).  The family Gram matrix,
+The read of a family's table lives on the family (``AlgebraFamily.raw``:
+raw coefficient slices, see ``linalg.raw_slices``).  The family Gram matrix,
 its unit determinant and the socle solve (``linalg.bareiss`` on raw
-coefficient lists), the family augmentation check and the fibers all work
-from that read.  The robber family is built from coefficient lists and fully
-validated on every call; the homotopies share the read of their base.
+coefficient lists), the augmentation check and the fibers all work from it.
+The robber family is built from coefficient lists and fully validated on
+every call; the homotopies are handed the raw planes of the connected sum
+that builds them.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraFamily, FiniteAlgebra
+from .algebra import AlgebraFamily, FiniteAlgebra, base_change
 from .errors import BadShape, NotIsotropic, Singular, ZeroScalar
 from .frobenius import (
     Augmented,
     NonUnitalOriented,
     OrientedAlgebra,
     _consum_core,
+    _graded_family,
     augmentation_check,
     isotropy_check,
     socle_generator,
@@ -186,9 +188,9 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
     zero = TPoly(f)
     data = _consum_core(
         f,
-        T.algebra.c,
+        T.algebra,
         T.algebra.unit,
-        robber.c,
+        robber,
         tuple(u.constant_value() for u in robber.unit),
         T.e,
         tuple(u.constant_value() for u in robber.augmentations["const"]),
@@ -198,42 +200,26 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
         robber.orientation,
         zero,
     )
-    e_const = data.e_left
-    e_mv = data.e_right_of(robber.augmentations["mv"])
-    base = AlgebraFamily(
-        f,
-        data.labels,
-        data.c,
-        unit=data.unit,
-        orientation=data.phi,
-        augmentations={"const": e_const, "mv": e_mv},
-        validate=True,
-    )
-    if not family_det_is_unit(base):  # pragma: no cover
-        raise Singular("homotopy family lost its orientation")
-    for name in ("const", "mv"):  # pragma: no branch
-        if not augmentation_check(base, base.augmentations[name]):  # pragma: no cover
-            raise Singular(f"augmentation {name} does not descend to the sum")
-    # the homotopies share base's table and read; only "aug" differs
+    augs = {"const": data.e_left, "mv": data.e_right_of(robber.augmentations["mv"])}
+    # the homotopies share the table and its raw planes; only "aug" differs
     h_const, h_mv = (
-        AlgebraFamily.on_read(f, base.labels, base.c, base.unit, base.raw, base.orientation,
-                              {"aug": base.augmentations[k], **base.augmentations},
-                              validate=False)
+        AlgebraFamily.on_read(*data.read, f, data.labels, data.c, data.unit, data.phi,
+                              {"aug": augs[k], **augs}, validate=k == "const")
         for k in ("const", "mv")
     )
+    if not family_det_is_unit(h_const):  # pragma: no cover
+        raise Singular("homotopy family lost its orientation")
+    for name in ("const", "mv"):  # pragma: no branch
+        if not augmentation_check(h_const, augs[name]):  # pragma: no cover
+            raise Singular(f"augmentation {name} does not descend to the sum")
     return HomotopyFamilies(h_const, h_mv, data.project)
 
 
 def scale_multiplication_family(nu: NonUnitalOriented) -> AlgebraFamily:
     """The non-unital family with multiplication scaled by t and constant
-    pairing: fiber 0 has zero multiplication, fiber 1 is the input."""
-    f = nu.algebra.field
-    t = TPoly.t(f)
-    c = tuple(
-        tuple(tuple(TPoly.const(x) * t for x in row) for row in plane)
-        for plane in nu.algebra.c
-    )
-    return AlgebraFamily(f, nu.algebra.labels, c, unit=None, validate=True)
+    pairing: fiber 0 has zero multiplication, fiber 1 is the input.  Every
+    basis vector has weight 1, so every product takes one t."""
+    return _graded_family(nu.algebra, [1] * nu.dim, nu.algebra.labels)
 
 
 def gm_rescale_check(F: AlgebraFamily, c) -> bool:
@@ -263,9 +249,6 @@ def gm_rescale_check(F: AlgebraFamily, c) -> bool:
     A1 = F.at(1, validate=False)
     A2 = F.at(c * c, validate=False)
     s = [f.one, (c**4).inverse()] + [(c * c).inverse()] * (d - 2)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if s[k] * A1.c[i][j][k] != s[i] * s[j] * A2.c[i][j][k]:
-                    return False
-    return True
+    # the basis s_i e_i of the fiber at c^2 must have the table of the fiber at 1
+    P = [[s[i] if i == j else f.zero for j in range(d)] for i in range(d)]
+    return base_change(A2, P).c == A1.c

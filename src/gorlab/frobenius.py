@@ -19,6 +19,8 @@ from .algebra import (
     FiniteAlgebra,
     Subspace,
     _box_plane,
+    _constant_planes,
+    _raw_ann,
     _table_on_rows,
     base_change,
 )
@@ -33,16 +35,13 @@ from .errors import (
 )
 from .forms import BilinearForm, FormFamily, is_nondegenerate, surgery
 from .poly import MultiPoly, det_multipoly
-from .scalar import Field, Scalar, TPoly, as_tpoly
+from .scalar import Field, Scalar, TPoly
 
 
 def b_phi(A: FiniteAlgebra, phi) -> BilinearForm:
-    """The pairing (x, y) -> phi(x*y) attached to a functional phi."""
-    phi = A.coerce_vector(phi)
-    # contract on raw values; BilinearForm boxes (and reduces mod p) once
-    support = [(k, x.value) for k, x in enumerate(phi) if x]
-    gram = [[sum(c_ij[k].value * v for k, v in support) for c_ij in c_i] for c_i in A.c]
-    return BilinearForm(A.field, gram)
+    """The pairing (x, y) -> phi(x*y) attached to a functional phi, on A's read."""
+    slices, scale = A.pairing(A.coerce_vector(phi))
+    return BilinearForm(A.field, _box_plane(A.field, slices, scale, A.field.zero, (A.dim,) * 2, {}))
 
 
 class OrientedAlgebra:
@@ -106,10 +105,10 @@ class NonUnitalOriented:
             raise DimensionMismatch("algebra and form do not match")
         if not is_nondegenerate(B):
             raise Degenerate("pairing is degenerate")
-        # P[i][j][k] = L² B(e_i e_j, e_k); B is symmetric, so L² B(e_i, e_j e_k) = P[j][k][i]
+        # P[i][j][k] = L L_B B(e_i e_j, e_k); B is symmetric, so L L_B B(e_i, e_j e_k) = P[j][k][i]
         p, zeros = A.field.characteristic, [[0] * A.dim] * A.dim
-        (*planes, gram), _ = linalg.raw_slices([*A.c, B.gram], p)
-        P = [dict(linalg.slice_mul(plane, gram, p)).get(0, zeros) for plane in planes]
+        (gram,), _ = linalg.raw_slices([B.gram], p)
+        P = [dict(linalg.slice_mul(plane, gram, p)).get(0, zeros) for plane in A.raw[0][:-1]]
         for i in range(A.dim):
             for j in range(A.dim):
                 for k in range(j, A.dim):
@@ -142,39 +141,24 @@ class Augmented:
 
 
 def augmentation_check(A, e) -> bool:
-    """Whether e(1) = 1 and e is multiplicative on all basis pairs.
+    """Whether e(1) = 1 and e is multiplicative on all basis pairs, on A's read.
 
     A may also be an AlgebraFamily with e a vector over k[t]; the checks are
-    then exact polynomial identities on the family's raw read, so e is an
-    algebra map to k[t].
+    then exact polynomial identities, so e is an algebra map to k[t].
     """
-    if isinstance(A, AlgebraFamily):
-        return _family_augmentation_check(A, e)
     e = A.coerce_vector(e)
-    if A.unit is None or linalg.sum_dot(e, A.unit) != 1:
+    if A.unit is None:
         return False
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            if linalg.sum_dot(A.c[i][j], e) != e[i] * e[j]:
-                return False
-    return True
-
-
-def _family_augmentation_check(F: AlgebraFamily, e) -> bool:
-    d, p = F.dim, F.field.characteristic
-    if len(e) != d:
-        raise DimensionMismatch(f"expected length {d}, got {len(e)}")
-    if F.unit is None:
-        return False
-    (*_, unit), L = F.raw
-    (col,), L_e = linalg.raw_slices([[[as_tpoly(x, F.field)] for x in e]], p)
+    d, p = A.dim, A.field.characteristic
+    (*_, unit), L = A.raw
+    (col,), L_e = linalg.raw_slices([[[x] for x in e]], p)
     # raw values: the table and the unit times L, e times L_e
     one = [(s, X[0][0]) for s, X in linalg.slice_mul(unit, col, p) if X[0][0]]
     if one != [(0, L * L_e)]:
         return False
     e = [x for x, in linalg.poly_entries(col, d, 1)]
     # entry (i, j) is e(e_i e_j) times L L_e; e_i e_j is times L_e²
-    values = linalg.poly_entries(F.contract(col), d, d)
+    values = linalg.poly_entries(A.contract(col), d, d)
     for i in range(d):
         for j in range(i, d):
             if [L_e * v for v in values[i][j]] != [L * v for v in linalg.poly_mul(e[i], e[j], p)]:
@@ -250,9 +234,9 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     proj = [[int(j == k) - gx[j] * A.unit[k] - (g1[j] - lam * gx[j]) * x[k]
              for k in range(A.dim)] for j in range(A.dim)]
     M = linalg.mat_mul(proj, linalg.RowSolver(f, vrows).map) if m else ()
-    cV = _table_on_rows(f, [A.c], vrows, M, A.dim - m, f.zero)
+    cV, planes, scale = _table_on_rows(f, [A], vrows, M, A.dim - m, f.zero)
     gramV = linalg.mat_mul(linalg.mat_mul(vrows, oa.form.gram), linalg.transpose(vrows))
-    alg = FiniteAlgebra(f, [f"v{i + 1}" for i in range(m)], cV, None, validate=True)
+    alg = FiniteAlgebra.on_read(planes, scale, f, [f"v{i + 1}" for i in range(m)], cV)
     nonu = NonUnitalOriented(alg, BilinearForm(f, gramV))
     adapted = linalg.mat([A.unit, x] + list(vrows))
     return Decomposition(lam, nonu, adapted)
@@ -350,6 +334,7 @@ def hyp_algebra(A: FiniteAlgebra) -> OrientedAlgebra:
 class _ConsumData:
     labels: tuple
     c: tuple
+    read: tuple  # the raw plane slices of c and their scale
     unit: tuple
     phi: tuple
     e_left: tuple  # the gluing augmentation, through the left factor
@@ -357,7 +342,7 @@ class _ConsumData:
     project: object  # callable: fiber-product vector -> quotient coordinates
 
 
-def _consum_core(field, c1, unit1, c2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
+def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
     """Glue two augmented algebras along their augmentations and kill the
     difference of the socle generators.
 
@@ -367,7 +352,7 @@ def _consum_core(field, c1, unit1, c2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
     coordinate has constant coefficient), so no polynomial elimination ever
     happens.
     """
-    d1, d2 = len(c1), len(c2)
+    d1, d2 = A1.dim, A2.dim
     k1 = linalg.kernel_basis(field, [e1], d1)
     k2 = linalg.kernel_basis(field, [e2], d2)
     z1, z2 = (field.zero,) * d1, (field.zero,) * d2
@@ -398,7 +383,7 @@ def _consum_core(field, c1, unit1, c2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
 
     # [C | N] of the fiber-product rows, C followed by the elimination of w
     M = [reduce(row[:-1]) + row[-1:] for row in solver.map]
-    c = _table_on_rows(field, [c1, c2], [rows[i] for i in keep], M, 1, zero)
+    c, planes, scale = _table_on_rows(field, [A1, A2], [rows[i] for i in keep], M, 1, zero)
     phi = tuple(
         linalg.sum_dot(phi1, rows[i][:d1]) + linalg.sum_dot(phi2, rows[i][d1:])
         for i in keep
@@ -420,7 +405,7 @@ def _consum_core(field, c1, unit1, c2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
     def project(ambient):
         return reduce(solver.coords(tuple(ambient)))
 
-    return _ConsumData(labels, c, unit, phi, e_left, e_right_of, project)
+    return _ConsumData(labels, c, (planes, scale), unit, phi, e_left, e_right_of, project)
 
 
 def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
@@ -439,9 +424,9 @@ def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
     x2 = socle_generator(t2.oa, t2.e)
     data = _consum_core(
         f,
-        t1.algebra.c,
+        t1.algebra,
         t1.algebra.unit,
-        t2.algebra.c,
+        t2.algebra,
         t2.algebra.unit,
         t1.e,
         t2.e,
@@ -451,7 +436,7 @@ def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
         t2.oa.phi,
         f.zero,
     )
-    alg = FiniteAlgebra(f, data.labels, data.c, data.unit, validate=True)
+    alg = FiniteAlgebra.on_read(*data.read, f, data.labels, data.c, data.unit)
     oa = OrientedAlgebra(alg, data.phi)
     out = Augmented(oa, data.e_left)
     if not isotropy_check(oa, out.e):  # pragma: no cover
@@ -506,12 +491,22 @@ def rees_family(oa: OrientedAlgebra) -> ReesResult:
     rhs = [f.one] + [f.zero] * len(evecs)
     x = linalg.solve_right_affine(f, constraints, rhs)
     adapted = linalg.mat([A.unit] + list(evecs) + [x])
-    ad_alg = base_change(A, adapted)
-    d, p = A.dim, f.characteristic
-    weights = [0] + [1] * len(evecs) + [2]
-    # entry (i, j, k) of the adapted table moves to t^(w_i + w_j - w_k)
-    planes, L = linalg.raw_slices(ad_alg.c, p)
-    graded, c, memo, zt = [], [], {}, TPoly(f)
+    labels = ["1"] + [f"e{i + 1}*t" for i in range(len(evecs))] + ["x*t^2"]
+    phi = [f.zero] * (A.dim - 1) + [f.one]
+    fam = _graded_family(base_change(A, adapted), [0] + [1] * len(evecs) + [2], labels,
+                        orientation=phi)
+    gram = FormFamily(f, fam.gram())
+    return ReesResult(fam, adapted, gram, D)
+
+
+def _graded_family(A: FiniteAlgebra, weights, labels, **extra) -> AlgebraFamily:
+    """The family whose table entry (i, j, k) is A's times t^(w_i + w_j - w_k),
+    for weights w of A's basis (0 on a unit): the fiber at 1 is A, the one at
+    0 its associated graded.  A's read, regraded, is handed over; ``extra``
+    (orientation, augmentations) rides along."""
+    f, d = A.field, A.dim
+    (*planes, _), L = A.raw
+    graded, c, memo = [], [], {}
     for i, plane in enumerate(planes):
         by_exp = {}
         for _, X in plane:
@@ -523,14 +518,8 @@ def rees_family(oa: OrientedAlgebra) -> ReesResult:
                             raise Singular("filtration is not multiplicative")
                         by_exp.setdefault(exp, [[0] * d for _ in range(d)])[j][k] = v
         graded.append(sorted(by_exp.items()))
-        c.append(_box_plane(f, graded[-1], L, zt, (d, d), memo))
-    labels = ["1"] + [f"e{i + 1}*t" for i in range(len(evecs))] + ["x*t^2"]
-    unit = (TPoly.const(f.one),) + (zt,) * (d - 1)
-    phi = [f.zero] * (d - 1) + [f.one]
-    raw = [*graded, [(0, [[L] + [0] * (d - 1)])]], L
-    fam = AlgebraFamily.on_read(f, labels, tuple(c), unit, raw, orientation=phi)
-    gram = FormFamily(f, fam.gram())
-    return ReesResult(fam, adapted, gram, D)
+        c.append(_box_plane(f, graded[-1], L, TPoly(f), (d, d), memo))
+    return AlgebraFamily.on_read(graded, L, f, labels, tuple(c), A.unit, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +628,9 @@ _RANK_PRIME = 2**61 - 1
 def _nilradical_and_socle(A: FiniteAlgebra):
     """Raw RREF bases of the nilradical J of A and of Soc(A) = Ann(J).
 
-    The table is read by raw_slices as ints: mod p, or over QQ times L, the
-    common denominator of its entries.  L·c is the table of an algebra
-    isomorphic to A by x -> x/L, a scaling, so J and Soc are the same
-    subspaces.
+    Both work on A's read: ints mod p, or over QQ the table times a common
+    denominator L.  L·c is the table of an algebra isomorphic to A by
+    x -> x/L, a scaling, so J and Soc are the same subspaces.
 
     For p = 0 or p > dim A, J is the radical of the trace form
     (x, y) -> tr(L_xy): on each local factor the trace is the factor's
@@ -652,8 +640,7 @@ def _nilradical_and_socle(A: FiniteAlgebra):
     """
     d = A.dim
     p = A.field.characteristic
-    zeros = [[0] * d] * d
-    table = [dict(plane).get(0, zeros) for plane in linalg.raw_slices(A.c, p)[0]]
+    table = _constant_planes(A.raw, d, d)
     if p == 0 or p > d:
         trace = [sum(plane[j][j] for j in range(d)) for plane in table]
         support = [(k, v) for k, v in enumerate(trace) if v]
@@ -678,14 +665,7 @@ def _nilradical_and_socle(A: FiniteAlgebra):
             power, reach = linalg.raw_mul(power, frob, p, 0), reach * p
         # x^(p^m) = x·power for x over F_p: J is the left kernel of power
         J = linalg.raw_kernel([list(col) for col in zip(*power)], d, p)
-    constraints = []
-    if J:
-        # column (r, l) of J·[c[0]; ...; c[d-1]] is the e_l-coefficient of
-        # j_r·e_i as i runs: a·j_r = 0 exactly when a is orthogonal to each
-        flat = [[x for row in plane for x in row] for plane in table]
-        prod = linalg.raw_mul(J, flat, p, 0 if p else Fraction(0))
-        constraints = [[row[i * d + l] for i in range(d)] for row in prod for l in range(d)]
-    return J, linalg.raw_kernel([c for c in constraints if any(c)], d, p)
+    return J, _raw_ann(A, J)
 
 
 def gorenstein_test(
@@ -720,8 +700,10 @@ def gorenstein_test(
         return GorensteinResult(
             "not_gorenstein", None, None, 0, Subspace(d, J, f), Subspace(d, soc, f)
         )
-    terms = [[[(k, x.value) for k, x in enumerate(row) if x.value] for row in plane]
-             for plane in A.c]
+    p, L = f.characteristic, A.raw[1]
+    # unscaled values: the symbolic determinant and the trials over QQ need them
+    terms = [[[(k, v if p else Fraction(v, L)) for k, v in enumerate(row) if v] for row in plane]
+             for plane in _constant_planes(A.raw, d, d)]
     names = tuple(f"p{i}" for i in range(d))
     point, Dpoly, used = _nonsingular_point(f, terms, names, seed, trials, symbolic_max_dim)
     return GorensteinResult("gorenstein" if point is None else "oriented", point, Dpoly, used)

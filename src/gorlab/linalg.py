@@ -16,15 +16,15 @@ Row-space bases are always canonicalized to reduced row echelon form, so
 subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec`` and
 ``vec_mat`` stay ring-generic: they also act on TPoly entries.
 
-Matrices over k[t] are read once by ``raw_slices`` into slice lists (one
-matrix of raw coefficients per power of t; over QQ integers, the
-coefficients times a common denominator L).  ``raw_mul``, the one product
-loop, takes raw values only; ``slice_mul`` convolves it over k[t] on slice
-lists.  Through ``first_noncommuting`` it serves the structure-table checks
-of ``algebra`` and Strassen's test in ``tensors``, and through
-``algebra._table_on_rows`` every new structure table: ``base_change``,
-``connected_sum``, ``homotopy_families`` and ``decompose_augmented``.
-``RowSolver.map`` is the coordinate map those constructors hand it.
+Matrices over k[t] are read by ``raw_slices`` into slice lists (one matrix
+of raw coefficients per power of t; over QQ integers, the coefficients
+times a common denominator L).  A structure table is read once, and the
+read lives on the object that owns it (``algebra._Read``); this module
+never sees the boxed table again.  ``raw_mul``, the one product loop, takes
+raw values only; ``slice_mul`` convolves it over k[t] on slice lists.  They
+serve the structure-table checks, the contractions and every new table of
+``algebra``, and Strassen's test in ``tensors``.  ``RowSolver.map`` is the
+coordinate map the table constructors hand ``algebra._table_on_rows``.
 
 ``bareiss`` is the one fraction-free elimination over k[t].  It works on raw
 coefficient lists (``poly_entries`` of a slice list): ints mod p, or over QQ
@@ -53,11 +53,6 @@ def mat(rows):
 def identity(field: Field, n: int):
     z, o = field.zero, field.one
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-
-
-def zeros(field: Field, n: int, m: int):
-    z = field.zero
-    return tuple((z,) * m for _ in range(n))
 
 
 def transpose(m):
@@ -136,6 +131,13 @@ def raw_slices(mats, p: int):
             deg = max((len(x) for row in coeffs for x in row), default=0)
             raw.append([[[x[s] if s < len(x) else 0 for x in row] for row in coeffs]
                         for s in range(deg)])
+    return scaled_slices(raw, p)
+
+
+def scaled_slices(raw, p: int):
+    """Slice lists, and L, of matrices given as lists of raw coefficient
+    matrices, one per power of t: ints mod p, or at p = 0 Fractions or ints,
+    which become integers over their common denominator L."""
     L = 1
     if not p:
         raw = [[[[a.as_integer_ratio() for a in row] for row in M] for M in ms] for ms in raw]

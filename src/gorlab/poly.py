@@ -515,22 +515,26 @@ def _quotient_with_index(gens, cap: int = 100_000):
     index = {m: i for i, m in enumerate(monos)}
     d = len(monos)
     p = field.characteristic
-    one = field.one.value
+    one, zero = field.one.value, field.zero.value
     z = field.zero
     divisors = [_divisor(g) for g in gb]
-    c = [[None] * d for _ in range(d)]
+    # the raw table, handed over with the boxed one
+    c, values = [[None] * d for _ in range(d)], [[None] * d for _ in range(d)]
     for i, mi in enumerate(monos):
         for j in range(i, d):
             nf = _reduce({mono_mul(mi, monos[j]): one}, divisors, p)
-            row = [z] * d
+            row, raw = [z] * d, [zero] * d
             for m, coeff in nf.items():
-                row[index[m]] = Scalar(field, coeff)
-            c[i][j] = row
-            c[j][i] = row
+                row[index[m]], raw[index[m]] = Scalar(field, coeff), coeff
+            c[i][j] = c[j][i] = tuple(row)
+            values[i][j] = values[j][i] = raw
     unit = [z] * d
     unit[index[(0,) * len(variables)]] = field.one
     labels = [mono_label(m, variables) for m in monos]
-    return FiniteAlgebra(field, labels, c, unit, validate=False), index
+    planes, scale = linalg.scaled_slices([[plane] for plane in values], p)
+    A = FiniteAlgebra.on_read(planes, scale, field, labels, tuple(map(tuple, c)), tuple(unit),
+                              validate=False)
+    return A, index
 
 
 # ---------------------------------------------------------------------------

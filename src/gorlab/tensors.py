@@ -5,15 +5,20 @@ Border rank itself is never computed; minimal border rank enters only
 through its algebraic characterization (1-generic with commuting
 normalized slices), and "degenerates to CW_q" is certified by an explicit
 one-parameter family.
+
+A Tensor3 keeps the read of its layers (``raw``, as for an algebra's table;
+``structure_tensor`` hands over the algebra's), and the contraction, the
+1-genericity pencil and Strassen's test work from it alone.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraFamily, FiniteAlgebra
+from .algebra import AlgebraFamily, FiniteAlgebra, _constant_planes, _Read
 from .errors import (
     BadParameter,
     GenericityFailure,
@@ -25,9 +30,11 @@ from .forms import BilinearForm, WittInvariants, is_even, witt_invariants
 from .frobenius import (
     Augmented,
     GorensteinResult,
+    _graded_family,
     _nonsingular_point,
     decompose_augmented,
     gorenstein_test,
+    unitalize,
 )
 from .poly import (
     MultiPoly,
@@ -36,11 +43,12 @@ from .poly import (
     monomials_of_degree,
     quotient_algebra,
 )
-from .scalar import Field, Scalar, TPoly
+from .scalar import Field, Scalar
 
 
-class Tensor3:
-    """A d1 x d2 x d3 array of scalars."""
+class Tensor3(_Read):
+    """A d1 x d2 x d3 array of scalars; its layers T[i] are the planes of
+    its read ``raw`` (see algebra._Read), which has no unit slices."""
 
     __slots__ = ("field", "dims", "entries")
 
@@ -49,17 +57,27 @@ class Tensor3:
             tuple(tuple(field.scalar(x) for x in row) for row in plane)
             for plane in entries
         )
+        self._fill(field, entries)
+        _, d2, d3 = self.dims
+        if any(len(p) != d2 or any(len(r) != d3 for r in p) for p in entries):
+            raise ShapeMismatch("ragged tensor")
+
+    def _fill(self, field, entries, read=None):
         d1 = len(entries)
         d2 = len(entries[0]) if d1 else 0
         d3 = len(entries[0][0]) if d2 else 0
-        if any(len(p) != d2 or any(len(r) != d3 for r in p) for p in entries):
-            raise ShapeMismatch("ragged tensor")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dims", (d1, d2, d3))
         object.__setattr__(self, "entries", entries)
+        if read:
+            self._keep(*read, None)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Tensor3 is immutable")
+    def _table(self):
+        return self.entries, None
+
+    def _layers(self):
+        """The layers T[i] as raw d2 x d3 matrices, scaled by the read's L."""
+        return _constant_planes(self.raw, *self.dims[1:])
 
     @classmethod
     def from_support(cls, field: Field, dims, support):
@@ -72,21 +90,17 @@ class Tensor3:
         return cls(field, e)
 
     def slice_first(self, a):
-        """Contraction sum_i a_i T[i][.][.] (a d2 x d3 matrix)."""
+        """Contraction sum_i a_i T[i][.][.] (a d2 x d3 matrix), on the read."""
         f = self.field
         a = [f.scalar(x).value for x in a]
         if len(a) != self.dims[0]:
             raise ShapeMismatch("contraction vector has wrong length")
-        # contract on raw values, reduce mod p and box once
-        p = f.characteristic
-        out = [[f.zero.value] * self.dims[2] for _ in range(self.dims[1])]
-        for ai, plane in zip(a, self.entries):
-            if ai:
-                for acc, row in zip(out, plane):
-                    for k, x in enumerate(row):
-                        if x.value:
-                            acc[k] += ai * x.value
-        return tuple(tuple(Scalar(f, v % p if p else v) for v in row) for row in out)
+        p, L = f.characteristic, self.raw[1]
+        d2, d3 = self.dims[1:]
+        flat = [[x for row in layer for x in row] for layer in self._layers()]
+        (out,) = linalg.raw_mul([a], flat, p, 0)
+        out = [Scalar(f, v if p else Fraction(v, L)) for v in out]
+        return tuple(tuple(out[j * d3:(j + 1) * d3]) for j in range(d2))
 
     def __eq__(self, other):
         return (
@@ -114,8 +128,9 @@ class Tensor3:
 
 
 def structure_tensor(A: FiniteAlgebra) -> Tensor3:
-    """The multiplication table of A, viewed as a 3-tensor."""
-    return Tensor3(A.field, A.c)
+    """The multiplication table of A, viewed as a 3-tensor, and its read."""
+    (*planes, _), L = A.raw
+    return Tensor3.on_read(planes, L, A.field, A.c)
 
 
 def cw_tensor(field: Field, q: int) -> Tensor3:
@@ -188,9 +203,10 @@ def one_generic(
     d1, d2, d3 = T.dims
     if d2 != d3:
         raise ShapeMismatch("slices are not square")
-    # entry (j, k) of the pencil: the nonzero T[i][j][k] as i runs
-    terms = [[[(i, x.value) for i, x in enumerate(col) if x.value] for col in zip(*rows)]
-             for rows in zip(*T.entries)]
+    # entry (j, k) of the pencil: the nonzero T[i][j][k] as i runs, unscaled
+    p, L = T.field.characteristic, T.raw[1]
+    terms = [[[(i, v if p else Fraction(v, L)) for i, v in enumerate(col) if v]
+              for col in zip(*rows)] for rows in zip(*T._layers())]
     names = tuple(f"a{i}" for i in range(d1))
     point, Dpoly, used = _nonsingular_point(T.field, terms, names, seed, trials, symbolic_max_dim)
     if point is not None:
@@ -208,10 +224,10 @@ def strassen_commuting(T: Tensor3, witness) -> bool:
         Minv = linalg.invert(f, T.slice_first(witness))
     except Singular:
         raise SingularWitness("witness slice is singular") from None
-    # products of raw matrices: slice(e_i) is the i-th layer of T
+    # products of raw matrices: slice(e_i) is the i-th layer of T, all scaled by L
     p = f.characteristic
     Minv = linalg.unbox(Minv, f)[1]
-    slices = [linalg.raw_mul(Minv, linalg.unbox(layer, f)[1], p, 0) for layer in T.entries]
+    slices = [linalg.raw_mul(Minv, layer, p, 0) for layer in T._layers()]
     return linalg.first_noncommuting([[(0, m)] for m in slices], p) is None
 
 
@@ -251,42 +267,11 @@ def degeneration_to_cw(T: Augmented) -> DegenerationReport:
     of B instead of an isomorphism claim.
     """
     dec = decompose_augmented(T.oa, T.e)  # raises NotIsotropic
-    f = T.oa.field
-    nu = dec.nonunital
-    m = nu.dim
-    d = m + 2
-    t = TPoly.t(f)
-    z = TPoly(f)
-    o = TPoly.const(f.one)
-
-    def const(x):
-        return TPoly.const(x)
-
-    c = [[[z] * d for _ in range(d)] for _ in range(d)]
-    for k in range(d):
-        c[0][k] = [o if l == k else z for l in range(d)]
-        c[k][0] = list(c[0][k])
-    for i in range(m):
-        for j in range(m):
-            row = [z] * d
-            row[1] = const(nu.form.gram[i][j])
-            for k in range(m):
-                if nu.algebra.c[i][j][k]:
-                    row[2 + k] = const(nu.algebra.c[i][j][k]) * t
-            c[2 + i][2 + j] = row
-    labels = ("1", "x") + tuple(f"v{i + 1}" for i in range(m))
-    unit = [1] + [0] * (d - 1)
-    phi = [const(dec.lam), o] + [z] * m
-    e = [1] + [0] * (d - 1)
-    fam = AlgebraFamily(
-        f,
-        labels,
-        c,
-        unit=unit,
-        orientation=phi,
-        augmentations={"aug": e},
-        validate=True,
-    )
+    f, nu = T.oa.field, dec.nonunital
+    U = unitalize(dec.lam, nu)
+    # weights (0, 2, 1, ..., 1) on (1, x, V): V·V -> V takes a t, V·V -> x does not
+    fam = _graded_family(U.algebra, [0, 2] + [1] * nu.dim, U.algebra.labels,
+                        orientation=U.oa.phi, augmentations={"aug": U.e})
     inv = witt_invariants(nu.form)
     # in characteristic 2 an alternating V-form cannot become A_q's identity form
     closed_fiber_is_aq = f.characteristic != 2 or not is_even(nu.form)

@@ -367,6 +367,23 @@ def test_rational_literal_where_an_integer_is_needed(capsys, tmp_path, text, mes
 
 
 @pytest.mark.parametrize(
+    "text,location",
+    [
+        ("field Q\nvars x\nrel x^2 - 1/0\n", (3, 11)),
+        ("field F 7\nvars x\nrel x^2\naug x = 1/0\n", (4, 9)),
+    ],
+)
+def test_zero_denominator_is_a_syntax_error(capsys, tmp_path, text, location):
+    p = tmp_path / "zero.alg"
+    p.write_text(text)
+    code, payload, _ = run(capsys, "check", str(p))
+    assert code == 1
+    assert payload["kind"] == "SyntaxError"
+    assert payload["message"] == "zero denominator"
+    assert payload["location"] == dict(zip(("line", "col"), location))
+
+
+@pytest.mark.parametrize(
     "argv",
     [["cw", "--q", "2", "--field", "0"], ["robber", "--field", "0"], ["check", "{f}"]],
 )

@@ -99,7 +99,8 @@ def ref_base_change(A, P):
     return FiniteAlgebra(A.field, [f"b{i}" for i in range(A.dim)], c, unit, validate=False)
 
 
-def ref_consum_core(field, c1, unit1, c2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
+def ref_consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
+    c1, c2 = A1.c, A2.c
     d1, d2 = len(c1), len(c2)
     k1 = linalg.kernel_basis(field, [e1], d1)
     k2 = linalg.kernel_basis(field, [e2], d2)
@@ -235,8 +236,8 @@ def scalars(draw, field):
     return field.scalar(draw(st.integers(-3, 3)))
 
 
-def core_args(t1, e1, x2, c2, unit2, e2, phi2, zero):
-    return (t1.oa.field, t1.algebra.c, t1.algebra.unit, c2, unit2, e1, e2,
+def core_args(t1, e1, x2, A2, unit2, e2, phi2, zero):
+    return (t1.oa.field, t1.algebra, t1.algebra.unit, A2, unit2, e1, e2,
             socle_generator(t1.oa, t1.e), x2, t1.oa.phi, phi2, zero)
 
 
@@ -271,7 +272,7 @@ def test_connected_sum_core_matches_boxed_loops(data):
     field = data.draw(st.sampled_from(FIELDS))
     t1, t2 = data.draw(st.sampled_from(corpus(field))), data.draw(st.sampled_from(corpus(field)))
     e1 = perturbed_augmentation(data, t1)
-    args = core_args(t1, e1, socle_generator(t2.oa, t2.e), t2.algebra.c, t2.algebra.unit,
+    args = core_args(t1, e1, socle_generator(t2.oa, t2.e), t2.algebra, t2.algebra.unit,
                      t2.e, t2.oa.phi, field.zero)
     assert outcome(core_table, *args) == outcome(ref_consum_core, *args)
 
@@ -285,7 +286,7 @@ def test_homotopy_core_matches_boxed_loops(data):
     rob = robber_family(field)
     const = tuple(u.constant_value() for u in rob.augmentations["const"])
     args = core_args(t, perturbed_augmentation(data, t), family_socle_generator(rob, "const"),
-                     rob.c, tuple(u.constant_value() for u in rob.unit), const,
+                     rob, tuple(u.constant_value() for u in rob.unit), const,
                      rob.orientation, TPoly(field))
     assert outcome(core_table, *args) == outcome(ref_consum_core, *args)
 
@@ -359,7 +360,7 @@ def test_table_on_rows_checks_the_row_space(data):
 
     def new():
         M = linalg.RowSolver(field, R).map
-        return _table_on_rows(field, [A.c], R, M, A.dim - len(R), field.zero)
+        return _table_on_rows(field, [A], R, M, A.dim - len(R), field.zero)[0]
 
     def ref():
         solver = RefRowSolver(field, R)

@@ -425,9 +425,9 @@ def test_connected_sum_recovers_summand_forms_on_v_parts():
     x2 = socle_generator(t2.oa, t2.e)
     data = _consum_core(
         QQ,
-        t1.algebra.c,
+        t1.algebra,
         t1.algebra.unit,
-        t2.algebra.c,
+        t2.algebra,
         t2.algebra.unit,
         t1.e,
         t2.e,

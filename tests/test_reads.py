@@ -1,0 +1,211 @@
+"""The raw read that a table's object keeps, and that consumers use alone.
+
+``FiniteAlgebra``, ``AlgebraFamily`` and ``Tensor3`` keep one read of their
+table, ``raw = ([*plane slices, unit slices], L)``.  Constructors that build
+a table on raw slices hand theirs over; every other object is read on first
+use.  The first test checks every handed-over read against the boxed table:
+each raw value v over L is the boxed entry (or its coefficient of t^s), over
+QQ and F_7 on corpus samples.  A wrong scale shows here.  The second test
+checks that the consumers of a built object read no table again: neither
+``linalg.raw_slices`` nor ``linalg.unbox`` sees a d x d x d table, and the
+boxed table itself is never touched.
+"""
+
+import random
+from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
+
+import pytest
+
+from gorlab import GF, QQ, linalg, quotient_algebra
+from gorlab.algebra import (
+    AlgebraFamily,
+    FiniteAlgebra,
+    annihilator,
+    base_change,
+    direct_product,
+    ideal_span,
+)
+from gorlab.families import homotopy_families, scale_multiplication_family
+from gorlab.frobenius import (
+    NonUnitalOriented,
+    OrientedAlgebra,
+    augmentation_check,
+    b_phi,
+    connected_sum,
+    decompose_augmented,
+    gorenstein_test,
+    rees_family,
+)
+from gorlab.poly import MultiPoly
+from gorlab.scalar import TPoly
+from gorlab.tensors import (
+    aq_algebra,
+    cw_tensor,
+    degeneration_to_cw,
+    one_generic,
+    strassen_commuting,
+    structure_tensor,
+)
+
+from corpus import build_corpus, random_invertible
+
+FIELDS = (QQ, GF(7))
+
+
+@lru_cache(maxsize=None)
+def corpus(field):
+    return build_corpus(field, 8, seed=4)
+
+
+def coefficients(x):
+    """The coefficient list of a Scalar or TPoly, low degree first, no
+    trailing zeros."""
+    if isinstance(x, TPoly):
+        return list(x.coeffs)
+    return [x] if x else []
+
+
+def assert_read_matches(obj):
+    """Every value of obj's read, over its scale, is the boxed entry."""
+    (*planes, unit), L = obj.raw
+    f = obj.field
+    p = f.characteristic
+    table = obj.entries if hasattr(obj, "entries") else obj.c
+    boxed_unit = getattr(obj, "unit", None)
+    assert isinstance(L, int) and L > 0 and (L == 1 or not p)
+    assert len(planes) == len(table)
+    for slices, boxed in [*zip(planes, table), (unit, [boxed_unit or ()])]:
+        powers = [s for s, _ in slices]
+        assert powers == sorted(set(powers))
+        rows, cols = len(boxed), len(boxed[0]) if boxed else 0
+        for s, X in slices:
+            assert any(map(any, X)) and len(X) == rows
+            assert all(len(r) == cols and all(type(v) is int for v in r) for r in X)
+            assert not p or all(0 <= v < p for r in X for v in r)
+        for b in range(rows):
+            for k in range(cols):
+                raw = {s: X[b][k] for s, X in slices if X[b][k]}
+                top = max(raw, default=-1)
+                want = [f.scalar(Fraction(raw.get(s, 0), L)) for s in range(top + 1)]
+                assert want == coefficients(boxed[b][k]), (b, k)
+    if boxed_unit is None:
+        assert unit == []
+
+
+def presentations(field):
+    names = ("x", "y")
+    x, y = (MultiPoly(field, names, {m: 1}) for m in ((1, 0), (0, 1)))
+    half = field.scalar(Fraction(1, 2))
+    third = field.scalar(Fraction(1, 3))
+    return [
+        [x * x - y * y * half, x * y, y * y * y],
+        [x * x * x - x * third, y * y - x * half],
+    ]
+
+
+def handed_over(field):
+    """Objects from every constructor that hands its read over."""
+    out = []
+    for i, t in enumerate(corpus(field)):
+        A = t.algebra
+        out.append(A)  # base_change, in the corpus
+        out.append(base_change(A, random_invertible(random.Random(i), field, A.dim)))
+        out.append(connected_sum(t, corpus(field)[(i + 1) % 8]).algebra)
+        dec = decompose_augmented(t.oa, t.e)
+        out.append(dec.nonunital.algebra)
+        out.append(direct_product(A, dec.nonunital.algebra))
+        out.append(structure_tensor(A))
+        hf = homotopy_families(t)
+        lam = t.oa.phi_of(A.unit)
+        phi0 = [a - lam * b for a, b in zip(t.oa.phi, t.e)]
+        fams = [hf.h_const, hf.h_mv, rees_family(OrientedAlgebra(A, phi0)).family,
+                degeneration_to_cw(t).family, scale_multiplication_family(dec.nonunital)]
+        out += fams
+        for F in fams:
+            for value in (0, 1, 3, Fraction(-2, 5) if not field.characteristic else 4):
+                out.append(F.at(value, validate=False))
+    out += [quotient_algebra(gens) for gens in presentations(field)]
+    out.append(aq_algebra(field, 3))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_handed_over_reads_stand_for_the_boxed_tables(field):
+    objs = handed_over(field)
+    for obj in objs:
+        # a handed-over read is there before any use
+        assert object.__getattribute__(obj, "_raw") is not None
+        assert_read_matches(obj)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_reads_on_first_use_stand_for_the_boxed_tables(field):
+    t = corpus(field)[3]
+    fam = AlgebraFamily(field, t.algebra.labels, t.algebra.c, t.algebra.unit, validate=False)
+    A = FiniteAlgebra(field, t.algebra.labels, t.algebra.c, t.algebra.unit, validate=False)
+    for obj in (fam, cw_tensor(field, 3), A):
+        with pytest.raises(AttributeError):
+            object.__getattribute__(obj, "_raw")
+        assert_read_matches(obj)
+
+
+class _Untouchable(tuple):
+    """A stand-in for a boxed table that no consumer may read."""
+
+    def _refuse(self, *a, **k):
+        raise AssertionError("the boxed table was read")
+
+    __iter__ = __getitem__ = __len__ = _refuse
+
+
+def _largest_reads(fn, *args):
+    """fn(*args), and the largest number of entries that one raw_slices or
+    unbox call read while it ran."""
+    sizes = [0]
+    raw_slices, unbox = linalg.raw_slices, linalg.unbox
+
+    def counted_slices(mats, p):
+        sizes.append(sum(len(row) for m in mats for row in m))
+        return raw_slices(mats, p)
+
+    def counted_unbox(m, field=None):
+        sizes.append(sum(len(row) for row in m))
+        return unbox(m, field)
+
+    with mock.patch.object(linalg, "raw_slices", counted_slices), \
+            mock.patch.object(linalg, "unbox", counted_unbox):
+        out = fn(*args)
+    return out, max(sizes)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_consumers_read_no_table_again(field):
+    for t in corpus(field):
+        d = t.algebra.dim
+        if d < 3:
+            continue
+        # fresh objects: validated (read at construction), handed over, read here
+        A = FiniteAlgebra(field, t.algebra.labels, t.algebra.c, t.algebra.unit)
+        nu = decompose_augmented(t.oa, t.e).nonunital
+        T, cw = structure_tensor(A), cw_tensor(field, d - 2)
+        cw.raw
+        J = ideal_span(A, [[field.one if i == d - 1 else field.zero for i in range(d)]])
+        for obj, name in ((A, "c"), (nu.algebra, "c"), (T, "entries"), (cw, "entries")):
+            object.__setattr__(obj, name, _Untouchable())
+        calls = [
+            (gorenstein_test, A),
+            (b_phi, A, t.oa.phi),
+            (augmentation_check, A, t.e),
+            (annihilator, A, J),
+            (NonUnitalOriented, nu.algebra, nu.form),
+            (one_generic, T),
+            (strassen_commuting, T, A.unit),
+            (one_generic, cw),
+            (strassen_commuting, cw, [1] + [0] * (d - 1)),
+        ]
+        for fn, *args in calls:
+            _, largest = _largest_reads(fn, *args)
+            # vectors, Gram matrices and [M | I] read at most 2 d^2 entries
+            assert largest < d**3, (fn.__name__, d, largest)
