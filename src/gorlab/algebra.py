@@ -385,8 +385,23 @@ def base_change(A: FiniteAlgebra, P, labels=None) -> FiniteAlgebra:
 def _box_plane(field: Field, slices, scale: int, zero, shape, memo: dict):
     """The (rows, columns) matrix, of Scalars or of TPolys as ``zero`` is, of
     a slice list of raw numerators over ``scale``; later columns are dropped.
-    Equal entries share one immutable object through ``memo``."""
+    Equal entries share one immutable object through ``memo``, keyed on the
+    raw value in a table over k (one slice, at t^0, or none) and on the
+    tuple of (power, value) pairs in a table over k[t]."""
     p = field.characteristic
+    rows, cols = shape
+    if not isinstance(zero, TPoly):
+        X = slices[0][1] if slices else [[0] * cols] * rows
+        get, out = memo.get, []
+        for row in X[:rows]:
+            boxed = []
+            for v in row[:cols]:
+                x = get(v)
+                if x is None:
+                    x = memo[v] = Scalar(field, v if p else Fraction(v, scale))
+                boxed.append(x)
+            out.append(tuple(boxed))
+        return tuple(out)
 
     def entry(b, k):
         key = tuple((s, M[b][k]) for s, M in slices if M[b][k])
@@ -394,10 +409,10 @@ def _box_plane(field: Field, slices, scale: int, zero, shape, memo: dict):
             coeffs = [field.zero] * (key[-1][0] + 1 if key else 1)
             for s, v in key:
                 coeffs[s] = Scalar(field, v if p else Fraction(v, scale))
-            memo[key] = TPoly(field, coeffs) if isinstance(zero, TPoly) else coeffs[0]
+            memo[key] = TPoly(field, coeffs)
         return memo[key]
 
-    return tuple(tuple(entry(b, k) for k in range(shape[1])) for b in range(shape[0]))
+    return tuple(tuple(entry(b, k) for k in range(cols)) for b in range(rows))
 
 
 def _table_on_rows(field: Field, tables, R, M, checks: int, zero):

@@ -4,11 +4,21 @@ Gram-matrix calculus: radicals, orthogonal complements, evenness and
 hyperbolic embeddings, algebraic surgery, metabolic one-parameter paths,
 elementary factorizations of special linear matrices, and Witt-type
 invariants (rank, discriminant class, rational signature).
+
+``orth_complement``, ``surgery``, ``metabolic_path`` and ``gro_member`` each
+unbox the Gram matrix (and the subspace's rows) once and run on raw values
+(ints mod p, Fractions over QQ): non-degeneracy by ``linalg.raw_det``,
+perpendiculars by ``linalg.raw_kernel``, only the products they use by
+``linalg.raw_mul``, and one boxing of each matrix they return.
+``radical``, ``is_nondegenerate`` and ``witt_invariants`` are one boxed
+``linalg`` call each, which unboxes once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 
 from . import linalg
 from .algebra import Subspace
@@ -16,6 +26,7 @@ from .errors import (
     BadParameter,
     Degenerate,
     DimensionMismatch,
+    FieldMismatch,
     NotEven,
     NotIsotropic,
     NotLagrangian,
@@ -116,14 +127,36 @@ def is_nondegenerate(B: BilinearForm) -> bool:
     return bool(linalg.det(B.field, B.gram))
 
 
-def orth_complement(B: BilinearForm, W: Subspace) -> Subspace:
-    """{v : B(v, w) = 0 for all w in W}; requires B non-degenerate."""
+def _raw(B: BilinearForm):
+    """B's Gram matrix as raw rows, its characteristic and the zero raw_mul
+    sums from (a Fraction at p = 0, so that raw_kernel pivots on Fractions)."""
+    p = B.field.characteristic
+    return linalg.unbox(B.gram, B.field)[1], p, 0 if p else Fraction(0)
+
+
+def _check_perp(B: BilinearForm, W: Subspace, G):
+    """orth_complement's preconditions, decided on the raw Gram matrix G."""
     if W.ambient_dim != B.dim:
         raise DimensionMismatch("subspace has wrong ambient dimension")
-    if not is_nondegenerate(B):
+    if not linalg.raw_det([list(row) for row in G], B.field.characteristic):
         raise Degenerate("form is degenerate")
-    constraints = linalg.mat_mul(W.rows, B.gram)
-    return Subspace(B.dim, linalg.kernel_basis(B.field, constraints, B.dim))
+
+
+def _raw_rows(B: BilinearForm, W: Subspace):
+    """W's rows as raw values; FieldMismatch when they lie over another field
+    than B (as a product of W's rows with B's Gram matrix raises it)."""
+    field, rows = linalg.unbox(W.rows)
+    if field is not None and field != B.field:
+        raise FieldMismatch(f"{field} vs {B.field}")
+    return rows
+
+
+def orth_complement(B: BilinearForm, W: Subspace) -> Subspace:
+    """{v : B(v, w) = 0 for all w in W} = ker(W·G); requires B non-degenerate."""
+    G, p, zero = _raw(B)
+    _check_perp(B, W, G)
+    WG = linalg.raw_mul(_raw_rows(B, W), G, p, zero)
+    return Subspace(B.dim, linalg._box(B.field, linalg.raw_kernel(WG, B.dim, p)))
 
 
 def is_even(B: BilinearForm) -> bool:
@@ -180,18 +213,29 @@ class SurgeryResult:
 
 
 def surgery(B: BilinearForm, W: Subspace) -> SurgeryResult:
-    """Algebraic surgery along an isotropic subspace W of a non-degenerate B."""
-    for u in W.rows:
-        for v in W.rows:
-            if B.apply(u, v):
-                raise NotIsotropic("B does not vanish on W")
-    perp = orth_complement(B, W)  # raises Degenerate when B is degenerate
-    section = linalg.complement_in(B.field, W.rows, perp.rows, B.dim)
-    gram = linalg.mat_mul(linalg.mat_mul(section, B.gram), linalg.transpose(section))
-    out = BilinearForm(B.field, gram)
-    if not is_nondegenerate(out):
+    """Algebraic surgery along an isotropic subspace W of a non-degenerate B.
+
+    On one raw read of the Gram matrix G: W·G gives both the isotropy test
+    W·G·W^T = 0 and W-perp = ker(W·G); the section S is chosen by
+    linalg.raw_complement, and the induced form is S·G·S^T.
+    """
+    f, d = B.field, B.dim
+    G, p, zero = _raw(B)
+    if W.rows and W.field != f:
+        raise FieldMismatch(f"{W.rows[0][0]} is not in {f}")
+    # B.apply pairs the leading k coordinates of vectors of another length
+    k = min(W.ambient_dim, d)
+    Wk = [row[:k] for row in linalg.unbox(W.rows)[1]]
+    WG = linalg.raw_mul(Wk, [row[:k] for row in G[:k]], p, zero)
+    if any(map(any, linalg.raw_mul(WG, linalg.transpose(Wk), p, zero))):
+        raise NotIsotropic("B does not vanish on W")
+    _check_perp(B, W, G)
+    perp = linalg.raw_kernel(WG, d, p)
+    S = [perp[i] for i in linalg.raw_complement(Wk, perp, p, d)]
+    gram = linalg.raw_mul(linalg.raw_mul(S, G, p, zero), linalg.transpose(S), p, zero)
+    if not linalg.raw_det([list(row) for row in gram], p):
         raise Degenerate("surgery produced a degenerate form")  # pragma: no cover
-    return SurgeryResult(out, section)
+    return SurgeryResult(BilinearForm(f, linalg._box(f, gram)), linalg._box(f, S))
 
 
 @dataclass(frozen=True)
@@ -208,28 +252,38 @@ def metabolic_path(B: BilinearForm, L: Subspace) -> MetabolicPath:
     In a basis adapted to the Lagrangian L the Gram matrix is
     [[0, I], [I, A]]; scaling A by t interpolates to Hyp(L) at t = 0 while
     the fiber at t = 1 is the input in the adapted basis.
+
+    The adapted basis is L followed by W = P^-1·W0, where W0 holds the unit
+    vectors e_c off L's pivot columns c and P = W0·G·L^T.  On one raw read
+    of the Gram matrix G and the product L·G: B being non-degenerate, L-perp
+    has dimension dim B - dim L, so L = L-perp exactly when dim B = 2 dim L
+    and L·G·L^T = 0; G being symmetric, P = (columns c of L·G)^T; and
+    A = W·G·W^T is P^-1·G[c, c]·P^-T.
     """
-    if L != orth_complement(B, L):
+    f, d = B.field, B.dim
+    G, p, zero = _raw(B)
+    _check_perp(B, L, G)
+    Lr = _raw_rows(B, L)
+    n = len(Lr)
+    LG = linalg.raw_mul(Lr, G, p, zero)
+    if 2 * n != d or any(map(any, linalg.raw_mul(LG, linalg.transpose(Lr), p, zero))):
         raise NotLagrangian("subspace is not equal to its own perpendicular")
-    n = L.dim
-    if B.dim != 2 * n:
-        raise NotLagrangian("Lagrangian must have half the ambient dimension")
-    f = B.field
-    W0 = linalg.extend_to_basis(f, L.rows, B.dim)
-    pairing = linalg.mat_mul(linalg.mat_mul(W0, B.gram), linalg.transpose(L.rows))
-    W = linalg.mat_mul(linalg.invert(f, pairing), W0)
-    adapted = linalg.mat(list(L.rows) + list(W))
-    gram1 = linalg.mat_mul(linalg.mat_mul(adapted, B.gram), linalg.transpose(adapted))
-    t = TPoly.t(f)
-    z = TPoly(f)
-    o = TPoly.const(f.one)
-    fam = [[z] * (2 * n) for _ in range(2 * n)]
+    free = sorted(set(range(d)) - {next(j for j, x in enumerate(row) if x) for row in Lr})
+    Pinv = linalg.raw_invert([[row[c] for row in LG] for c in free], p)
+    PG = linalg.raw_mul(Pinv, [[G[r][c] for c in free] for r in free], p, zero)
+    A = linalg.raw_mul(PG, linalg.transpose(Pinv), p, zero)
+    W = [[zero] * d for _ in range(n)]
+    for row, prow in zip(W, Pinv):
+        for c, x in zip(free, prow):
+            row[c] = x
+    z, o = TPoly(f), TPoly.const(f.one)
+    fam = [[z] * d for _ in range(d)]
+    at_t = {v: TPoly(f, (0, v)) for v in set(chain(*A))}  # v·t, one per value
     for i in range(n):
         fam[i][n + i] = o
         fam[n + i][i] = o
-        for j in range(n):
-            fam[n + i][n + j] = TPoly.const(gram1[n + i][n + j]) * t
-    return MetabolicPath(FormFamily(f, fam), adapted)
+        fam[n + i][n:] = [at_t[v] for v in A[i]]
+    return MetabolicPath(FormFamily(f, fam), L.rows + linalg._box(f, W))
 
 
 @dataclass(frozen=True)
@@ -317,10 +371,12 @@ def gro_member(W: Subspace, n: int) -> bool:
         raise DimensionMismatch(f"ambient of W must be 2n = {2 * n}")
     if not W.rows:
         return True
-    f = W.rows[0][0].field
-    H = hyperbolic_form(f, n)
-    restricted = linalg.mat_mul(linalg.mat_mul(W.rows, H.gram), linalg.transpose(W.rows))
-    return bool(linalg.det(f, restricted))
+    f, rows = linalg.unbox(W.rows)
+    p = f.characteristic
+    # a row times the Gram matrix [[0, I], [I, 0]] of Hyp(k^n) swaps its halves
+    WH = [row[n:] + row[:n] for row in rows]
+    restricted = linalg.raw_mul(WH, linalg.transpose(rows), p, 0 if p else Fraction(0))
+    return bool(linalg.raw_det(restricted, p))
 
 
 def _elementary(field: Field, n: int, i: int, j: int, lam: Scalar):

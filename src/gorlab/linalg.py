@@ -7,10 +7,13 @@ At the API, matrices are tuples of row tuples of Scalar.  The field routines
 values (ints in [0, p) over F_p, Fractions over QQ), run their one
 elimination or product loop on those, and box the result once.  Unboxing
 checks that every entry is a Scalar of one field.  ``raw_rref``,
-``raw_kernel`` and ``raw_det`` are that elimination loop, the kernel read
-off it and the determinant, for callers that already hold raw values;
+``raw_kernel``, ``raw_det``, ``raw_invert`` and ``raw_complement`` are that
+elimination loop, the kernel read off it, the determinant, the inverse and
+complement_in's greedy choice, for callers that already hold raw values:
 ``frobenius._nonsingular_point`` runs ``raw_det`` on every seeded trial of
-the witness searches for ``gorenstein_test`` and ``one_generic``.
+the witness searches for ``gorenstein_test`` and ``one_generic``; the Gram
+routines of ``forms`` and Strassen's test in ``tensors`` run on raw values
+from end to end.
 
 Row-space bases are always canonicalized to reduced row echelon form, so
 subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec`` and
@@ -23,8 +26,16 @@ read lives on the object that owns it (``algebra._Read``); this module
 never sees the boxed table again.  ``raw_mul``, the one product loop, takes
 raw values only; ``slice_mul`` convolves it over k[t] on slice lists.  They
 serve the structure-table checks, the contractions and every new table of
-``algebra``, and Strassen's test in ``tensors``.  ``RowSolver.map`` is the
-coordinate map the table constructors hand ``algebra._table_on_rows``.
+``algebra``, the Gram products of ``forms`` and Strassen's test in
+``tensors``.  ``RowSolver.map`` is the coordinate map the table
+constructors hand ``algebra._table_on_rows``.
+
+The cost of ``raw_mul`` follows the nonzero terms: a product row is summed
+from its first term x·b[k] over the nonzero rows b[k] that its nonzero
+entries x meet, and only such a row is reduced mod p; a row that meets none
+is a fresh row of zeros.  Products with sparse factors (the normalized
+slices of CW_q, unit-vector selections) cost little more than their
+nonzero terms.
 
 ``bareiss`` is the one fraction-free elimination over k[t].  It works on raw
 coefficient lists (``poly_entries`` of a slice list): ints mod p, or over QQ
@@ -91,19 +102,31 @@ def raw_mul(a, b, p: int, zero):
     """Product of two matrices of raw values whose entries sum from ``zero``.
 
     The entries are ints, and the product is reduced mod p when p > 0; at
-    p = 0 they may also be Fractions.  Each row of the product is a
-    combination of the nonzero rows of b, so zeros in a and b cost nothing.
+    p = 0 they may also be Fractions, and each entry has the type of
+    ``zero`` plus its terms.  Each row of the product is a combination of the
+    nonzero rows of b, so the work follows the nonzero terms: a row's
+    accumulator starts from its first term x·b[k] (x = a[i][k] nonzero, b[k]
+    a nonzero row), later terms add to it, and only such a row is reduced
+    mod p.  A row of a that meets no nonzero row of b costs one fresh row
+    [zero] * ncols.  No two rows of the product share a list.
     """
-    zeros = [zero] * (len(b[0]) if b else 0)
+    ncols = len(b[0]) if b else 0
     support = [(k, brow) for k, brow in enumerate(b) if any(brow)]
     out = []
     for row in a:
-        acc = list(zeros)
+        acc = None
         for k, brow in support:
             x = row[k]
             if x:
-                acc = [s + x * y if y else s for s, y in zip(acc, brow)]
-        out.append([s % p for s in acc] if p else acc)
+                if acc is None:
+                    x = zero + x  # at p = 0, the type the sum from zero has
+                    acc = [x * y if y else zero for y in brow]
+                else:
+                    acc = [s + x * y if y else s for s, y in zip(acc, brow)]
+        if acc is None:
+            out.append([zero] * ncols)
+        else:
+            out.append([s % p for s in acc] if p else acc)
     return out
 
 
@@ -435,13 +458,28 @@ def det_in_domain(zero, one, m, exact_div=None):
     return TPoly(field, det if p else [Fraction(v, L ** len(m)) for v in det])
 
 
-def invert(field: Field, m):
-    n = len(m)
-    aug = [list(r) + list(e) for r, e in zip(m, identity(field, n))]
-    red, pivots = rref(aug, 2 * n)
-    if list(pivots[:n]) != list(range(n)) or len(red) < n:
+def raw_invert(work, p: int):
+    """Inverse of a square matrix of raw values (ints mod p, or Fractions at
+    p = 0), as raw row lists: the right half of the RREF of [M | I].  The
+    rows are extended and reduced in place.  A matrix that is not square
+    raises DimensionMismatch, a singular one Singular."""
+    n = len(work)
+    if any(len(row) != n for row in work):
+        raise DimensionMismatch("matrix is not square")
+    zero, one = (0, 1) if p else (_QQ_ZERO, Fraction(1))
+    for i, row in enumerate(work):
+        row.extend(one if j == i else zero for j in range(n))
+    if len(raw_rref(work, p, n)) < n:
         raise Singular("matrix is not invertible")
-    return mat(row[n:] for row in red)
+    return [row[n:] for row in work]
+
+
+def invert(field: Field, m):
+    """Inverse of a square matrix: one unboxing, raw_invert, one boxing."""
+    found, work = unbox(m)
+    if found is not None and found != field:
+        raise FieldMismatch(f"{found} vs {field}")
+    return _box(field, raw_invert(work, field.characteristic))
 
 
 def _solve(field: Field, m, b):
@@ -515,24 +553,30 @@ def extend_to_basis(field: Field, rows, ambient: int):
     return mat(extra)
 
 
+def raw_complement(inner, outer, p: int, ncols: int):
+    """Indices of the rows of ``outer`` that complete ``inner`` to a basis of
+    the outer row space, both given as raw row lists and compared on their
+    first ``ncols`` columns; raises DimensionMismatch when they cannot.
+
+    The choice is a greedy scan in row order: a row is taken while the rank
+    is below len(outer) and the row raises it.  Those are the pivot columns
+    of one RREF of the transpose of [inner; outer] (a column is a pivot iff
+    it leaves the span of the columns before it), so raw_rref runs once.
+    """
+    k, m = len(inner), len(outer)
+    cols = [list(col) for col in zip(*(row[:ncols] for row in [*inner, *outer]))]
+    pivots = raw_rref(cols, p, k + m)
+    if sum(c < k for c in pivots) > m or len(pivots) < m:
+        raise DimensionMismatch("inner space is not contained in outer space")
+    return [c - k for c in pivots[:m] if c >= k]
+
+
 def complement_in(field: Field, inner, outer, ambient: int):
     """Rows of `outer` completing `inner` to a basis of the outer row space.
 
     Both inputs must be rref bases with inner contained in outer; the choice
-    is deterministic (greedy scan in row order).
+    is deterministic (greedy scan in row order, see raw_complement).
     """
-    chosen = [list(r) for r in inner]
-    out = []
-    cur_rank = len(rref(chosen, ambient)[0]) if chosen else 0
-    for row in outer:
-        if cur_rank == len(outer):
-            break
-        cand = chosen + [list(row)]
-        r = len(rref(cand, ambient)[0])
-        if r > cur_rank:
-            chosen = cand
-            cur_rank = r
-            out.append(tuple(row))
-    if cur_rank != len(outer):
-        raise DimensionMismatch("inner space is not contained in outer space")
-    return mat(out)
+    found, work = unbox([*inner, *outer])
+    p = found.characteristic if found else 0
+    return mat(outer[i] for i in raw_complement(work[:len(inner)], work[len(inner):], p, ambient))

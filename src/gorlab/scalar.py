@@ -487,6 +487,8 @@ class TPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if isinstance(other, (Scalar, int, Fraction, TPoly)):
             o = self._coerce(other)
             return self.field == o.field and self.coeffs == o.coeffs
@@ -527,7 +529,7 @@ def tpoly_eval(f: TPoly, c) -> Scalar:
 
 def as_tpoly(x, field: Field) -> TPoly:
     if isinstance(x, TPoly):
-        if x.field != field:
+        if x.field is not field and x.field != field:
             raise FieldMismatch(f"{field} vs {x.field}")
         return x
     return TPoly.const(field.scalar(x))

@@ -89,18 +89,24 @@ class Tensor3(_Read):
             e[i][j][k] = field.scalar(v)
         return cls(field, e)
 
-    def slice_first(self, a):
-        """Contraction sum_i a_i T[i][.][.] (a d2 x d3 matrix), on the read."""
+    def _contract(self, a):
+        """sum_i a_i T[i] as raw d2 x d3 rows, scaled by the read's L; at
+        p = 0 every entry is a Fraction."""
         f = self.field
         a = [f.scalar(x).value for x in a]
         if len(a) != self.dims[0]:
             raise ShapeMismatch("contraction vector has wrong length")
-        p, L = f.characteristic, self.raw[1]
-        d2, d3 = self.dims[1:]
+        p = f.characteristic
+        d3 = self.dims[2]
         flat = [[x for row in layer for x in row] for layer in self._layers()]
-        (out,) = linalg.raw_mul([a], flat, p, 0)
-        out = [Scalar(f, v if p else Fraction(v, L)) for v in out]
-        return tuple(tuple(out[j * d3:(j + 1) * d3]) for j in range(d2))
+        (out,) = linalg.raw_mul([a], flat, p, 0 if p else Fraction(0))
+        return [out[j * d3:(j + 1) * d3] for j in range(self.dims[1])]
+
+    def slice_first(self, a):
+        """Contraction sum_i a_i T[i][.][.] (a d2 x d3 matrix), on the read."""
+        p, L = self.field.characteristic, self.raw[1]
+        return tuple(tuple(Scalar(self.field, v if p else v / L) for v in row)
+                     for row in self._contract(a))
 
     def __eq__(self, other):
         return (
@@ -218,15 +224,19 @@ def one_generic(
 
 def strassen_commuting(T: Tensor3, witness) -> bool:
     """Whether the normalized slices N_i = slice(a)^-1 slice(e_i) pairwise
-    commute (Strassen's commutativity, necessary for minimal border rank)."""
-    f = T.field
+    commute (Strassen's commutativity, necessary for minimal border rank).
+
+    On raw values throughout: slice(a) and the layers slice(e_i) carry the
+    read's common scale L, which cancels in N_i = (L slice(a))^-1 (L slice(e_i)).
+    """
+    M = T._contract(witness)
+    if T.dims[1] != T.dims[2]:
+        raise ShapeMismatch("slices are not square")
+    p = T.field.characteristic
     try:
-        Minv = linalg.invert(f, T.slice_first(witness))
+        Minv = linalg.raw_invert(M, p)
     except Singular:
         raise SingularWitness("witness slice is singular") from None
-    # products of raw matrices: slice(e_i) is the i-th layer of T, all scaled by L
-    p = f.characteristic
-    Minv = linalg.unbox(Minv, f)[1]
     slices = [linalg.raw_mul(Minv, layer, p, 0) for layer in T._layers()]
     return linalg.first_noncommuting([[(0, m)] for m in slices], p) is None
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gorlab import GF, QQ, linalg
-from gorlab.errors import FieldMismatch, Singular
+from gorlab.errors import DimensionMismatch, FieldMismatch, Singular
 from gorlab.scalar import Scalar, TPoly
 
 
@@ -226,3 +226,139 @@ def test_kernel_matches_definitions(case):
             bad[-1][-1] = stranger
             with pytest.raises(FieldMismatch):
                 linalg.det(field, bad)
+
+
+# -- raw_mul against the naive triple loop -----------------------------------
+
+
+def _naive_mul(a, b, p, zero):
+    """sum_k a[i][k] b[k][j], summed from ``zero`` over the nonzero terms only
+    (the entry types raw_mul promises), reduced mod p when p > 0."""
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        sums = []
+        for j in range(ncols):
+            s = zero
+            for k, x in enumerate(row):
+                if x and b[k][j]:
+                    s = s + x * b[k][j]
+            sums.append(s % p if p else s)
+        out.append(sums)
+    return out
+
+
+@st.composite
+def _raw_factors(draw):
+    """Two raw factors of random density with zero rows and columns in them,
+    possibly empty: ints mod p, or at p = 0 ints (as L-scaled tables),
+    Fractions, or one of each, summed from an int or a Fraction zero."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = rng.choice([0, 0, 0, 2, 3, 101])
+    zero = rng.choice([0, Fraction(0)]) if not p else 0
+
+    def entry_kind():
+        if p:
+            return lambda: rng.randrange(1, p)
+        if rng.random() < 0.5:
+            return lambda: rng.choice([-5, -2, -1, 1, 3, 4])
+        return lambda: Fraction(rng.choice([-5, -1, 1, 2, 7]), rng.randint(1, 4))
+
+    def factor(rows, cols):
+        entry, density = entry_kind(), rng.random()
+        zero_cols = {j for j in range(cols) if rng.random() < 0.2}
+        return [[0] * cols if rng.random() < 0.2 else
+                [entry() if j not in zero_cols and rng.random() < density else 0 for j in range(cols)]
+                for _ in range(rows)]
+
+    n, k, m = (rng.randint(0 if rng.random() < 0.1 else 1, 5) for _ in range(3))
+    return factor(n, k), factor(k, m), p, zero
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_raw_factors())
+def test_raw_mul_matches_naive_triple_loop(case):
+    a, b, p, zero = case
+    out = linalg.raw_mul(a, b, p, zero)
+    want = _naive_mul(a, b, p, zero)
+    assert out == want
+    # at p = 0 an entry is an int only when zero and its terms are ints
+    assert [[type(v) for v in row] for row in out] == [[type(v) for v in row] for row in want]
+    # no row is shared with another or with a factor: raw_rref reduces in place
+    assert len({id(row) for row in out + a + b}) == len(out) + len(a) + len(b)
+    for i, row in enumerate(out):
+        before = [list(r) for r in out]
+        row[:] = ["x"] * len(row)
+        assert all(out[j] == before[j] for j in range(len(out)) if j != i)
+
+
+def test_raw_mul_empty_factors():
+    assert linalg.raw_mul([], [[1, 2]], 7, 0) == []
+    assert linalg.raw_mul([[], []], [], 7, 0) == [[], []]
+    assert linalg.raw_mul([[0, 0]], [[1, 2], [3, 4]], 0, Fraction(0)) == [[0, 0]]
+
+
+def test_invert_rejects_non_square():
+    f = GF(101)
+    with pytest.raises(DimensionMismatch, match="matrix is not square"):
+        linalg.invert(f, M(f, [[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(DimensionMismatch, match="matrix is not square"):
+        linalg.invert(f, M(f, [[1, 0], [0, 1], [0, 0]]))
+    with pytest.raises(DimensionMismatch, match="matrix is not square"):
+        linalg.raw_invert([[1, 0], [0]], 101)
+    assert linalg.invert(f, ()) == ()
+
+
+def test_raw_invert_is_an_inverse_on_raw_values():
+    """raw_invert(M)·M = I on raw values, entries ints mod p or Fractions
+    (what raw_rref pivots on), and Singular exactly when det M = 0."""
+    rng = random.Random(11)
+    for field in (QQ, GF(2), GF(101)):
+        p = field.characteristic
+        zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+        for n in range(5):
+            for _ in range(6):
+                raw = linalg.unbox(M(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]))[1]
+                if linalg.raw_det([list(r) for r in raw], p):
+                    inv = linalg.raw_invert([list(r) for r in raw], p)
+                    assert all(type(x) is type(one) for row in inv for x in row)
+                    assert linalg.raw_mul(inv, raw, p, zero) == [
+                        [one if i == j else zero for j in range(n)] for i in range(n)]
+                else:
+                    with pytest.raises(Singular):
+                        linalg.raw_invert([list(r) for r in raw], p)
+
+
+def greedy_complement(inner, outer, ambient):
+    """complement_in's rank-by-rank scan, one rref per candidate row."""
+    chosen = [list(r) for r in inner]
+    out = []
+    cur_rank = len(linalg.rref(chosen, ambient)[0]) if chosen else 0
+    for row in outer:
+        if cur_rank == len(outer):
+            break
+        cand = chosen + [list(row)]
+        r = len(linalg.rref(cand, ambient)[0])
+        if r > cur_rank:
+            chosen, cur_rank = cand, r
+            out.append(tuple(row))
+    if cur_rank != len(outer):
+        raise DimensionMismatch("inner space is not contained in outer space")
+    return linalg.mat(out)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_matrices(), st.data())
+def test_complement_in_matches_greedy_scan(case, data):
+    field, outer, ncols = case
+    inner = [row for row in outer if data.draw(st.booleans())]
+    if data.draw(st.booleans()) and outer:  # a row that may leave the outer space
+        inner.append(tuple(field.scalar(data.draw(st.integers(0, 2))) for _ in range(ncols)))
+
+    def run(fn):
+        try:
+            return fn(inner, outer, ncols)
+        except DimensionMismatch as ex:
+            return str(ex)
+
+    assert run(lambda i, o, c: linalg.complement_in(field, i, o, c)) == run(greedy_complement)

@@ -141,6 +141,25 @@ def test_handed_over_reads_stand_for_the_boxed_tables(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_boxed_tables_keep_one_object_per_value(field):
+    """A table boxed from its raw planes (a constant table keyed on the raw
+    value, a k[t] table on its (power, value) pairs) holds one object per
+    value: equal entries are the same Scalar or TPoly."""
+    for i, t in enumerate(corpus(field)[:4]):
+        A = t.algebra
+        dec = decompose_augmented(t.oa, t.e)
+        hf = homotopy_families(t)
+        objs = [base_change(A, random_invertible(random.Random(i), field, A.dim)),
+                direct_product(A, dec.nonunital.algebra), dec.nonunital.algebra,
+                connected_sum(t, corpus(field)[i + 1]).algebra, hf.h_mv, hf.h_mv.at(3, validate=False)]
+        for obj in objs:
+            seen = {}
+            for x in (x for plane in obj.c for row in plane for x in row):
+                assert seen.setdefault(tuple(c.value for c in coefficients(x)), x) is x
+            assert len(seen) < obj.dim ** 3 or obj.dim < 2
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_reads_on_first_use_stand_for_the_boxed_tables(field):
     t = corpus(field)[3]
     fam = AlgebraFamily(field, t.algebra.labels, t.algebra.c, t.algebra.unit, validate=False)

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from gorlab import GF, QQ, linalg, poly_ring, quotient_algebra
@@ -6,6 +9,7 @@ from gorlab.errors import (
     BadParameter,
     GenericityFailure,
     ShapeMismatch,
+    Singular,
     SingularWitness,
 )
 from gorlab.forms import hyperbolic_form, is_nondegenerate
@@ -149,6 +153,57 @@ def test_strassen_commuting_rejects_singular_witness():
     T = structure_tensor(A)
     with pytest.raises(SingularWitness):
         strassen_commuting(T, [0, 1, 0, 0])
+
+
+def test_strassen_commuting_rejects_non_square_slices():
+    """Slices 2 x 3: the same ShapeMismatch as one_generic, not a verdict."""
+    T = Tensor3(GF(101), [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [1, 0, 0]]])
+    with pytest.raises(ShapeMismatch, match="slices are not square"):
+        one_generic(T)
+    with pytest.raises(ShapeMismatch, match="slices are not square"):
+        strassen_commuting(T, [1, 0])
+    with pytest.raises(ShapeMismatch, match="contraction vector has wrong length"):
+        strassen_commuting(T, [1, 0, 0])
+
+
+def _boxed_strassen(T, witness):
+    """Strassen's test on boxed matrices: invert the contraction, then
+    N_i = slice(a)^-1 T[i] and every pair of products."""
+    try:
+        Minv = linalg.invert(T.field, T.slice_first(witness))
+    except Singular:
+        raise SingularWitness("witness slice is singular") from None
+    N = [linalg.mat_mul(Minv, layer) for layer in T.entries]
+    return all(linalg.mat_mul(N[i], N[k]) == linalg.mat_mul(N[k], N[i])
+               for i in range(len(N)) for k in range(i + 1, len(N)))
+
+
+def test_strassen_commuting_matches_boxed_products():
+    rng = random.Random(5)
+    cases = [(matrix_algebra_tensor(QQ, 2), [1, 0, 0, 1]), (matrix_algebra_tensor(F7, 2), [1, 0, 0, 1])]
+    for field in (QQ, GF(2), F7, GF(101)):
+        for q in (1, 2, 3):
+            cases.append((cw_tensor(field, q), [1] + [0] * (q + 1)))
+        for _ in range(12):
+            d1, d = rng.randint(1, 3), rng.randint(1, 4)
+            draw = (lambda: rng.choice([0, 0, 1, -1, Fraction(1, 2), 3])) if not field.characteristic \
+                else (lambda: rng.randrange(field.characteristic))
+            # sparse layers, the first one often the identity, so most witnesses invert
+            layers = [[[draw() if rng.random() < 0.4 else int(i == j and k == 0)
+                        for j in range(d)] for i in range(d)] for k in range(d1)]
+            cases.append((Tensor3(field, layers), [draw() for _ in range(d1)]))
+    verdicts = set()
+    for T, witness in cases:
+        try:
+            want = _boxed_strassen(T, witness)
+        except SingularWitness:
+            with pytest.raises(SingularWitness, match="witness slice is singular"):
+                strassen_commuting(T, witness)
+            verdicts.add("singular")
+            continue
+        assert strassen_commuting(T, witness) is want
+        verdicts.add(want)
+    assert verdicts == {True, False, "singular"}
 
 
 def test_strassen_matrix_algebra_counterexample():
