@@ -100,12 +100,12 @@ def _tokenize(text: str):
                 while col < n and (line[col].isalnum() or line[col] == "_"):
                     col += 1
                 tokens.append(_Token("IDENT", line[start:col], ln, start + 1))
-            elif ch.isdigit():
-                while col < n and line[col].isdigit():
+            elif ch.isdecimal():  # the digits int() and Fraction() accept
+                while col < n and line[col].isdecimal():
                     col += 1
-                if col < n and line[col] == "/" and col + 1 < n and line[col + 1].isdigit():
+                if col < n and line[col] == "/" and col + 1 < n and line[col + 1].isdecimal():
                     col += 1
-                    while col < n and line[col].isdigit():
+                    while col < n and line[col].isdecimal():
                         col += 1
                 tokens.append(_Token("NUMBER", line[start:col], ln, start + 1))
             elif ch in "+-*^:=,()":
@@ -505,6 +505,8 @@ def load_form_file(path: str) -> BilinearForm:
         fld = QQ if fdesc["characteristic"] == 0 else GF(fdesc["characteristic"])
         if fdesc["kind"] != fld.kind:
             raise FieldMismatch(f"field kind {fdesc['kind']} contradicts its characteristic")
+        if not all(isinstance(x, str) for row in data["gram"] for x in row):
+            raise TypeError('Gram entries must be strings such as "1/2" or "3 mod 7"')
         gram = [[fld.parse(x) for x in row] for row in data["gram"]]
     except (KeyError, TypeError) as ex:
         raise IOFailure(f"{path} is not a form file (field + gram): {ex}") from ex

@@ -30,7 +30,6 @@ from .frobenius import (
     _consum_core,
     _graded_family,
     augmentation_check,
-    isotropy_check,
     socle_generator,
 )
 from .scalar import Field, TPoly, tpoly_eval
@@ -179,11 +178,11 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
     """Connected sum of the constant family on T with the robber family,
     carried out over k[t]; endpoints interpolate between adding a split-off
     double point with T's augmentation and with the double point's own."""
-    if not isotropy_check(T.oa, T.e):
+    x1 = socle_generator(T.oa, T.e)
+    if linalg.sum_dot(T.e, x1):  # isotropy_check, on the one solve
         raise NotIsotropic("input augmentation is not isotropic")
     f = T.oa.field
     robber = robber_family(f)
-    x1 = socle_generator(T.oa, T.e)
     x2 = family_socle_generator(robber, "const")
     zero = TPoly(f)
     data = _consum_core(

@@ -218,10 +218,10 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     """
     A = oa.algebra
     e = A.coerce_vector(e)
-    if not isotropy_check(oa, e):
+    x = socle_generator(oa, e)
+    if linalg.sum_dot(e, x):  # isotropy_check, on the one solve
         raise NotIsotropic("augmentation is not isotropic")
     f = oa.field
-    x = socle_generator(oa, e)
     lam = oa.phi_of(A.unit)
     span1x = Subspace(A.dim, [A.unit, x])
     from .forms import orth_complement
@@ -416,12 +416,10 @@ def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
     """
     if t1.oa.field != t2.oa.field:
         raise FieldMismatch("summands live over different fields")
-    for t in (t1, t2):
-        if not isotropy_check(t.oa, t.e):
-            raise NotIsotropic("connected sum needs isotropic augmentations")
+    x1, x2 = (socle_generator(t.oa, t.e) for t in (t1, t2))
+    if linalg.sum_dot(t1.e, x1) or linalg.sum_dot(t2.e, x2):  # isotropy_check, per summand
+        raise NotIsotropic("connected sum needs isotropic augmentations")
     f = t1.oa.field
-    x1 = socle_generator(t1.oa, t1.e)
-    x2 = socle_generator(t2.oa, t2.e)
     data = _consum_core(
         f,
         t1.algebra,

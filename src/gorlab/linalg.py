@@ -39,8 +39,11 @@ nonzero terms.
 
 ``bareiss`` is the one fraction-free elimination over k[t].  It works on raw
 coefficient lists (``poly_entries`` of a slice list): ints mod p, or over QQ
-integers, with the exact division ``poly_divexact``, and no TPoly
-arithmetic.  It serves ``families.family_det_is_unit``, the socle solve of
+integers.  Its products and differences are ``scalar.poly_mul`` and
+``scalar.poly_sub``, which the TPoly operators use as well; this module
+imports them, so ``linalg.poly_mul`` and ``linalg.poly_sub`` still work.
+Its exact division is ``poly_divexact``.  It serves
+``families.family_det_is_unit``, the socle solve of
 ``families.family_socle_generator`` and ``det_in_domain``, which unboxes a
 TPoly matrix, runs it and boxes the determinant.
 """
@@ -52,7 +55,7 @@ from itertools import combinations, count
 from math import lcm
 
 from .errors import DimensionMismatch, FieldMismatch, Singular, ZeroInput
-from .scalar import Field, Scalar, TPoly
+from .scalar import Field, Scalar, TPoly, poly_mul, poly_sub
 
 _QQ_ZERO = Fraction(0)
 
@@ -342,31 +345,6 @@ def det(field: Field, m):
     """Determinant by exact Gaussian elimination (field entries)."""
     _, work = unbox(m, field)
     return Scalar(field, raw_det(work, field.characteristic))
-
-
-def poly_mul(a, b, p: int):
-    """Product of two raw coefficient lists (low degree first, no trailing
-    zeros, [] for 0): ints mod p, or integers at p = 0."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return [v % p for v in out] if p else out
-
-
-def poly_sub(a, b, p: int):
-    """Difference of two raw coefficient lists, as for poly_mul."""
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    out = [x - y for x, y in zip(a, b)] + a[len(b):]
-    if p:
-        out = [v % p for v in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def poly_divexact(a, b, p: int):

@@ -15,6 +15,11 @@ straight from two tails), ``normal_form`` and the structure constants of
 ``_quotient_with_index``.  ``_raw_add`` and ``_raw_mul`` are the sum and
 product of raw polynomials; ``cli._parse_poly`` builds its relations with
 them.  MultiPolys are unboxed on input and boxed once on output.
+
+The ``MultiPoly`` operators (+, -, *, ``scale``, ``term_mul``,
+``substitute``) are thin wrappers over ``_raw_add`` and ``_raw_mul``, and so
+are the minor expansion of ``det_multipoly`` and the shifted rows of
+``lowest_degree_initial_ideal``, which ``linalg.raw_rref`` reduces.
 """
 
 from __future__ import annotations
@@ -135,27 +140,21 @@ class MultiPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in o.terms.items():
-            s = terms.get(m, self.field.zero) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return MultiPoly(self.field, self.variables, terms)
+        p = self.field.characteristic
+        return _boxed(self.field, self.variables, _raw_add(_raw(self), _raw(o), 1, p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(
-            self.field, self.variables, {m: -c for m, c in self.terms.items()}
-        )
+        p = self.field.characteristic
+        return _boxed(self.field, self.variables, _raw_add({}, _raw(self), -1, p))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        p = self.field.characteristic
+        return _boxed(self.field, self.variables, _raw_add(_raw(self), _raw(o), -1, p))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -164,16 +163,8 @@ class MultiPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = mono_mul(m1, m2)
-                s = terms.get(m, self.field.zero) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return MultiPoly(self.field, self.variables, terms)
+        p = self.field.characteristic
+        return _boxed(self.field, self.variables, _raw_mul(_raw(self), _raw(o), p))
 
     __rmul__ = __mul__
 
@@ -188,17 +179,11 @@ class MultiPoly:
         return out
 
     def scale(self, c: Scalar) -> "MultiPoly":
-        c = self.field.scalar(c)
-        return MultiPoly(
-            self.field, self.variables, {m: c * v for m, v in self.terms.items()}
-        )
+        return self.term_mul((0,) * len(self.variables), c)
 
     def term_mul(self, m: Monomial, c: Scalar) -> "MultiPoly":
-        return MultiPoly(
-            self.field,
-            self.variables,
-            {mono_mul(m, m2): c * c2 for m2, c2 in self.terms.items()},
-        )
+        raw = _raw_mul(_raw(self), {m: self.field.scalar(c).value}, self.field.characteristic)
+        return _boxed(self.field, self.variables, raw)
 
     def leading_monomial(self) -> Monomial:
         if self._lm is None:
@@ -236,13 +221,12 @@ class MultiPoly:
 
     def substitute(self, i: int, value: Scalar) -> "MultiPoly":
         """Plug a scalar into variable i (the variable list is unchanged)."""
-        value = self.field.scalar(value)
-        out = MultiPoly.zero(self.field, self.variables)
-        for m, c in self.terms.items():
-            v = c * value**m[i]
-            m2 = m[:i] + (0,) + m[i + 1 :]
-            out = out + MultiPoly(self.field, self.variables, {m2: v})
-        return out
+        v, p = self.field.scalar(value).value, self.field.characteristic
+        out: dict = {}
+        for m, c in _raw(self).items():
+            power = pow(v, m[i], p) if p else v ** m[i]
+            _raw_add(out, {m[:i] + (0,) + m[i + 1 :]: c * power}, 1, p)
+        return _boxed(self.field, self.variables, out)
 
     def __str__(self):
         if not self.terms:
@@ -591,34 +575,31 @@ def lowest_degree_initial_ideal(gens, degree_bound: int) -> list[MultiPoly]:
         deg_start[s] = pos
         pos += len(monos_by_deg[s])
 
+    p = field.characteristic
+    one, zero = field.one.value, field.zero.value
     rows = []
     for g in gens:
+        if g.field != field or g.variables != variables:
+            raise FieldMismatch("generators live in different rings")
         dg = g.total_degree()
         if dg > D:
             continue
+        raw = _raw(g)
         for s in range(D - dg + 1):
             for m in monos_by_deg[s]:
-                shifted = g.term_mul(m, field.one)
-                row = [field.zero] * len(columns)
-                for mm, cc in shifted.terms.items():
+                row = [zero] * len(columns)
+                for mm, cc in _raw_mul(raw, {m: one}, p).items():
                     row[col_index[mm]] = cc
-                rows.append(tuple(row))
-    red, pivots = linalg.rref(rows, len(columns))
-
-    def col_degree(c: int) -> int:
-        return mono_degree(columns[c])
+                rows.append(row)
+    pivots = linalg.raw_rref(rows, p, len(columns))
 
     forms: list[MultiPoly] = []
     count_by_deg = {s: 0 for s in range(D + 1)}
-    for r, p in enumerate(pivots):
-        s = col_degree(p)
+    for row, c in zip(rows, pivots):
+        s = mono_degree(columns[c])
         start = deg_start[s]
-        terms = {}
-        for k, m in enumerate(monos_by_deg[s]):
-            v = red[r][start + k]
-            if v:
-                terms[m] = v
-        forms.append(MultiPoly(field, variables, terms))
+        terms = {m: row[start + k] for k, m in enumerate(monos_by_deg[s]) if row[start + k]}
+        forms.append(_boxed(field, variables, terms))
         count_by_deg[s] += 1
     if count_by_deg[0]:
         raise UnitIdeal("1 is an initial form: the input ideal is the unit ideal")
@@ -632,31 +613,25 @@ def lowest_degree_initial_ideal(gens, degree_bound: int) -> list[MultiPoly]:
 
 def det_multipoly(matrix, field: Field, variables) -> MultiPoly:
     """Determinant of a matrix of polynomials, by minor expansion with
-    memoization over column subsets (fine through dimension ~10)."""
-    n = len(matrix)
-    if n == 0:
-        return MultiPoly.constant(field, variables, 1)
-    memo: dict = {}
+    memoization over column subsets (fine through dimension ~10), on raw
+    term dicts."""
+    n, p, variables = len(matrix), field.characteristic, tuple(variables)
+    memo = {(): {(0,) * len(variables): field.one.value}}
 
-    def rec(cols: tuple) -> MultiPoly:
-        if cols in memo:
-            return memo[cols]
-        r = n - len(cols)
-        if not cols:
-            return MultiPoly.constant(field, variables, 1)
-        acc = MultiPoly.zero(field, variables)
-        sign = 1
-        for pos, c in enumerate(cols):
-            entry = matrix[r][c]
-            if entry:
-                sub = rec(cols[:pos] + cols[pos + 1 :])
-                term = entry * sub
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        memo[cols] = acc
-        return acc
+    def rec(cols: tuple) -> dict:
+        if cols not in memo:
+            r, acc = n - len(cols), {}
+            for pos, c in enumerate(cols):
+                entry = matrix[r][c]
+                if entry:
+                    if entry.field != field or entry.variables != variables:
+                        raise FieldMismatch("polynomials live in different rings")
+                    sub = rec(cols[:pos] + cols[pos + 1 :])
+                    _raw_add(acc, _raw_mul(_raw(entry), sub, p), (-1) ** pos, p)
+            memo[cols] = acc
+        return memo[cols]
 
-    return rec(tuple(range(n)))
+    return _boxed(field, variables, rec(tuple(range(n))))
 
 
 def graded_hilbert(forms, nvars: int, bound: int) -> list[int]:

@@ -4,13 +4,19 @@ univariate polynomials in the family parameter t.
 All values are immutable; every operation is a pure function.  No floating
 point is used anywhere: degeneracy tests elsewhere in the library rely on
 exact zero tests of these scalars.
+
+``poly_mul`` and ``poly_sub`` are the product and difference of raw
+coefficient lists (ints mod p, or Fractions over QQ, low degree first).  The
+``TPoly`` operators +, - and * unbox their operands once, call them, and box
+the result once.  ``linalg`` imports them for ``bareiss``, so
+``linalg.poly_mul`` and ``linalg.poly_sub`` name the same functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import BadParameter, FieldMismatch, ZeroInput
 
@@ -119,7 +125,7 @@ class Field:
     __slots__ = ("characteristic",)
 
     def __init__(self, characteristic: int):
-        if characteristic != 0 and not is_prime(characteristic):
+        if not isinstance(characteristic, int) or (characteristic and not is_prime(characteristic)):
             raise BadParameter(f"{characteristic} is not prime")
         object.__setattr__(self, "characteristic", characteristic)
 
@@ -340,6 +346,32 @@ def square_class(a: Scalar) -> Scalar:
 # univariate polynomials in t
 
 
+def poly_mul(a, b, p: int):
+    """Product of two raw coefficient lists (low degree first, no trailing
+    zeros, [] for 0): ints mod p, or at p = 0 integers or Fractions, where a
+    coefficient that no pair of terms reaches stays the int 0."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [v % p for v in out] if p else out
+
+
+def poly_sub(a, b, p: int):
+    """Difference of two raw coefficient lists, as for poly_mul."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = [x - y for x, y in zip(a, b)] + a[len(b):]
+    if p:
+        out = [v % p for v in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 class TPoly:
     """A polynomial in the family parameter t, coefficients low degree first.
 
@@ -393,50 +425,38 @@ class TPoly:
             return TPoly.const(self.field.scalar(other))
         return NotImplemented
 
+    def _values(self) -> list:
+        return [c.value for c in self.coeffs]
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return TPoly(self.field, out)
+        p = self.field.characteristic
+        return TPoly(self.field, poly_sub(self._values(), poly_sub([], o._values(), p), p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TPoly(self.field, tuple(-c for c in self.coeffs))
+        return TPoly(self.field, poly_sub([], self._values(), self.field.characteristic))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return TPoly(self.field, poly_sub(self._values(), o._values(), self.field.characteristic))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return TPoly(self.field)
-        out = [self.field.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-        return TPoly(self.field, out)
+        return TPoly(self.field, poly_mul(self._values(), o._values(), self.field.characteristic))
 
     __rmul__ = __mul__
 
@@ -534,17 +554,3 @@ def as_tpoly(x, field: Field) -> TPoly:
         return x
     return TPoly.const(field.scalar(x))
 
-
-def is_perfect_square(a: Scalar) -> bool:
-    """Whether a is a square in its field (0 counts as a square)."""
-    if not a:
-        return True
-    p = a.field.characteristic
-    if p == 0:
-        num, den = a.value.numerator, a.value.denominator
-        if num < 0:
-            return False
-        return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
-    if p == 2:
-        return True
-    return pow(a.value, (p - 1) // 2, p) == 1

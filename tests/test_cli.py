@@ -411,3 +411,48 @@ def test_pretty_flag(capsys, a2_file):
     assert code1 == code2 == 0
     assert json.loads(plain) == json.loads(pretty)
     assert "\n  " in pretty and "\n  " not in plain
+
+
+@pytest.mark.parametrize(
+    "rel,char,col",
+    [("x^²", "²", 7), ("x^2 - ²", "²", 11), ("x^2 - 1/²", "/", 12)],
+)
+def test_superscript_digit_is_a_syntax_error(capsys, tmp_path, rel, char, col):
+    # '²' passes str.isdigit() but not int() or Fraction(); a literal ends
+    # before it, so in 1/² the slash is left over
+    p = tmp_path / "sup.alg"
+    p.write_text(f"field Q\nvars x\nrel {rel}\n", encoding="utf-8")
+    code, payload, _ = run(capsys, "check", str(p))
+    assert code == 1
+    assert payload["kind"] == "SyntaxError"
+    assert payload["message"] == f"unexpected character {char!r}"
+    assert payload["location"] == {"line": 3, "col": col}
+
+
+def test_other_decimal_digits_are_literals(capsys, tmp_path):
+    # Arabic-Indic three is a decimal digit: int('٣') == 3
+    p = tmp_path / "arabic.alg"
+    p.write_text("field Q\nvars x\nrel x^٣\n", encoding="utf-8")
+    code, payload, _ = run(capsys, "check", str(p))
+    assert code == 0 and payload["dim"] == 3
+
+
+@pytest.mark.parametrize("entry", [1, 0.5, True, None, ["1"]])
+@pytest.mark.parametrize("argv", [["embed-hyp"], ["gro", "--subspace", "1,0"]])
+def test_non_string_gram_entries_are_io_errors(capsys, tmp_path, entry, argv):
+    p = tmp_path / "numeric.form.json"
+    field = {"kind": "Rationals", "characteristic": 0}
+    p.write_text(json.dumps({"field": field, "gram": [["0", entry], [entry, "0"]]}))
+    code, payload, _ = run(capsys, argv[0], str(p), *argv[1:])
+    assert code == 1
+    assert payload["kind"] == "IOError"
+    assert "is not a form file (field + gram)" in payload["message"]
+
+
+def test_float_characteristic_is_not_prime(capsys, tmp_path):
+    p = tmp_path / "float.form.json"
+    field = {"kind": "PrimeField", "characteristic": 7.0}
+    p.write_text(json.dumps({"field": field, "gram": [["1 mod 7"]]}))
+    code, payload, _ = run(capsys, "embed-hyp", str(p))
+    assert code == 1
+    assert payload == {"schema": "gorlab/1", "kind": "BadParameter", "message": "7.0 is not prime"}

@@ -5,8 +5,10 @@ routines they replaced.
 ``_quotient_with_index`` now reduce dicts of raw values (ints mod p, or
 Fractions over QQ) by monic divisors (lm, tail), and ``cli._parse_poly``
 builds raw term dicts.  The references below are the routines as they stood
-before, on boxed ``MultiPoly`` arithmetic.  Over QQ, F_2, F_7 and F_101, on
-rational coefficients, unit ideals, infinite quotients, and expressions with
+before, on boxed ``MultiPoly`` arithmetic.  Since the ``MultiPoly``
+operators run on the raw kernels too, the references use copies of their old
+loops over boxed scalars (``ref_add``, ``ref_mul`` and the rest).  Over QQ,
+F_2, F_7 and F_101, on rational coefficients, unit ideals, infinite quotients, and expressions with
 parentheses, powers, unary minus and denominators that vanish mod p, both
 must give equal results with the same value types, or raise the same
 exception with the same message.
@@ -47,7 +49,65 @@ NAMES = ("x", "y", "z")
 
 
 # ---------------------------------------------------------------------------
-# the boxed references
+# the boxed references: the MultiPoly operators as loops over boxed scalars,
+# and the routines below on them
+
+
+def ref_add(f, g):
+    o = f._coerce(g)
+    terms = dict(f.terms)
+    for m, c in o.terms.items():
+        s = terms.get(m, f.field.zero) + c
+        if s:
+            terms[m] = s
+        else:
+            terms.pop(m, None)
+    return MultiPoly(f.field, f.variables, terms)
+
+
+def ref_neg(f):
+    return MultiPoly(f.field, f.variables, {m: -c for m, c in f.terms.items()})
+
+
+def ref_sub(f, g):
+    return ref_add(f, ref_neg(f._coerce(g)))
+
+
+def ref_mul(f, g):
+    o = f._coerce(g)
+    terms: dict = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in o.terms.items():
+            m = mono_mul(m1, m2)
+            s = terms.get(m, f.field.zero) + c1 * c2
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+    return MultiPoly(f.field, f.variables, terms)
+
+
+def ref_pow(f, n):
+    out = MultiPoly.constant(f.field, f.variables, 1)
+    while n:
+        if n & 1:
+            out = ref_mul(out, f)
+        f = ref_mul(f, f)
+        n >>= 1
+    return out
+
+
+def ref_scale(f, c):
+    c = f.field.scalar(c)
+    return MultiPoly(f.field, f.variables, {m: c * v for m, v in f.terms.items()})
+
+
+def ref_term_mul(f, m, c):
+    return MultiPoly(f.field, f.variables, {mono_mul(m, m2): c * c2 for m2, c2 in f.terms.items()})
+
+
+def ref_monic(f):
+    return ref_scale(f, f.leading_coeff().inverse())
 
 
 def ref_divisor(g):
@@ -62,11 +122,11 @@ def ref_reduce(f, divisors):
         c = work.terms[m]
         for lm, lc, g in divisors:
             if mono_divides(lm, m):
-                work = work - g.term_mul(mono_div(m, lm), c / lc)
+                work = ref_sub(work, ref_term_mul(g, mono_div(m, lm), c / lc))
                 break
         else:
-            rem = rem + MultiPoly(f.field, f.variables, {m: c})
-            work = work - MultiPoly(f.field, f.variables, {m: c})
+            rem = ref_add(rem, MultiPoly(f.field, f.variables, {m: c}))
+            work = ref_sub(work, MultiPoly(f.field, f.variables, {m: c}))
     return rem
 
 
@@ -77,8 +137,9 @@ def ref_normal_form(f, gb):
 def ref_s_polynomial(f, g):
     lf, lg = f.leading_monomial(), g.leading_monomial()
     l = mono_lcm(lf, lg)
-    return f.term_mul(mono_div(l, lf), f.leading_coeff().inverse()) - g.term_mul(
-        mono_div(l, lg), g.leading_coeff().inverse()
+    return ref_sub(
+        ref_term_mul(f, mono_div(l, lf), f.leading_coeff().inverse()),
+        ref_term_mul(g, mono_div(l, lg), g.leading_coeff().inverse()),
     )
 
 
@@ -90,7 +151,7 @@ def ref_groebner_basis(gens):
     for g in gens[1:]:
         if g.field != field or g.variables != variables:
             raise FieldMismatch("generators live in different rings")
-    basis = [g.monic() for g in gens]
+    basis = [ref_monic(g) for g in gens]
     divisors = [ref_divisor(g) for g in basis]
     lms = [lm for lm, _, _ in divisors]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
@@ -115,7 +176,7 @@ def ref_groebner_basis(gens):
             continue
         h = ref_reduce(ref_s_polynomial(basis[i], basis[j]), divisors)
         if h:
-            h = h.monic()
+            h = ref_monic(h)
             basis.append(h)
             divisors.append(ref_divisor(h))
             lms.append(divisors[-1][0])
@@ -134,7 +195,7 @@ def ref_groebner_basis(gens):
     final = []
     for i, (_, _, g) in enumerate(minimal):
         others = [div for k, div in enumerate(minimal) if k != i]
-        final.append(ref_reduce(g, others).monic())
+        final.append(ref_monic(ref_reduce(g, others)))
     final.sort(key=lambda g: grevlex_key(g.leading_monomial()))
     return final
 
@@ -180,7 +241,7 @@ def ref_parse_poly(p, field, variables):
             return e
         if t.kind == "OP" and t.text == "-":
             p.next()
-            return -parse_atom_pow()
+            return ref_neg(parse_atom_pow())
         if t.kind == "NUMBER":
             p.next()
             return MultiPoly.constant(field, variables, field.scalar(Fraction(t.text)))
@@ -204,7 +265,7 @@ def ref_parse_poly(p, field, variables):
             ex = p.expect("NUMBER")
             if "/" in ex.text:
                 raise ParseError("exponent must be an integer", ex.line, ex.col)
-            base = base ** int(ex.text)
+            base = ref_pow(base, int(ex.text))
         nxt = p.peek()
         if nxt.kind in ("IDENT", "NUMBER") or (nxt.kind == "OP" and nxt.text == "("):
             raise ParseError(
@@ -217,7 +278,7 @@ def ref_parse_poly(p, field, variables):
         out = parse_atom_pow()
         while p.peek().kind == "OP" and p.peek().text == "*":
             p.next()
-            out = out * parse_atom_pow()
+            out = ref_mul(out, parse_atom_pow())
         return out
 
     def parse_expr():
@@ -225,7 +286,7 @@ def ref_parse_poly(p, field, variables):
         while p.peek().kind == "OP" and p.peek().text in "+-":
             op = p.next().text
             rhs = parse_term()
-            out = out + rhs if op == "+" else out - rhs
+            out = ref_add(out, rhs) if op == "+" else ref_sub(out, rhs)
         return out
 
     return parse_expr()
