@@ -54,9 +54,19 @@ class Subspace:
             )
         if field is not None:
             rows = [tuple(field.scalar(x) for x in r) for r in rows]
-        red, _ = linalg.rref(rows, ambient_dim)
+        self._fill(ambient_dim, linalg.rref(rows, ambient_dim)[0], field)
+
+    @classmethod
+    def on_rref(cls, ambient_dim: int, rows, field: Field = None):
+        """The subspace whose RREF basis is ``rows``, a tuple of row tuples of
+        Scalars (no elimination runs); ``field`` as for Subspace()."""
+        out = object.__new__(cls)
+        out._fill(ambient_dim, rows, field or (rows[0][0].field if rows else None))
+        return out
+
+    def _fill(self, ambient_dim, rows, field):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", red)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "field", field)
 
     def __setattr__(self, *a):
@@ -337,7 +347,7 @@ def annihilator(A: FiniteAlgebra, I: Subspace) -> Subspace:
     if I.ambient_dim != A.dim:
         raise DimensionMismatch("subspace lives in the wrong ambient space")
     _, rows = linalg.unbox(I.rows, A.field)
-    return Subspace(A.dim, _raw_ann(A, rows), A.field)
+    return Subspace.on_rref(A.dim, linalg._box(A.field, _raw_ann(A, rows)), A.field)
 
 
 def _raw_ann(A: FiniteAlgebra, rows):

@@ -209,15 +209,19 @@ def _integer(p: _Parser, what: str) -> int:
     t = p.expect("NUMBER")
     if "/" in t.text:
         raise ParseError(f"{what} must be an integer", t.line, t.col)
-    return int(t.text)
+    return _literal(t).numerator
 
 
 def _literal(t: _Token) -> Fraction:
-    """The value of a NUMBER token; a zero denominator is a ParseError there."""
-    den = t.text.partition("/")[2]
-    if den and not int(den):
-        raise ParseError("zero denominator", t.line, t.col)
-    return Fraction(t.text)
+    """The value of a NUMBER token.  A zero denominator, or more digits than
+    int() converts (sys.get_int_max_str_digits()), is a ParseError there."""
+    num, _, den = t.text.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ValueError:
+        raise ParseError("number has too many digits", t.line, t.col) from None
+    except ZeroDivisionError:
+        raise ParseError("zero denominator", t.line, t.col) from None
 
 
 def _parse_scalar(p: _Parser, field: Field) -> Scalar:

@@ -120,7 +120,7 @@ class FormFamily:
 
 def radical(B: BilinearForm) -> Subspace:
     """Kernel of the Gram matrix."""
-    return Subspace(B.dim, linalg.kernel_basis(B.field, B.gram, B.dim))
+    return Subspace.on_rref(B.dim, linalg.kernel_basis(B.field, B.gram, B.dim))
 
 
 def is_nondegenerate(B: BilinearForm) -> bool:
@@ -129,7 +129,7 @@ def is_nondegenerate(B: BilinearForm) -> bool:
 
 def _raw(B: BilinearForm):
     """B's Gram matrix as raw rows, its characteristic and the zero raw_mul
-    sums from (a Fraction at p = 0, so that raw_kernel pivots on Fractions)."""
+    sums from (a Fraction at p = 0, the value a boxed product's Scalars hold)."""
     p = B.field.characteristic
     return linalg.unbox(B.gram, B.field)[1], p, 0 if p else Fraction(0)
 
@@ -156,7 +156,7 @@ def orth_complement(B: BilinearForm, W: Subspace) -> Subspace:
     G, p, zero = _raw(B)
     _check_perp(B, W, G)
     WG = linalg.raw_mul(_raw_rows(B, W), G, p, zero)
-    return Subspace(B.dim, linalg._box(B.field, linalg.raw_kernel(WG, B.dim, p)))
+    return Subspace.on_rref(B.dim, linalg._box(B.field, linalg.raw_kernel(WG, B.dim, p)))
 
 
 def is_even(B: BilinearForm) -> bool:

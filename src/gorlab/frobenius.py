@@ -619,7 +619,7 @@ def _nonsingular_point(field: Field, terms, names, seed: int, trials: int,
 
 
 # rank mod a prime never exceeds the rank over QQ, so a trace form of full
-# rank mod this prime proves J = 0 without the slower Fraction elimination
+# rank mod this prime proves J = 0 without the slower elimination over QQ
 _RANK_PRIME = 2**61 - 1
 
 
@@ -649,7 +649,7 @@ def _nilradical_and_socle(A: FiniteAlgebra):
                                  _RANK_PRIME)) == d:
             J = []
         else:
-            J = linalg.raw_kernel([[Fraction(x) for x in row] for row in gram], d, 0)
+            J = linalg.raw_kernel(gram, d, 0)
     else:
         # row i of frob is e_i^p, reached by p - 1 products with the plane c[i]
         frob = []

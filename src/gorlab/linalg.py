@@ -15,6 +15,12 @@ the witness searches for ``gorenstein_test`` and ``one_generic``; the Gram
 routines of ``forms`` and Strassen's test in ``tensors`` run on raw values
 from end to end.
 
+Over QQ the raw routines take ints and Fractions, mixed, and eliminate on
+integers, each row read once over its common denominator: ``raw_rref`` by
+fraction-free Gauss-Jordan on primitive rows (Nakos, Turner & Williams,
+1997), ``raw_det`` by Bareiss (1968).  What they return is made of
+Fractions; rows past the rank are left unspecified.
+
 Row-space bases are always canonicalized to reduced row echelon form, so
 subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec`` and
 ``vec_mat`` stay ring-generic: they also act on TPoly entries.
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, count
-from math import lcm
+from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch, FieldMismatch, Singular, ZeroInput
 from .scalar import Field, Scalar, TPoly, poly_mul, poly_sub
@@ -232,15 +238,18 @@ def vec_mat(v, m):
 
 
 def raw_rref(work, p: int, ncols=None):
-    """Bring a list of raw row lists (ints mod p, or Fractions at p = 0) to
-    reduced row echelon form in place; returns the pivot columns.
+    """Bring a list of raw row lists to reduced row echelon form in place;
+    returns the pivot columns.
 
     Pivots are sought in the first ``ncols`` columns (all by default); row
-    operations act on whole rows.  The nonzero rows come first, one per
-    pivot.
+    operations act on whole rows.  The pivot rows come first, in order: ints
+    mod p, or at p = 0 Fractions.  The rows past them vanish on the first
+    ``ncols`` columns and are otherwise unspecified.
     """
     if ncols is None:
         ncols = len(work[0]) if work else 0
+    if not p:
+        work[:] = [_integer_row(row)[0] for row in work]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -251,11 +260,13 @@ def raw_rref(work, p: int, ncols=None):
             continue
         work[r], work[pivot] = work[pivot], work[r]
         prow = work[r]
+        pc = prow[c]
         # rows r.. vanish left of c, so the pivot row's support starts at c
         nz = [j for j in range(c, len(prow)) if prow[j]]
-        inv = pow(prow[c], -1, p) if p else 1 / prow[c]
-        for j in nz:
-            prow[j] = prow[j] * inv % p if p else prow[j] * inv
+        if p:
+            inv = pow(pc, -1, p)
+            for j in nz:
+                prow[j] = prow[j] * inv % p
         for i, row in enumerate(work):
             f = row[c]
             if f and i != r:
@@ -263,11 +274,24 @@ def raw_rref(work, p: int, ncols=None):
                     for j in nz:
                         row[j] = (row[j] - f * prow[j]) % p
                 else:
-                    for j in nz:
-                        row[j] -= f * prow[j]
+                    # row <- (pc/g)·row - (f/g)·prow, then divided by its content
+                    g = gcd(pc, f)
+                    a, b = pc // g, f // g
+                    row = [a * x - b * y for x, y in zip(row, prow)]
+                    g = gcd(*row)
+                    work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
+    if not p:
+        for r, (c, row) in enumerate(zip(pivots, work)):
+            work[r] = [Fraction(x, row[c]) if x else _QQ_ZERO for x in row]
     return pivots
+
+
+def _integer_row(row):
+    """A row of ints and Fractions as integers over their common denominator L, and L."""
+    L = lcm(*[x.denominator for x in row])
+    return [x.numerator * (L // x.denominator) for x in row], L
 
 
 def rref(rows, ncols=None):
@@ -289,15 +313,14 @@ def rank(rows, ncols=None):
 
 def raw_kernel(rows, ncols: int, p: int):
     """RREF basis of the right null space {x : M x = 0} of a matrix of raw
-    values, as raw row lists; the rows are reduced in place."""
+    values, as raw row lists; the rows are reduced in place by raw_rref."""
     pivots = raw_rref(rows, p, ncols)
     pivset = set(pivots)
-    zero, one = (0, 1) if p else (_QQ_ZERO, Fraction(1))
     basis = []
     for fcol in range(ncols):
         if fcol not in pivset:
-            v = [zero] * ncols
-            v[fcol] = one
+            v = [0] * ncols
+            v[fcol] = 1
             for r, pcol in enumerate(pivots):
                 v[pcol] = -rows[r][fcol] % p if p else -rows[r][fcol]
             basis.append(v)
@@ -312,33 +335,46 @@ def kernel_basis(field: Field, rows, ncols: int):
 
 
 def raw_det(work, p: int):
-    """Determinant of a square matrix of raw values (ints mod p, or Fractions
-    at p = 0) by Gaussian elimination; the rows are reduced in place."""
+    """Determinant of a square matrix of raw values: mod p by Gaussian
+    elimination, which reduces the rows in place; at p = 0 a Fraction, by
+    Bareiss's elimination on the rows read as integers (left alone)."""
     n = len(work)
-    out = 1 if p else Fraction(1)
+    if not p:
+        read = [_integer_row(row) for row in work]
+        rows, den = [row for row, _ in read], prod(L for _, L in read)
+        sign, prev = 1, 1
+        for c in range(n):  # rows[c:] hold columns c.. of step c's minors
+            pivot = next((i for i in range(c, n) if rows[i][0]), None)
+            if pivot is None:
+                return _QQ_ZERO
+            if pivot != c:
+                rows[c], rows[pivot] = rows[pivot], rows[c]
+                sign = -sign
+            pc, *ptail = rows[c]
+            for i in range(c + 1, n):
+                f, *tail = rows[i]
+                rows[i] = [(pc * x - f * y) // prev for x, y in zip(tail, ptail)]
+            prev = pc
+        return Fraction(sign * prev, den)
+    out = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if work[i][c]), None)
         if pivot is None:
-            return 0 if p else _QQ_ZERO
+            return 0
         if pivot != c:
             work[c], work[pivot] = work[pivot], work[c]
             out = -out
         prow = work[c]
-        out = out * prow[c] % p if p else out * prow[c]
-        inv = pow(prow[c], -1, p) if p else 1 / prow[c]
+        out = out * prow[c] % p
+        inv = pow(prow[c], -1, p)
         nz = [j for j in range(c + 1, n) if prow[j]]
         for row in work[c + 1 :]:
             f = row[c]
             if f:
-                if p:
-                    f = f * inv % p
-                    for j in nz:
-                        row[j] = (row[j] - f * prow[j]) % p
-                else:
-                    f = f * inv
-                    for j in nz:
-                        row[j] -= f * prow[j]
-    return out % p if p else out
+                f = f * inv % p
+                for j in nz:
+                    row[j] = (row[j] - f * prow[j]) % p
+    return out % p
 
 
 def det(field: Field, m):
@@ -437,16 +473,15 @@ def det_in_domain(zero, one, m, exact_div=None):
 
 
 def raw_invert(work, p: int):
-    """Inverse of a square matrix of raw values (ints mod p, or Fractions at
-    p = 0), as raw row lists: the right half of the RREF of [M | I].  The
-    rows are extended and reduced in place.  A matrix that is not square
-    raises DimensionMismatch, a singular one Singular."""
+    """Inverse of a square matrix of raw values, as raw row lists: the right
+    half of the RREF of [M | I].  The rows are extended, then reduced in
+    place by raw_rref.  A matrix that is not square raises DimensionMismatch,
+    a singular one Singular."""
     n = len(work)
     if any(len(row) != n for row in work):
         raise DimensionMismatch("matrix is not square")
-    zero, one = (0, 1) if p else (_QQ_ZERO, Fraction(1))
     for i, row in enumerate(work):
-        row.extend(one if j == i else zero for j in range(n))
+        row.extend(int(j == i) for j in range(n))
     if len(raw_rref(work, p, n)) < n:
         raise Singular("matrix is not invertible")
     return [row[n:] for row in work]

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from corpus import random_augmented, random_nondegenerate_form
 from gorlab import GF, QQ, linalg, poly_ring, quotient_algebra
 from gorlab.algebra import (
     Subspace,
@@ -21,6 +23,7 @@ from gorlab.errors import (
     NotAssociative,
     NotCommutative,
 )
+from gorlab.forms import BilinearForm, orth_complement, radical
 
 
 def dual_numbers(field=QQ):
@@ -194,6 +197,36 @@ def test_subspace_canonical_equality():
     assert not a.contains([1, 0, 0])
     with pytest.raises(DimensionMismatch):
         Subspace(3, [[QQ.one, QQ.one]])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(7)]), st.integers(2, 5), st.integers(0, 2**32))
+def test_kernel_sites_hand_on_rref_canonical_rows(field, dim, seed):
+    """radical, orth_complement and annihilator build their Subspace by
+    Subspace.on_rref, which runs no elimination: the rows each passes must
+    already equal their own RREF."""
+    rng = random.Random(seed)
+    on_rref, seen = Subspace.on_rref.__func__, []
+
+    def spy(cls, ambient_dim, rows, field=None):
+        seen.append((ambient_dim, rows))
+        return on_rref(cls, ambient_dim, rows, field)
+
+    def rows(k):
+        return [[field.scalar(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(k)]
+
+    gram = rows(dim)
+    gram = [[gram[min(i, j)][max(i, j)] for j in range(dim)] for i in range(dim)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Subspace, "on_rref", classmethod(spy))
+        radical(BilinearForm(field, gram))
+        B = random_nondegenerate_form(rng, field, dim)
+        orth_complement(B, Subspace(dim, rows(rng.randint(0, dim))))
+        A = random_augmented(rng, field, dim).oa.algebra
+        annihilator(A, Subspace(dim, rows(rng.randint(0, 2)), field))
+    assert len(seen) == 3
+    for ambient_dim, red in seen:
+        assert red == linalg.rref(red, ambient_dim)[0]
 
 
 def test_serialize_roundtrip_shape():

@@ -383,6 +383,28 @@ def test_zero_denominator_is_a_syntax_error(capsys, tmp_path, text, location):
     assert payload["location"] == dict(zip(("line", "col"), location))
 
 
+ONES = "1" * 5000  # more digits than int() converts by default (4300)
+
+
+@pytest.mark.parametrize(
+    "text,location",
+    [
+        (f"field Q\nvars x\nrel x^2 - {ONES}\n", (3, 11)),
+        (f"field Q\nvars x\nrel x^{ONES}\n", (3, 7)),
+        (f"field Q\nvars x\nrel x^2\norient 1 : 1/{ONES}\n", (4, 12)),
+    ],
+    ids=["literal", "exponent", "denominator"],
+)
+def test_literal_with_too_many_digits_is_a_syntax_error(capsys, tmp_path, text, location):
+    p = tmp_path / "digits.alg"
+    p.write_text(text)
+    code, payload, _ = run(capsys, "check", str(p))
+    assert code == 1
+    assert payload["kind"] == "SyntaxError"
+    assert payload["message"] == "number has too many digits"
+    assert payload["location"] == dict(zip(("line", "col"), location))
+
+
 @pytest.mark.parametrize(
     "argv",
     [["cw", "--q", "2", "--field", "0"], ["robber", "--field", "0"], ["check", "{f}"]],

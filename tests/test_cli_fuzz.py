@@ -5,10 +5,11 @@ stdout that validates against ``report.schema.json``; no exception may
 escape.  The .alg texts are grammar token streams (field, vars, rel, orient
 and aug clauses over at most three variables, exponents at most 4), mutated
 by inserting, deleting or replacing tokens, among them non-ASCII characters
-such as '²', '٣' and 'é'.  The form files hold Gram matrices of at most
-4 x 4 entries, each entry and each part of the file now and then replaced by
-an arbitrary JSON value.  ``cw`` and ``points-degenerate`` run with q at most
-3.  The bounds keep every call small.
+such as '²', '٣' and 'é', and literals of 5000 digits.  The form files hold
+Gram matrices of at most 4 x 4 entries, each entry and each part of the file
+now and then replaced by an arbitrary JSON value.  ``cw`` and
+``points-degenerate`` run with q at most 3.  The bounds keep every call
+small.
 """
 
 import json
@@ -92,9 +93,12 @@ def tokens_of(lines):
     return [t for t in out if t]
 
 
+# more digits than int() converts by default (4300)
+LONG = "1" * 5000
 TOKENS = st.sampled_from(
     ["field", "Q", "F", "vars", "rel", "orient", "aug", *NAMES, "w", "0", "1", "3", "4",
-     "2/3", "1/0", "+", "-", "*", "^", ":", "=", ",", "(", ")", "\n", *STRANGE]
+     "2/3", "1/0", LONG, f"1/{LONG}", "+", "-", "*", "^", ":", "=", ",", "(", ")", "\n",
+     *STRANGE]
 )
 
 
@@ -110,10 +114,10 @@ def alg_texts(draw):
             del toks[k]
         elif op == "replace":
             toks[k] = draw(TOKENS)
-        else:  # a literal or an exponent in other digits
+        else:  # a literal or an exponent in other digits, or in too many
             numbers = [i for i, t in enumerate(toks) if t.isdecimal()]
             if numbers:
-                toks[draw(st.sampled_from(numbers))] = draw(st.sampled_from(DIGITS))
+                toks[draw(st.sampled_from(numbers))] = draw(st.sampled_from((*DIGITS, LONG)))
     return " ".join(toks).replace(" \n ", "\n")
 
 
