@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from types import MappingProxyType
 
 from . import linalg
 from .errors import (
@@ -475,10 +476,10 @@ class AlgebraFamily(_Table):
 
     Commutativity, associativity and the unit law are required as exact
     polynomial identities, so every specialization is valid at once.  An
-    optional orientation and named augmentations ride along as TPoly
-    vectors.  Validation, ``at``, ``gram`` and the family checks of
-    ``families`` and ``frobenius.augmentation_check`` all work from the
-    read ``raw``.  (Exposed through the families module.)
+    optional orientation and named augmentations (a read-only mapping) ride
+    along as TPoly vectors.  Validation, ``at``, ``gram`` and the family
+    checks of ``families`` and ``frobenius.augmentation_check`` all work
+    from the read ``raw``.  (Exposed through the families module.)
     """
 
     __slots__ = ("orientation", "augmentations")
@@ -503,8 +504,8 @@ class AlgebraFamily(_Table):
         super()._fill(field, labels, c, unit, validate, read)
         object.__setattr__(self, "orientation",
                            None if orientation is None else self.coerce_vector(orientation))
-        object.__setattr__(self, "augmentations",
-                           {k: self.coerce_vector(v) for k, v in (augmentations or {}).items()})
+        object.__setattr__(self, "augmentations", MappingProxyType(
+            {k: self.coerce_vector(v) for k, v in (augmentations or {}).items()}))
 
     def at(self, value, validate: bool = True) -> FiniteAlgebra:
         """The fiber algebra at t = value, evaluated on the read by Horner's

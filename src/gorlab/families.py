@@ -10,9 +10,9 @@ The read of a family's table lives on the family (``AlgebraFamily.raw``:
 raw coefficient slices, see ``linalg.raw_slices``).  The family Gram matrix,
 its unit determinant and the socle solve (``linalg.bareiss`` on raw
 coefficient lists), the augmentation check and the fibers all work from it.
-The robber family is built from coefficient lists and fully validated on
-every call; the homotopies are handed the raw planes of the connected sum
-that builds them.
+The robber family is built from coefficient lists and fully validated once
+per field, then kept (it is immutable); the homotopies are handed the raw
+planes of the connected sum that builds them.
 """
 
 from __future__ import annotations
@@ -119,14 +119,22 @@ def family_socle_generator(F: AlgebraFamily, aug: str):
     return tuple(TPoly(f, [v * inv if p else Fraction(v, D) for v in yi]) for yi in y)
 
 
+_ROBBERS: dict = {}
+
+
 def robber_family(field: Field) -> AlgebraFamily:
     """Two double points colliding at t = 0: the rank-4 family on basis
     (1, x, x^2, x^3) with rewrite x^4 = 2t x^3 - t^2 x^2.
 
     Carries the orientation extracting the x^3 coefficient and the two
     augmentations sending x to 0 ("const") and to t ("mv").  Built from
-    coefficient lists (low degree first) and validated on every call.
+    coefficient lists (low degree first) and validated on the first call for
+    a field; later calls return that same family.
     """
+    try:
+        return _ROBBERS[field]
+    except KeyError:
+        pass
 
     def vec(*coeffs):
         return tuple(TPoly(field, c) for c in coeffs)
@@ -155,6 +163,7 @@ def robber_family(field: Field) -> AlgebraFamily:
     for name in ("const", "mv"):  # pragma: no branch
         if not augmentation_check(fam, fam.augmentations[name]):  # pragma: no cover
             raise Singular(f"robber augmentation {name} is not an algebra map")
+    _ROBBERS[field] = fam
     return fam
 
 

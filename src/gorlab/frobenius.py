@@ -229,13 +229,26 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     V = orth_complement(oa.form, span1x)
     vrows = V.rows
     m = len(vrows)
-    # projection along span(1, x): w -> w - B(w, x) 1 - (B(w, 1) - lam B(w, x)) x
-    gx, g1 = linalg.mat_vec(oa.form.gram, x), linalg.mat_vec(oa.form.gram, A.unit)
-    proj = [[int(j == k) - gx[j] * A.unit[k] - (g1[j] - lam * gx[j]) * x[k]
-             for k in range(A.dim)] for j in range(A.dim)]
-    M = linalg.mat_mul(proj, linalg.RowSolver(f, vrows).map) if m else ()
+    # on raw values, boxed once: the projection along span(1, x),
+    # w -> w - B(w, x) 1 - (B(w, 1) - lam B(w, x)) x, times the coordinate
+    # map of V, and V's Gram matrix V·G·V^T (G is symmetric)
+    p = f.characteristic
+    zero = 0 if p else Fraction(0)
+    _, G = linalg.unbox(oa.form.gram, f)
+    _, (xr, ur, *Vr) = linalg.unbox([x, A.unit, *vrows], f)
+    gx, g1 = linalg.raw_mul([xr, ur], G, p, zero)
+    lr = lam.value
+    proj = [[int(j == k) - gx[j] * ur[k] - (g1[j] - lr * gx[j]) * xr[k] for k in range(A.dim)]
+            for j in range(A.dim)]
+    if p:
+        proj = [[v % p for v in row] for row in proj]
+    M = ()
+    if m:
+        _, rmap = linalg.unbox(linalg.RowSolver(f, vrows).map, f)
+        M = linalg._box(f, linalg.raw_mul(proj, rmap, p, zero))
     cV, planes, scale = _table_on_rows(f, [A], vrows, M, A.dim - m, f.zero)
-    gramV = linalg.mat_mul(linalg.mat_mul(vrows, oa.form.gram), linalg.transpose(vrows))
+    VG = linalg.raw_mul(Vr, G, p, zero)
+    gramV = linalg._box(f, linalg.raw_mul(VG, [list(col) for col in zip(*Vr)], p, zero))
     alg = FiniteAlgebra.on_read(planes, scale, f, [f"v{i + 1}" for i in range(m)], cV)
     nonu = NonUnitalOriented(alg, BilinearForm(f, gramV))
     adapted = linalg.mat([A.unit, x] + list(vrows))

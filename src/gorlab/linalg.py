@@ -43,6 +43,16 @@ is a fresh row of zeros.  Products with sparse factors (the normalized
 slices of CW_q, unit-vector selections) cost little more than their
 nonzero terms.
 
+``first_noncommuting``, the exact commutation check behind
+``algebra.validate_structure`` (associativity) and ``tensors``' Strassen
+test, multiplies on packed rows instead (Kronecker substitution; Harvey,
+J. Symb. Comput. 2009).  Each row of a k[t] slice list becomes one Python
+int whose K-bit slots hold its coefficients, power by power, and each entry
+x(t) one int whose slots are spaced a row apart, so a product row is a few
+big-int multiply-adds.  K is chosen from a bound on a product slot, so no
+slot spills into the next: at p = 0 packed rows compare exactly as ints,
+and at p > 0 a row difference is unpacked and tested slot by slot mod p.
+
 ``bareiss`` is the one fraction-free elimination over k[t].  It works on raw
 coefficient lists (``poly_entries`` of a slice list): ints mod p, or over QQ
 integers.  Its products and differences are ``scalar.poly_mul`` and
@@ -56,14 +66,19 @@ TPoly matrix, runs it and boxes the determinant.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import chain, combinations, compress
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import DimensionMismatch, FieldMismatch, Singular, ZeroInput
 from .scalar import Field, Scalar, TPoly, poly_mul, poly_sub
 
 _QQ_ZERO = Fraction(0)
+# (bits, typecode) of the array types that unpack a product row by bytes
+_WORDS = sorted((array(c).itemsize * 8, c) for c in "BHIQ")
 
 
 def mat(rows):
@@ -202,18 +217,109 @@ def slice_row(slices, j):
     return [(s, m[j]) for s, m in slices if any(m[j])]
 
 
+def _integer_slices(m):
+    """A slice list at p = 0 whose entries may be Fractions, scaled to
+    integers by its own common denominator (``_integer_row`` of all its
+    entries)."""
+    if all(type(x) is int for _, X in m for row in X for x in row):
+        return m
+    ints = iter(_integer_row([x for _, X in m for row in X for x in row])[0])
+    return [(s, [[next(ints) for _ in row] for row in X]) for s, X in m]
+
+
+def _packed(m, d: int, K: int):
+    """The packed rows P and entries E of a d x d slice list, slots K bits wide.
+
+    P[r] holds coefficient x of t^s e_l in row r at bit K(sd + l); E[r][l] is
+    entry (r, l), x(t), as the sum of x_s << Kds.  Then E[r][l]·P[m] is
+    x(t) times row m, packed the same way.  E[r] is kept as its nonzero
+    entries and their mask, or None when the row is zero.
+    """
+    step = K * d
+    P = [0] * d
+    E = [[0] * d for _ in range(d)]
+    for s, X in m:
+        for r, row in enumerate(X):
+            if any(row):
+                acc = 0
+                for x in reversed(row):
+                    acc = (acc << K) + x
+                P[r] += acc << (step * s)
+                Er = E[r]
+                for l, x in enumerate(row):
+                    if x:
+                        Er[l] += x << (step * s)
+    return P, [([bool(x) for x in Er], [x for x in Er if x]) if any(Er) else None for Er in E]
+
+
+def _slot_width(d: int, S: int, top: int, p: int):
+    """(K, off, typecode) for the slots of a product row of two d x d
+    matrices over k[t] with S powers of t and entries of size at most top.
+
+    Such a slot sums at most d·S terms of size at most top², so at most
+    bound = d·S·top².  At p = 0, 2·bound < 2^K: a difference of two slots
+    stays inside K bits, so packing is injective.  At p > 0 the slots are
+    >= 0 and off is the least multiple of p >= bound: a difference plus off
+    lies in [0, 2^K).  K is widened to the first array word that holds it,
+    whose typecode is returned (None when K > 64, or at p = 0).
+    """
+    bound = d * S * top * top
+    if not p:
+        return bound.bit_length() + 1, 0, None
+    off = -(-bound // p) * p
+    K = (bound + off).bit_length()
+    K, code = next(((w, c) for w, c in _WORDS if w >= K), (K, None))
+    return K, off, code
+
+
 def first_noncommuting(mats, p: int):
     """The first (i, k, row), i < k, where row ``row`` of mats[i]·mats[k]
     differs from that of mats[k]·mats[i]; None when the matrices commute.
 
-    Each matrix is a slice list, as for slice_mul; both products then list
-    the same powers of t.
+    Each matrix is a square slice list, as for slice_mul: ints in [0, p), or
+    at p = 0 ints and Fractions; each is scaled to integers by its own
+    common denominator, which leaves commutation alone.  Rows are packed
+    (see ``_packed``), so row j of mats[i]·mats[k] is sum_m E_i[j][m] P_k[m]
+    over the nonzero entries.  The slot width K, from d, the number S of
+    powers of t and top (p - 1, or the largest |entry|), keeps every slot
+    inside its bits (``_slot_width``).  At p = 0 the two packed rows are
+    compared as ints, exact because |slot| < 2^(K-1).  At p > 0 a row
+    difference plus a per-slot offset that is a multiple of p is unpacked
+    (by bytes when K fits a machine word, else by shift and mask) and each
+    slot tested mod p.  Pairs and rows are scanned in order, so the first
+    violation found is the first in that order.
     """
+    d = next((len(X) for m in mats for _, X in m), 0)
+    S = 1 + max((s for m in mats for s, _ in m), default=0)
+    if p:
+        top = p - 1
+    else:
+        mats = [_integer_slices(m) for m in mats]
+        top = max((max(map(abs, chain.from_iterable(X))) for m in mats for _, X in m), default=0)
+    K, off, code = _slot_width(d, S, top, p)
+    if p:
+        nslots = d * (2 * S - 1)
+        offsets = sum(off << (K * t) for t in range(nslots))
+        nbytes, mask = K // 8 * nslots, (1 << K) - 1
+    packed = [_packed(m, d, K) for m in mats]
     for i, k in combinations(range(len(mats)), 2):
-        ab = slice_mul(mats[i], mats[k], p)
-        ba = slice_mul(mats[k], mats[i], p)
-        if ab != ba:
-            return i, k, next(j for j in count() if slice_row(ab, j) != slice_row(ba, j))
+        Pi, Ei = packed[i]
+        Pk, Ek = packed[k]
+        for j in range(d):
+            a, b = Ei[j], Ek[j]
+            if a is None and b is None:
+                continue
+            ab = sum(map(mul, a[1], compress(Pk, a[0]))) if a else 0
+            ba = sum(map(mul, b[1], compress(Pi, b[0]))) if b else 0
+            if ab != ba:
+                if not p:
+                    return i, k, j
+                v = ab - ba + offsets
+                # only whether a slot is nonzero mod p matters, not their order
+                slots = (array(code, v.to_bytes(nbytes, sys.byteorder)) if code
+                         else [(v >> (K * t)) & mask for t in range(nslots)])
+                if any(map(p.__rmod__, slots)):
+                    return i, k, j
     return None
 
 

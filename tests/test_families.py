@@ -57,6 +57,48 @@ def test_family_augmentation_check_needs_length_d():
             augmentation_check(rob, bad)
 
 
+def test_robber_family_is_built_once_per_field():
+    # the family is immutable: one validated build per field, then the same
+    # object, equal to a family validated afresh from x^4 = 2t x^3 - t^2 x^2
+    for field in (QQ, F7, GF(2)):
+        rob = robber_family(field)
+        assert robber_family(field) is rob
+        t, zero, one = TPoly.t(field), TPoly(field), TPoly.const(field.one)
+        powers = [(one, zero, zero, zero)]
+        for _ in range(6):
+            a, b, c, d = powers[-1]  # times x: x^4 -> 2t x^3 - t^2 x^2
+            powers.append((zero, a, b - t * t * d, c + 2 * t * d))
+        fresh = AlgebraFamily(
+            field,
+            ("1", "x", "x^2", "x^3"),
+            [[powers[i + j] for j in range(4)] for i in range(4)],
+            unit=powers[0],
+            orientation=powers[3],
+            augmentations={"const": powers[0], "mv": (one, t, t * t, t * t * t)},
+            validate=True,
+        )
+        for name in ("labels", "c", "unit", "orientation", "augmentations"):
+            assert getattr(rob, name) == getattr(fresh, name), name
+        assert rob.serialize() == fresh.serialize()
+    assert robber_family(GF(5)) is not robber_family(F7)
+
+
+def test_robber_augmentations_cannot_be_changed_for_later_calls():
+    # the kept family is shared, so its augmentations are a read-only mapping
+    rob = robber_family(QQ)
+    with pytest.raises(TypeError):
+        rob.augmentations["mv"] = rob.augmentations["const"]
+    with pytest.raises(TypeError):
+        del rob.augmentations["const"]
+    with pytest.raises(AttributeError):
+        rob.augmentations.clear()
+    t = TPoly.t(QQ)
+    assert robber_family(QQ).augmentations == {
+        "const": (TPoly.const(QQ.one), TPoly(QQ), TPoly(QQ), TPoly(QQ)),
+        "mv": (TPoly.const(QQ.one), t, t * t, t * t * t),
+    }
+
+
 def test_robber_over_f2_is_a_valid_family():
     # char 2 collapses the rewrite to x^4 = t^2 x^2; the family is still a
     # valid oriented family (the split-fiber statements need char != 2)
