@@ -9,13 +9,14 @@ and sum_m unit[m] c[m] = I (the unit law).  Every later construction leans
 on these checks being exact; they run on raw coefficient slices.
 
 The read of a table lives on its object: FiniteAlgebra, AlgebraFamily and
-tensors.Tensor3 keep ``raw`` (see ``_Read``), and validation and every
-consumer of the table work from it.  New tables are built on reads by
-``_table_on_rows``, the table of the rows of a constant matrix in
-coordinates against a row basis (``base_change``, ``direct_product``, the
-connected sums and homotopies of ``frobenius._consum_core``, and
-``decompose_augmented``), and by ``AlgebraFamily.at``, which evaluates the
-family's read by Horner's rule; each hands its raw planes to ``on_read``.
+tensors.Tensor3 hold ``raw`` from construction (see ``_Read``), and
+validation and every consumer of the table work from it.  New tables are
+built on reads by ``_table_on_rows``, the table of the rows of a constant
+matrix in coordinates against a row basis (``base_change``,
+``direct_product``, the connected sums and homotopies of
+``frobenius._consum_core``, and ``decompose_augmented``), and by
+``AlgebraFamily.at``, which evaluates the family's read by Horner's rule;
+each hands its raw planes to ``on_read``, which boxes them once.
 """
 
 from __future__ import annotations
@@ -144,42 +145,31 @@ def validate_structure(c, unit, zero, read=None):
 
 
 class _Read:
-    """The one raw read of a table, kept by the object that owns the table:
-    FiniteAlgebra, AlgebraFamily and tensors.Tensor3.
+    """The one raw read of a table, held from construction by the object
+    that owns the table: FiniteAlgebra, AlgebraFamily and tensors.Tensor3.
 
     ``raw`` is ([*plane slices, unit slices], L): the planes and the unit (no
     unit: no slices) as one linalg.raw_slices read gives them, ints mod p or
-    over QQ the entries times a common denominator L.  A constructor that
-    built the table on raw slices hands them over their scale to ``on_read``,
-    which neither coerces nor reads the table again; any other object is
-    read on first use.  Validation and every consumer work from this read.
+    over QQ the entries times a common denominator L.  There is one way in
+    per form of the table: a constructor given the boxed table reads it once,
+    after its shape checks; ``on_read`` takes the raw planes instead and the
+    object boxes them once (``_Table._fill``).  Validation and every consumer
+    work from this read.
     """
 
-    __slots__ = ("_raw",)
+    __slots__ = ("raw",)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def on_read(cls, planes, scale, *args, **kwargs):
-        """cls(*args, **kwargs) for a table already built as tuples of Scalars
-        or TPolys, whose raw plane slices over ``scale`` are ``planes``: the
-        table is neither coerced nor read again."""
+        """cls(*args, **kwargs) on the raw plane slices ``planes`` over
+        ``scale`` instead of a boxed table, which is boxed from them; a
+        caller that already holds the boxed table passes it as ``c``."""
         out = object.__new__(cls)
-        out._fill(*args, read=(planes, scale), **kwargs)
+        out._fill(planes, scale, *args, **kwargs)
         return out
-
-    def _table(self):
-        return self.c, self.unit
-
-    @property
-    def raw(self):
-        try:
-            return self._raw
-        except AttributeError:
-            planes, unit = self._table()
-            self._keep(*linalg.raw_slices(planes, self.field.characteristic), unit)
-            return self._raw
 
     def _keep(self, planes, scale, unit):
         """Keep plane slices over ``scale`` and the unit's (a vector, or None)
@@ -190,7 +180,7 @@ class _Read:
             planes = [[(s, [[x * (L // scale) for x in row] for row in X]) for s, X in pl]
                       for pl in planes]
         u = [(s, [[x * (L // L_u) for x in X[0]]]) for s, X in u]
-        object.__setattr__(self, "_raw", ([*planes, u], L))
+        object.__setattr__(self, "raw", ([*planes, u], L))
 
 
 def _constant_planes(read, rows: int, cols: int):
@@ -206,27 +196,31 @@ class _Table(_Read):
 
     __slots__ = ("field", "dim", "labels", "c", "unit")
 
-    def _table_of(self, field, labels, c):
+    def _read_of(self, field, labels, c):
+        """The raw planes, their scale and the coerced table of a boxed
+        table ``c``, read once after its shape check."""
         d = len(labels)
         c = tuple(tuple(tuple(self._entry(x, field) for x in row) for row in plane) for plane in c)
         if len(c) != d or any(len(p) != d or any(len(r) != d for r in p) for p in c):
             raise DimensionMismatch("structure constants are not d*d*d")
-        return c
+        return (*linalg.raw_slices(c, field.characteristic), c)
 
-    def _fill(self, field, labels, c, unit=None, validate=True, read=None):
+    def _fill(self, planes, scale, field, labels, unit=None, validate=True, c=None):
+        d, zero, memo = len(planes), self._entry(0, field), {}
+        if c is None:
+            c = tuple(_box_plane(field, pl, scale, zero, (d, d), memo) for pl in planes)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", len(c))
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "labels", tuple(str(x) for x in labels))
         object.__setattr__(self, "c", c)
         if unit is not None:
             unit = tuple(self._entry(x, field) for x in unit)
-            if len(unit) != len(c):
+            if len(unit) != d:
                 raise DimensionMismatch("unit has wrong length")
         object.__setattr__(self, "unit", unit)
-        if read:
-            self._keep(*read, unit)
+        self._keep(planes, scale, unit)
         if validate:
-            validate_structure(c, unit, self._entry(0, field), read=self.raw)
+            validate_structure(c, unit, zero, read=self.raw)
 
     def coerce_vector(self, v):
         v = tuple(self._entry(x, self.field) for x in v)
@@ -276,7 +270,8 @@ class FiniteAlgebra(_Table):
     _show = str
 
     def __init__(self, field: Field, labels, c, unit=None, validate: bool = True):
-        self._fill(field, labels, self._table_of(field, labels, c), unit, validate)
+        planes, scale, c = self._read_of(field, labels, c)
+        self._fill(planes, scale, field, labels, unit, validate, c=c)
 
     @staticmethod
     def _entry(x, field):
@@ -372,12 +367,12 @@ def direct_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
     if A.field != B.field:
         raise FieldMismatch("factors live over different fields")
     I = linalg.identity(A.field, A.dim + B.dim)
-    c, planes, scale = _table_on_rows(A.field, [A, B], I, I, 0, A.field.zero)
+    planes, scale = _table_on_rows(A.field, [A, B], I, I, 0)
     unit = None
     if A.unit is not None and B.unit is not None:
         unit = tuple(A.unit) + tuple(B.unit)
     labels = tuple(f"{l}.1" for l in A.labels) + tuple(f"{l}.2" for l in B.labels)
-    return FiniteAlgebra.on_read(planes, scale, A.field, labels, c, unit, validate=False)
+    return FiniteAlgebra.on_read(planes, scale, A.field, labels, unit, validate=False)
 
 
 def base_change(A: FiniteAlgebra, P, labels=None) -> FiniteAlgebra:
@@ -386,11 +381,11 @@ def base_change(A: FiniteAlgebra, P, labels=None) -> FiniteAlgebra:
     if len(P) != A.dim:
         raise DimensionMismatch("change of basis must be square")
     Pinv = linalg.invert(A.field, P)
-    c, planes, scale = _table_on_rows(A.field, [A], P, Pinv, 0, A.field.zero)
+    planes, scale = _table_on_rows(A.field, [A], P, Pinv, 0)
     unit = linalg.vec_mat(A.unit, Pinv) if A.unit is not None else None
     if labels is None:
         labels = tuple(f"b{i}" for i in range(A.dim))
-    return FiniteAlgebra.on_read(planes, scale, A.field, labels, c, unit, validate=False)
+    return FiniteAlgebra.on_read(planes, scale, A.field, labels, unit, validate=False)
 
 
 def _box_plane(field: Field, slices, scale: int, zero, shape, memo: dict):
@@ -426,10 +421,10 @@ def _box_plane(field: Field, slices, scale: int, zero, shape, memo: dict):
     return tuple(tuple(entry(b, k) for k in range(cols)) for b in range(rows))
 
 
-def _table_on_rows(field: Field, tables, R, M, checks: int, zero):
-    """The table of the rows r_a of R in the block-diagonal algebra
-    tables[0] (+) tables[1] (+) ..., its products mapped by M, with its raw
-    plane slices and their scale.
+def _table_on_rows(field: Field, tables, R, M, checks: int):
+    """The raw plane slices, and their scale, of the table of the rows r_a
+    of R in the block-diagonal algebra tables[0] (+) tables[1] (+) ..., its
+    products mapped by M.
 
     Plane a is R·(sum_i R[a][i] c[i])·M, row b being (r_a r_b)·M; R is
     constant, the tables (algebras or families) and M may hold TPolys.  The
@@ -437,10 +432,10 @@ def _table_on_rows(field: Field, tables, R, M, checks: int, zero):
     M = [C | N] of a RowSolver: the products lie in its row space), else
     Singular.  The tables come from their reads, brought to a common scale
     Lc, and R and M from one raw_slices read (L), so products carry L³ Lc;
-    linalg.slice_mul throughout, and one boxing in the ring of ``zero``.
+    linalg.slice_mul throughout.
     """
     if not R:
-        return (), [], 1
+        return [], 1
     p = field.characteristic
     n, D, w = len(R), sum(t.dim for t in tables), len(M[0])
     (R, M), L = linalg.raw_slices([R, M], p)
@@ -460,15 +455,14 @@ def _table_on_rows(field: Field, tables, R, M, checks: int, zero):
     F = [(s, [list(chain(*X[i * D:(i + 1) * D])) for i in range(D)])
          for s, X in linalg.slice_mul(sorted(stack.items()), M, p)]
     RF = linalg.slice_mul(R, F, p)
-    out, planes, memo = [], [], {}
+    planes = []
     for a in range(n):
         plane = [(s, [X[a][j * w:(j + 1) * w] for j in range(D)]) for s, X in RF]
         Z = linalg.slice_mul(R, plane, p)
         if any(x for _, X in Z for row in X for x in row[w - checks:]):
             raise Singular("vector is not in the row space")
         planes.append([(s, [row[:w - checks] for row in X]) for s, X in Z if any(map(any, X))])
-        out.append(_box_plane(field, planes[-1], L**3 * Lc, zero, (n, w - checks), memo))
-    return tuple(out), planes, L**3 * Lc
+    return planes, L**3 * Lc
 
 
 class AlgebraFamily(_Table):
@@ -496,12 +490,12 @@ class AlgebraFamily(_Table):
         augmentations=None,
         validate: bool = True,
     ):
-        c = self._table_of(field, labels, c)
-        self._fill(field, labels, c, unit, orientation, augmentations, validate)
+        planes, scale, c = self._read_of(field, labels, c)
+        self._fill(planes, scale, field, labels, unit, orientation, augmentations, validate, c=c)
 
-    def _fill(self, field, labels, c, unit=None, orientation=None, augmentations=None,
-              validate=True, read=None):
-        super()._fill(field, labels, c, unit, validate, read)
+    def _fill(self, planes, scale, field, labels, unit=None, orientation=None,
+              augmentations=None, validate=True, c=None):
+        super()._fill(planes, scale, field, labels, unit, validate, c)
         object.__setattr__(self, "orientation",
                            None if orientation is None else self.coerce_vector(orientation))
         object.__setattr__(self, "augmentations", MappingProxyType(
@@ -511,7 +505,7 @@ class AlgebraFamily(_Table):
         """The fiber algebra at t = value, evaluated on the read by Horner's
         rule: at a/b, sum_s M_s (a/b)^s = (sum_s M_s a^s b^(top - s)) / b^top.
         The fiber keeps these raw planes as its read."""
-        f, d, memo = self.field, self.dim, {}
+        f, d = self.field, self.dim
         p = f.characteristic
         value = f.scalar(value)
         a, b = (value.value, 1) if p else value.value.as_integer_ratio()
@@ -527,12 +521,11 @@ class AlgebraFamily(_Table):
             acc = [[u % p for u in ra] for ra in acc] if p else acc
             return [(0, acc)] if any(map(any, acc)) else []
 
-        planes, scale = [fiber(pl, d) for pl in planes], L * b**top
-        c = tuple(_box_plane(f, pl, scale, f.zero, (d, d), memo) for pl in planes)
-        u = None
+        scale, u = L * b**top, None
         if self.unit is not None:
-            u = _box_plane(f, fiber(unit, 1), scale, f.zero, (1, d), memo)[0]
-        return FiniteAlgebra.on_read(planes, scale, f, self.labels, c, u, validate=validate)
+            u = _box_plane(f, fiber(unit, 1), scale, f.zero, (1, d), {})[0]
+        return FiniteAlgebra.on_read([fiber(pl, d) for pl in planes], scale, f, self.labels, u,
+                                     validate=validate)
 
     def gram_slices(self):
         """The Gram matrix of the orientation pairing on the read, as a slice

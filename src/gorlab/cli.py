@@ -32,6 +32,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import (
     DuplicateClause,
@@ -224,6 +225,13 @@ def _literal(t: _Token) -> Fraction:
         raise ParseError("zero denominator", t.line, t.col) from None
 
 
+def _known_variable(t: _Token, variables) -> str:
+    """The name an IDENT token gives, which must be one of ``variables``."""
+    if t.text not in variables:
+        raise UnknownVariable(f"unknown variable {t.text!r} at line {t.line}, column {t.col}")
+    return t.text
+
+
 def _parse_scalar(p: _Parser, field: Field) -> Scalar:
     neg = False
     if p.peek().kind == "OP" and p.peek().text == "-":
@@ -256,12 +264,7 @@ def _parse_poly(p: _Parser, field: Field, variables) -> MultiPoly:
             c = field.scalar(_literal(t)).value
             return {(0,) * n: c} if c else {}
         if t.kind == "IDENT":
-            if t.text not in var_index:
-                raise UnknownVariable(
-                    f"unknown variable {t.text!r} at line {t.line}, column {t.col}"
-                )
-            p.next()
-            i = var_index[t.text]
+            i = var_index[_known_variable(p.next(), var_index)]
             return {(0,) * i + (1,) + (0,) * (n - i - 1): one}
         raise ParseError(
             f"expected a term, found {t.text or t.kind!r}", t.line, t.col,
@@ -316,20 +319,29 @@ def _parse_monomial_text(p: _Parser, variables):
         p.next()
         return tuple(expo)
     while True:
-        t = p.expect("IDENT")
-        if t.text not in var_index:
-            raise UnknownVariable(
-                f"unknown variable {t.text!r} at line {t.line}, column {t.col}"
-            )
+        name = _known_variable(p.expect("IDENT"), var_index)
         e = 1
         if p.peek().kind == "OP" and p.peek().text == "^":
             p.next()
             e = _integer(p, "exponent")
-        expo[var_index[t.text]] += e
+        expo[var_index[name]] += e
         if p.peek().kind == "OP" and p.peek().text == "*":
             p.next()
             continue
         return tuple(expo)
+
+
+def _scalar_list(p: _Parser, field: Field, key, sep: str) -> tuple:
+    """A clause's ``key sep scalar, ...`` list as (key, Scalar) pairs, each
+    key parsed by ``key()``."""
+    out = []
+    while True:
+        k = key()
+        p.expect("OP", sep)
+        out.append((k, _parse_scalar(p, field)))
+        if not (p.peek().kind == "OP" and p.peek().text == ","):
+            return tuple(out)
+        p.next()
 
 
 def parse_presentation(text: str) -> PresentationDocument:
@@ -381,37 +393,13 @@ def parse_presentation(text: str) -> PresentationDocument:
                 raise DuplicateClause(f"duplicate orient clause at line {head.line}")
             if fld is None or variables is None:
                 raise ParseError("orient before field/vars", head.line, head.col)
-            orient = []
-            while True:
-                m = _parse_monomial_text(p, variables)
-                p.expect("OP", ":")
-                c = _parse_scalar(p, fld)
-                orient.append((m, c))
-                if p.peek().kind == "OP" and p.peek().text == ",":
-                    p.next()
-                    continue
-                break
-            orient = tuple(orient)
+            orient = _scalar_list(p, fld, lambda: _parse_monomial_text(p, variables), ":")
         elif head.text == "aug":
             if aug is not None:
                 raise DuplicateClause(f"duplicate aug clause at line {head.line}")
             if fld is None or variables is None:
                 raise ParseError("aug before field/vars", head.line, head.col)
-            aug = []
-            while True:
-                v = p.expect("IDENT")
-                if v.text not in variables:
-                    raise UnknownVariable(
-                        f"unknown variable {v.text!r} at line {v.line}, column {v.col}"
-                    )
-                p.expect("OP", "=")
-                c = _parse_scalar(p, fld)
-                aug.append((v.text, c))
-                if p.peek().kind == "OP" and p.peek().text == ",":
-                    p.next()
-                    continue
-                break
-            aug = tuple(aug)
+            aug = _scalar_list(p, fld, lambda: _known_variable(p.expect("IDENT"), variables), "=")
         else:
             raise ParseError(
                 f"unknown clause {head.text!r}", head.line, head.col,
@@ -483,30 +471,32 @@ def compile_presentation(doc: PresentationDocument) -> CompiledDocument:
     return CompiledDocument(doc, A, phi, e)
 
 
-def load_algebra_file(path: str) -> CompiledDocument:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as ex:
         raise IOFailure(f"cannot read {path}: {ex.strerror or ex}") from ex
     except UnicodeDecodeError as ex:
         raise IOFailure(f"{path} is not UTF-8 text: {ex}") from ex
-    return compile_presentation(parse_presentation(text))
+
+
+def load_algebra_file(path: str) -> CompiledDocument:
+    return compile_presentation(parse_presentation(_read_text(path)))
 
 
 def load_form_file(path: str) -> BilinearForm:
+    text = _read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as ex:
-        raise IOFailure(f"cannot read {path}: {ex.strerror or ex}") from ex
-    except UnicodeDecodeError as ex:
-        raise IOFailure(f"{path} is not UTF-8 text: {ex}") from ex
+        data = json.loads(text)
     except json.JSONDecodeError as ex:
         raise IOFailure(f"{path} is not valid JSON: {ex}") from ex
     try:
         fdesc = data["field"]
-        fld = QQ if fdesc["characteristic"] == 0 else GF(fdesc["characteristic"])
+        char = fdesc["characteristic"]
+        if isinstance(char, bool):
+            raise TypeError(f"characteristic {json.dumps(char)} is not an integer")
+        fld = QQ if char == 0 else GF(char)
         if fdesc["kind"] != fld.kind:
             raise FieldMismatch(f"field kind {fdesc['kind']} contradicts its characteristic")
         if not all(isinstance(x, str) for row in data["gram"] for x in row):
@@ -547,6 +537,7 @@ def _cmd_check(args) -> dict:
         "dim": cd.algebra.dim,
         "labels": list(cd.algebra.labels),
     }
+    oa = None
     if cd.phi is not None:
         oa = cd.oriented()  # raises Degenerate if the clause is no orientation
         out["gorenstein"] = "yes"
@@ -558,8 +549,8 @@ def _cmd_check(args) -> dict:
             out["witness"] = _labelled(cd.algebra.labels, rep.witness)
     if cd.e is not None:
         out["augmentation"] = _labelled(cd.algebra.labels, cd.e)
-        if cd.phi is not None:
-            out["isotropic"] = isotropy_check(cd.oriented(), cd.e)
+        if oa is not None:
+            out["isotropic"] = isotropy_check(oa, cd.e)
     return out
 
 
@@ -581,7 +572,7 @@ def _cmd_socle(args) -> dict:
     return {
         "command": "socle",
         "socle_generator": _labelled(cd.algebra.labels, x),
-        "isotropic": isotropy_check(t.oa, t.e),
+        "isotropic": not linalg.sum_dot(t.e, x),  # isotropy_check, on the one solve
     }
 
 

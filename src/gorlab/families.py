@@ -11,8 +11,8 @@ raw coefficient slices, see ``linalg.raw_slices``).  The family Gram matrix,
 its unit determinant and the socle solve (``linalg.bareiss`` on raw
 coefficient lists), the augmentation check and the fibers all work from it.
 The robber family is built from coefficient lists and fully validated once
-per field, then kept (it is immutable); the homotopies are handed the raw
-planes of the connected sum that builds them.
+per field, then kept (it is immutable); the homotopies are built on the raw
+planes of the connected sum that builds them, boxed once and shared.
 """
 
 from __future__ import annotations
@@ -193,7 +193,6 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
     f = T.oa.field
     robber = robber_family(f)
     x2 = family_socle_generator(robber, "const")
-    zero = TPoly(f)
     data = _consum_core(
         f,
         T.algebra,
@@ -206,15 +205,13 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
         x2,
         T.oa.phi,
         robber.orientation,
-        zero,
     )
     augs = {"const": data.e_left, "mv": data.e_right_of(robber.augmentations["mv"])}
     # the homotopies share the table and its raw planes; only "aug" differs
-    h_const, h_mv = (
-        AlgebraFamily.on_read(*data.read, f, data.labels, data.c, data.unit, data.phi,
-                              {"aug": augs[k], **augs}, validate=k == "const")
-        for k in ("const", "mv")
-    )
+    h_const = AlgebraFamily.on_read(*data.read, f, data.labels, data.unit, data.phi,
+                                    {"aug": augs["const"], **augs})
+    h_mv = AlgebraFamily.on_read(*data.read, f, data.labels, data.unit, data.phi,
+                                 {"aug": augs["mv"], **augs}, validate=False, c=h_const.c)
     if not family_det_is_unit(h_const):  # pragma: no cover
         raise Singular("homotopy family lost its orientation")
     for name in ("const", "mv"):  # pragma: no branch

@@ -33,29 +33,49 @@ from .errors import (
     NotSpecialLinear,
     SignatureUnavailable,
 )
-from .scalar import Field, Scalar, TPoly, square_class, tpoly_eval
+from .scalar import Field, Scalar, TPoly, as_tpoly, square_class, tpoly_eval
 
 
-class BilinearForm:
-    """A symmetric bilinear form, given by its Gram matrix."""
+class _Gram:
+    """A symmetric Gram matrix with entries coerced by ``_entry``: what
+    BilinearForm (Scalars) and FormFamily (TPolys) share."""
 
     __slots__ = ("field", "dim", "gram")
 
     def __init__(self, field: Field, gram):
-        gram = tuple(tuple(field.scalar(x) for x in row) for row in gram)
+        entry = self._entry
+        gram = tuple(tuple(entry(x, field) for x in row) for row in gram)
         d = len(gram)
         if any(len(r) != d for r in gram):
             raise DimensionMismatch("Gram matrix must be square")
         for i in range(d):
             for j in range(i + 1, d):
                 if gram[i][j] != gram[j][i]:
-                    raise DimensionMismatch(f"Gram matrix not symmetric at ({i},{j})")
+                    raise DimensionMismatch(f"{self._name} not symmetric at ({i},{j})")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "gram", gram)
 
     def __setattr__(self, *a):
-        raise AttributeError("BilinearForm is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def serialize(self) -> dict:
+        return {
+            "field": {"kind": self.field.kind, "characteristic": self.field.characteristic},
+            "gram": [[self._show(x) for x in row] for row in self.gram],
+        }
+
+
+class BilinearForm(_Gram):
+    """A symmetric bilinear form, given by its Gram matrix."""
+
+    __slots__ = ()
+    _name = "Gram matrix"
+    _show = str
+
+    @staticmethod
+    def _entry(x, field):
+        return field.scalar(x)
 
     def apply(self, u, v) -> Scalar:
         u = [self.field.scalar(x) for x in u]
@@ -75,47 +95,20 @@ class BilinearForm:
     def __repr__(self):
         return f"BilinearForm(dim {self.dim} over {self.field})"
 
-    def serialize(self) -> dict:
-        return {
-            "field": {"kind": self.field.kind, "characteristic": self.field.characteristic},
-            "gram": [[str(x) for x in row] for row in self.gram],
-        }
 
-
-class FormFamily:
+class FormFamily(_Gram):
     """A symmetric Gram matrix over k[t]; specializes to a BilinearForm."""
 
-    __slots__ = ("field", "dim", "gram")
-
-    def __init__(self, field: Field, gram):
-        from .scalar import as_tpoly
-
-        gram = tuple(tuple(as_tpoly(x, field) for x in row) for row in gram)
-        d = len(gram)
-        if any(len(r) != d for r in gram):
-            raise DimensionMismatch("Gram matrix must be square")
-        for i in range(d):
-            for j in range(i + 1, d):
-                if gram[i][j] != gram[j][i]:
-                    raise DimensionMismatch(f"family Gram not symmetric at ({i},{j})")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "gram", gram)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FormFamily is immutable")
+    __slots__ = ()
+    _name = "family Gram"
+    _entry = staticmethod(as_tpoly)
+    _show = staticmethod(TPoly.serialize)
 
     def at(self, c) -> BilinearForm:
         return BilinearForm(
             self.field,
             [[tpoly_eval(x, c) for x in row] for row in self.gram],
         )
-
-    def serialize(self) -> dict:
-        return {
-            "field": {"kind": self.field.kind, "characteristic": self.field.characteristic},
-            "gram": [[x.serialize() for x in row] for row in self.gram],
-        }
 
 
 def radical(B: BilinearForm) -> Subspace:
@@ -349,18 +342,21 @@ def signature(B: BilinearForm) -> int:
         raise SignatureUnavailable("signature needs an ordered field")
     if not is_nondegenerate(B):
         raise Degenerate("form is degenerate")
-    sig = 0
-    for x in _congruence_diagonal(B):
-        sig += 1 if x.value > 0 else -1
-    return sig
+    return _signature(B)
+
+
+def _signature(B: BilinearForm) -> int:
+    """The signature of a non-degenerate form over QQ."""
+    return sum(1 if x.value > 0 else -1 for x in _congruence_diagonal(B))
 
 
 def witt_invariants(B: BilinearForm) -> WittInvariants:
-    """Rank, determinant square class, and (over QQ) the signature."""
+    """Rank, determinant square class, and (over QQ) the signature; one
+    determinant decides non-degeneracy for both."""
     d = linalg.det(B.field, B.gram)
     if not d:
         raise Degenerate("form is degenerate")
-    sig = signature(B) if B.field.characteristic == 0 else None
+    sig = _signature(B) if B.field.characteristic == 0 else None
     return WittInvariants(B.dim, square_class(d), sig)
 
 

@@ -246,10 +246,10 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     if m:
         _, rmap = linalg.unbox(linalg.RowSolver(f, vrows).map, f)
         M = linalg._box(f, linalg.raw_mul(proj, rmap, p, zero))
-    cV, planes, scale = _table_on_rows(f, [A], vrows, M, A.dim - m, f.zero)
+    planes, scale = _table_on_rows(f, [A], vrows, M, A.dim - m)
     VG = linalg.raw_mul(Vr, G, p, zero)
     gramV = linalg._box(f, linalg.raw_mul(VG, [list(col) for col in zip(*Vr)], p, zero))
-    alg = FiniteAlgebra.on_read(planes, scale, f, [f"v{i + 1}" for i in range(m)], cV)
+    alg = FiniteAlgebra.on_read(planes, scale, f, [f"v{i + 1}" for i in range(m)])
     nonu = NonUnitalOriented(alg, BilinearForm(f, gramV))
     adapted = linalg.mat([A.unit, x] + list(vrows))
     return Decomposition(lam, nonu, adapted)
@@ -346,8 +346,7 @@ def hyp_algebra(A: FiniteAlgebra) -> OrientedAlgebra:
 @dataclass(frozen=True)
 class _ConsumData:
     labels: tuple
-    c: tuple
-    read: tuple  # the raw plane slices of c and their scale
+    read: tuple  # the raw plane slices of the table and their scale
     unit: tuple
     phi: tuple
     e_left: tuple  # the gluing augmentation, through the left factor
@@ -355,7 +354,7 @@ class _ConsumData:
     project: object  # callable: fiber-product vector -> quotient coordinates
 
 
-def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
+def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
     """Glue two augmented algebras along their augmentations and kill the
     difference of the socle generators.
 
@@ -396,7 +395,7 @@ def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
 
     # [C | N] of the fiber-product rows, C followed by the elimination of w
     M = [reduce(row[:-1]) + row[-1:] for row in solver.map]
-    c, planes, scale = _table_on_rows(field, [A1, A2], [rows[i] for i in keep], M, 1, zero)
+    read = _table_on_rows(field, [A1, A2], [rows[i] for i in keep], M, 1)
     phi = tuple(
         linalg.sum_dot(phi1, rows[i][:d1]) + linalg.sum_dot(phi2, rows[i][d1:])
         for i in keep
@@ -418,7 +417,7 @@ def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
     def project(ambient):
         return reduce(solver.coords(tuple(ambient)))
 
-    return _ConsumData(labels, c, (planes, scale), unit, phi, e_left, e_right_of, project)
+    return _ConsumData(labels, read, unit, phi, e_left, e_right_of, project)
 
 
 def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
@@ -445,9 +444,8 @@ def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
         x2,
         t1.oa.phi,
         t2.oa.phi,
-        f.zero,
     )
-    alg = FiniteAlgebra.on_read(*data.read, f, data.labels, data.c, data.unit)
+    alg = FiniteAlgebra.on_read(*data.read, f, data.labels, data.unit)
     oa = OrientedAlgebra(alg, data.phi)
     out = Augmented(oa, data.e_left)
     if not isotropy_check(oa, out.e):  # pragma: no cover
@@ -515,9 +513,9 @@ def _graded_family(A: FiniteAlgebra, weights, labels, **extra) -> AlgebraFamily:
     for weights w of A's basis (0 on a unit): the fiber at 1 is A, the one at
     0 its associated graded.  A's read, regraded, is handed over; ``extra``
     (orientation, augmentations) rides along."""
-    f, d = A.field, A.dim
+    d = A.dim
     (*planes, _), L = A.raw
-    graded, c, memo = [], [], {}
+    graded = []
     for i, plane in enumerate(planes):
         by_exp = {}
         for _, X in plane:
@@ -529,8 +527,7 @@ def _graded_family(A: FiniteAlgebra, weights, labels, **extra) -> AlgebraFamily:
                             raise Singular("filtration is not multiplicative")
                         by_exp.setdefault(exp, [[0] * d for _ in range(d)])[j][k] = v
         graded.append(sorted(by_exp.items()))
-        c.append(_box_plane(f, graded[-1], L, TPoly(f), (d, d), memo))
-    return AlgebraFamily.on_read(graded, L, f, labels, tuple(c), A.unit, **extra)
+    return AlgebraFamily.on_read(graded, L, A.field, labels, A.unit, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +551,18 @@ class GorensteinResult:
         if self.witness is not None:
             out["witness"] = labelled(self.witness)
         if self.certificate is not None:
-            out["certificate"] = {
-                "symbolic_determinant": str(self.certificate),
-                "is_zero": not self.certificate,
-            }
+            out["certificate"] = _symbolic_certificate(self.certificate)
         if self.nilradical is not None:
             out["certificate"] = {
                 "nilradical": [labelled(v) for v in self.nilradical.rows],
                 "socle": [labelled(v) for v in self.socle.rows],
             }
         return out
+
+
+def _symbolic_certificate(D: MultiPoly) -> dict:
+    """The report of an expanded symbolic determinant D."""
+    return {"symbolic_determinant": str(D), "is_zero": not D}
 
 
 def _find_nonvanishing(Dpoly: MultiPoly, field: Field):

@@ -500,24 +500,21 @@ def _quotient_with_index(gens, cap: int = 100_000):
     d = len(monos)
     p = field.characteristic
     one, zero = field.one.value, field.zero.value
-    z = field.zero
     divisors = [_divisor(g) for g in gb]
-    # the raw table, handed over with the boxed one
-    c, values = [[None] * d for _ in range(d)], [[None] * d for _ in range(d)]
+    # the raw table, handed over to be boxed once
+    values = [[None] * d for _ in range(d)]
     for i, mi in enumerate(monos):
         for j in range(i, d):
             nf = _reduce({mono_mul(mi, monos[j]): one}, divisors, p)
-            row, raw = [z] * d, [zero] * d
+            raw = [zero] * d
             for m, coeff in nf.items():
-                row[index[m]], raw[index[m]] = Scalar(field, coeff), coeff
-            c[i][j] = c[j][i] = tuple(row)
+                raw[index[m]] = coeff
             values[i][j] = values[j][i] = raw
-    unit = [z] * d
+    unit = [field.zero] * d
     unit[index[(0,) * len(variables)]] = field.one
     labels = [mono_label(m, variables) for m in monos]
     planes, scale = linalg.scaled_slices([[plane] for plane in values], p)
-    A = FiniteAlgebra.on_read(planes, scale, field, labels, tuple(map(tuple, c)), tuple(unit),
-                              validate=False)
+    A = FiniteAlgebra.on_read(planes, scale, field, labels, unit, validate=False)
     return A, index
 
 

@@ -6,9 +6,9 @@ through its algebraic characterization (1-generic with commuting
 normalized slices), and "degenerates to CW_q" is certified by an explicit
 one-parameter family.
 
-A Tensor3 keeps the read of its layers (``raw``, as for an algebra's table;
-``structure_tensor`` hands over the algebra's), and the contraction, the
-1-genericity pencil and Strassen's test work from it alone.
+A Tensor3 holds the read of its layers from construction (``raw``, as for
+an algebra's table; ``structure_tensor`` hands over the algebra's), and the
+contraction, the 1-genericity pencil and Strassen's test work from it alone.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .frobenius import (
     GorensteinResult,
     _graded_family,
     _nonsingular_point,
+    _symbolic_certificate,
     decompose_augmented,
     gorenstein_test,
     unitalize,
@@ -57,23 +58,19 @@ class Tensor3(_Read):
             tuple(tuple(field.scalar(x) for x in row) for row in plane)
             for plane in entries
         )
-        self._fill(field, entries)
-        _, d2, d3 = self.dims
+        d2 = len(entries[0]) if entries else 0
+        d3 = len(entries[0][0]) if d2 else 0
         if any(len(p) != d2 or any(len(r) != d3 for r in p) for p in entries):
             raise ShapeMismatch("ragged tensor")
+        self._fill(*linalg.raw_slices(entries, field.characteristic), field, c=entries)
 
-    def _fill(self, field, entries, read=None):
-        d1 = len(entries)
-        d2 = len(entries[0]) if d1 else 0
-        d3 = len(entries[0][0]) if d2 else 0
+    def _fill(self, planes, scale, field, c):
+        d1 = len(c)
+        d2 = len(c[0]) if d1 else 0
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dims", (d1, d2, d3))
-        object.__setattr__(self, "entries", entries)
-        if read:
-            self._keep(*read, None)
-
-    def _table(self):
-        return self.entries, None
+        object.__setattr__(self, "dims", (d1, d2, len(c[0][0]) if d2 else 0))
+        object.__setattr__(self, "entries", c)
+        self._keep(planes, scale, None)
 
     def _layers(self):
         """The layers T[i] as raw d2 x d3 matrices, scaled by the read's L."""
@@ -136,7 +133,7 @@ class Tensor3(_Read):
 def structure_tensor(A: FiniteAlgebra) -> Tensor3:
     """The multiplication table of A, viewed as a 3-tensor, and its read."""
     (*planes, _), L = A.raw
-    return Tensor3.on_read(planes, L, A.field, A.c)
+    return Tensor3.on_read(planes, L, A.field, c=A.c)
 
 
 def cw_tensor(field: Field, q: int) -> Tensor3:
@@ -189,10 +186,7 @@ class OneGenericResult:
         if self.witness is not None:
             out["witness"] = [str(x) for x in self.witness]
         if self.certificate is not None:
-            out["certificate"] = {
-                "symbolic_determinant": str(self.certificate),
-                "is_zero": not self.certificate,
-            }
+            out["certificate"] = _symbolic_certificate(self.certificate)
         return out
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from gorlab import cli, frobenius
 from gorlab.cli import (
     compile_presentation,
     parse_presentation,
@@ -187,6 +188,34 @@ def test_socle_command(capsys, a2_file):
     assert code == 0
     assert payload["socle_generator"] == {"1": "0", "y1": "0", "y2": "0", "y1^2": "1"}
     assert payload["isotropic"] is True
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """The list that collects the calls of frobenius.<name>, patched in each
+    of ``modules``."""
+    calls, fn = [], getattr(frobenius, name)
+
+    def counted(*a):
+        calls.append(a)
+        return fn(*a)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_check_builds_one_pairing(capsys, a2_file, monkeypatch):
+    calls = _count_calls(monkeypatch, "b_phi", frobenius)
+    code, payload, _ = run(capsys, "check", a2_file)
+    assert code == 0 and payload["isotropic"] is True
+    assert len(calls) == 1
+
+
+def test_socle_solves_once(capsys, a2_file, monkeypatch):
+    calls = _count_calls(monkeypatch, "socle_generator", frobenius, cli)
+    code, payload, _ = run(capsys, "socle", a2_file)
+    assert code == 0 and payload["isotropic"] is True
+    assert len(calls) == 1
 
 
 def test_consum_command(capsys, tmp_path):
@@ -465,6 +494,18 @@ def test_non_string_gram_entries_are_io_errors(capsys, tmp_path, entry, argv):
     p = tmp_path / "numeric.form.json"
     field = {"kind": "Rationals", "characteristic": 0}
     p.write_text(json.dumps({"field": field, "gram": [["0", entry], [entry, "0"]]}))
+    code, payload, _ = run(capsys, argv[0], str(p), *argv[1:])
+    assert code == 1
+    assert payload["kind"] == "IOError"
+    assert "is not a form file (field + gram)" in payload["message"]
+
+
+@pytest.mark.parametrize("char", [False, True])
+@pytest.mark.parametrize("argv", [["embed-hyp"], ["gro", "--subspace", "1,0"]])
+def test_boolean_characteristic_is_an_io_error(capsys, tmp_path, char, argv):
+    p = tmp_path / "bool.form.json"
+    field = {"kind": "Rationals" if char is False else "PrimeField", "characteristic": char}
+    p.write_text(json.dumps({"field": field, "gram": [["0", "1"], ["1", "0"]]}))
     code, payload, _ = run(capsys, argv[0], str(p), *argv[1:])
     assert code == 1
     assert payload["kind"] == "IOError"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from gorlab.errors import (
 )
 from gorlab.forms import (
     BilinearForm,
+    FormFamily,
     elementary_factorization,
     gro_member,
     hyp_embed,
@@ -28,6 +30,7 @@ from gorlab.forms import (
     surgery,
     witt_invariants,
 )
+from gorlab.scalar import TPoly
 
 F2 = GF(2)
 F7 = GF(7)
@@ -218,6 +221,39 @@ def test_witt_invariants_examples():
     assert witt_invariants(B(F7, [[1, 0], [0, 3]])).signature is None
     with pytest.raises(SignatureUnavailable):
         signature(B(F7, [[1, 0], [0, 3]]))
+
+
+def test_witt_invariants_take_one_determinant(monkeypatch):
+    calls = []
+    det = linalg.det
+
+    def counted(*a):
+        calls.append(a)
+        return det(*a)
+
+    monkeypatch.setattr(linalg, "det", counted)
+    form = B(QQ, [[2, 1, 0], [1, 0, 0], [0, 0, -3]])
+    inv = witt_invariants(form)
+    assert len(calls) == 1
+    assert (inv.rank, inv.signature) == (3, signature(form))
+
+
+def test_gram_checks_and_immutability():
+    t = TPoly(QQ, (0, 1))
+    for cls in (BilinearForm, FormFamily):
+        with pytest.raises(DimensionMismatch, match="^Gram matrix must be square$"):
+            cls(QQ, [[1, 0]])
+        obj = cls(QQ, [[1]])
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            obj.gram = ((0,),)
+        assert obj.gram == ((obj._entry(1, QQ),),)
+    with pytest.raises(DimensionMismatch, match=re.escape("Gram matrix not symmetric at (0,1)")):
+        BilinearForm(QQ, [[1, 2], [3, 1]])
+    with pytest.raises(DimensionMismatch, match=re.escape("family Gram not symmetric at (0,1)")):
+        FormFamily(QQ, [[1, t], [0, 1]])
+    gram = [[[], ["0", "1"]], [["0", "1"], ["1"]]]  # coefficient lists, low degree first
+    assert FormFamily(QQ, [[0, t], [t, 1]]).serialize()["gram"] == gram
+    assert BilinearForm(GF(7), [[3]]).serialize()["gram"] == [["3 mod 7"]]
 
 
 def test_signature_zero_diagonal_block():

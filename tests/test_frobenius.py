@@ -435,9 +435,8 @@ def test_connected_sum_recovers_summand_forms_on_v_parts():
         x2,
         t1.oa.phi,
         t2.oa.phi,
-        QQ.zero,
     )
-    alg = FiniteAlgebra(QQ, data.labels, data.c, data.unit, validate=False)
+    alg = FiniteAlgebra.on_read(*data.read, QQ, data.labels, data.unit, validate=False)
     oa = OrientedAlgebra(alg, data.phi)
     dec1 = decompose_augmented(t1.oa, t1.e)
     vrows = dec1.nonunital.algebra.dim

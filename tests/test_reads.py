@@ -1,12 +1,13 @@
 """The raw read that a table's object keeps, and that consumers use alone.
 
-``FiniteAlgebra``, ``AlgebraFamily`` and ``Tensor3`` keep one read of their
-table, ``raw = ([*plane slices, unit slices], L)``.  Constructors that build
-a table on raw slices hand theirs over; every other object is read on first
-use.  The first test checks every handed-over read against the boxed table:
-each raw value v over L is the boxed entry (or its coefficient of t^s), over
-QQ and F_7 on corpus samples.  A wrong scale shows here.  The second test
-checks that the consumers of a built object read no table again: neither
+``FiniteAlgebra``, ``AlgebraFamily`` and ``Tensor3`` hold one read of their
+table from construction, ``raw = ([*plane slices, unit slices], L)``.
+Constructors that build a table on raw slices hand theirs over and the
+object boxes it; the public constructors read the boxed table they are
+given.  The first tests check every read against the boxed table: each raw
+value v over L is the boxed entry (or its coefficient of t^s), over QQ and
+F_7 on corpus samples.  A wrong scale shows here.  The last test checks
+that the consumers of a built object read no table again: neither
 ``linalg.raw_slices`` nor ``linalg.unbox`` sees a d x d x d table, and the
 boxed table itself is never touched.
 """
@@ -47,6 +48,7 @@ from gorlab.tensors import (
     one_generic,
     strassen_commuting,
     structure_tensor,
+    Tensor3,
 )
 
 from corpus import build_corpus, random_invertible
@@ -131,13 +133,26 @@ def handed_over(field):
     return out
 
 
+def _refuse_reads(*a, **k):
+    raise AssertionError("a table was read after construction")
+
+
+def assert_held(obj):
+    """obj holds its read: taking ``raw`` reads nothing, and the read
+    stands for the boxed table."""
+    with mock.patch.object(linalg, "raw_slices", _refuse_reads):
+        obj.raw
+    assert_read_matches(obj)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_handed_over_reads_stand_for_the_boxed_tables(field):
-    objs = handed_over(field)
-    for obj in objs:
-        # a handed-over read is there before any use
-        assert object.__getattribute__(obj, "_raw") is not None
-        assert_read_matches(obj)
+    for obj in handed_over(field):
+        assert_held(obj)
+    t = corpus(field)[0]
+    hf = homotopy_families(t)
+    # the two homotopies share one boxed table
+    assert hf.h_mv.c is hf.h_const.c
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -160,14 +175,17 @@ def test_boxed_tables_keep_one_object_per_value(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_reads_on_first_use_stand_for_the_boxed_tables(field):
+def test_public_constructors_read_at_construction(field):
     t = corpus(field)[3]
-    fam = AlgebraFamily(field, t.algebra.labels, t.algebra.c, t.algebra.unit, validate=False)
-    A = FiniteAlgebra(field, t.algebra.labels, t.algebra.c, t.algebra.unit, validate=False)
-    for obj in (fam, cw_tensor(field, 3), A):
-        with pytest.raises(AttributeError):
-            object.__getattribute__(obj, "_raw")
-        assert_read_matches(obj)
+    A = t.algebra
+    objs = [Tensor3(field, A.c), Tensor3.from_support(field, (2, 1, 3), [(1, 0, 2, 5)]),
+            cw_tensor(field, 3), Tensor3(field, [])]
+    for validate in (False, True):
+        objs += [AlgebraFamily(field, A.labels, A.c, A.unit, validate=validate),
+                 FiniteAlgebra(field, A.labels, A.c, A.unit, validate=validate),
+                 FiniteAlgebra(field, A.labels, A.c, None, validate=validate)]
+    for obj in objs:
+        assert_held(obj)
 
 
 class _Untouchable(tuple):
@@ -205,11 +223,10 @@ def test_consumers_read_no_table_again(field):
         d = t.algebra.dim
         if d < 3:
             continue
-        # fresh objects: validated (read at construction), handed over, read here
+        # fresh objects, each read once at construction
         A = FiniteAlgebra(field, t.algebra.labels, t.algebra.c, t.algebra.unit)
         nu = decompose_augmented(t.oa, t.e).nonunital
         T, cw = structure_tensor(A), cw_tensor(field, d - 2)
-        cw.raw
         J = ideal_span(A, [[field.one if i == d - 1 else field.zero for i in range(d)]])
         for obj, name in ((A, "c"), (nu.algebra, "c"), (T, "entries"), (cw, "entries")):
             object.__setattr__(obj, name, _Untouchable())
