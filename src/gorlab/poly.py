@@ -19,7 +19,8 @@ them.  MultiPolys are unboxed on input and boxed once on output.
 The ``MultiPoly`` operators (+, -, *, ``scale``, ``term_mul``,
 ``substitute``) are thin wrappers over ``_raw_add`` and ``_raw_mul``, and so
 are the minor expansion of ``det_multipoly`` and the shifted rows of
-``lowest_degree_initial_ideal``, which ``linalg.raw_rref`` reduces.
+``lowest_degree_initial_ideal``, which ``linalg.raw_rref`` reduces.  That
+function remains public API; ``points-degenerate`` no longer uses it.
 """
 
 from __future__ import annotations
@@ -496,26 +497,29 @@ def _quotient_with_index(gens, cap: int = 100_000):
     monos = standard_monomials(gb, cap)
     if not monos:
         raise UnitIdeal("the relations generate the unit ideal")
+    divisors, one = [_divisor(g) for g in gb], field.one.value
+    return _monomial_algebra(
+        field, variables, monos, lambda u: _reduce({u: one}, divisors, field.characteristic)
+    )
+
+
+def _monomial_algebra(field: Field, variables, monos, normal_form):
+    """The algebra on the standard monomials ``monos`` (ascending, so 1
+    first), not validated, and its index {monomial: position}.  Its table
+    holds ``normal_form(u)``, a {standard monomial: raw value} dict, for each
+    product u of two of them, taken once; the table is boxed once."""
     index = {m: i for i, m in enumerate(monos)}
     d = len(monos)
-    p = field.characteristic
-    one, zero = field.one.value, field.zero.value
-    divisors = [_divisor(g) for g in gb]
-    # the raw table, handed over to be boxed once
     values = [[None] * d for _ in range(d)]
     for i, mi in enumerate(monos):
         for j in range(i, d):
-            nf = _reduce({mono_mul(mi, monos[j]): one}, divisors, p)
-            raw = [zero] * d
-            for m, coeff in nf.items():
+            raw = values[i][j] = values[j][i] = [0] * d
+            for m, coeff in normal_form(mono_mul(mi, monos[j])).items():
                 raw[index[m]] = coeff
-            values[i][j] = values[j][i] = raw
-    unit = [field.zero] * d
-    unit[index[(0,) * len(variables)]] = field.one
+    unit = [field.one] + [field.zero] * (d - 1)
     labels = [mono_label(m, variables) for m in monos]
-    planes, scale = linalg.scaled_slices([[plane] for plane in values], p)
-    A = FiniteAlgebra.on_read(planes, scale, field, labels, unit, validate=False)
-    return A, index
+    planes, scale = linalg.scaled_slices([[plane] for plane in values], field.characteristic)
+    return FiniteAlgebra.on_read(planes, scale, field, labels, unit, validate=False), index
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,8 @@ class Field:
             if value.field != self:
                 raise FieldMismatch(f"{value} is not in {self}")
             return value
+        if isinstance(value, float):
+            raise BadParameter(f"{value!r} is a float; pass an int or a Fraction")
         if self.characteristic == 0:
             return Scalar(self, Fraction(value))
         if isinstance(value, Fraction):

@@ -4,7 +4,8 @@ Strassen slice commutativity, and explicit degenerations.
 Border rank itself is never computed; minimal border rank enters only
 through its algebraic characterization (1-generic with commuting
 normalized slices), and "degenerates to CW_q" is certified by an explicit
-one-parameter family.
+one-parameter family.  The reduced case reads its flat limit off one RREF
+of the points' evaluation matrix (Möller–Buchberger), with no Gröbner basis.
 
 A Tensor3 holds the read of its layers from construction (``raw``, as for
 an algebra's table; ``structure_tensor`` hands over the algebra's), and the
@@ -16,15 +17,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .algebra import AlgebraFamily, FiniteAlgebra, _constant_planes, _Read
 from .errors import (
     BadParameter,
+    BoundTooSmall,
+    DimensionMismatch,
     GenericityFailure,
     ShapeMismatch,
     Singular,
     SingularWitness,
+    ZeroInput,
 )
 from .forms import BilinearForm, WittInvariants, is_even, witt_invariants
 from .frobenius import (
@@ -37,13 +42,7 @@ from .frobenius import (
     gorenstein_test,
     unitalize,
 )
-from .poly import (
-    MultiPoly,
-    graded_hilbert,
-    lowest_degree_initial_ideal,
-    monomials_of_degree,
-    quotient_algebra,
-)
+from .poly import MultiPoly, _monomial_algebra, monomials_of_degree, quotient_algebra
 from .scalar import Field, Scalar
 
 
@@ -299,39 +298,47 @@ class ReducedDegeneration:
 
 
 def degeneration_from_points(field: Field, points) -> ReducedDegeneration:
-    """Flat limit at the origin of the rescaled point set, via the graded
-    initial-ideal computation; succeeds only with Hilbert function (1, q, 1)
-    and a Gorenstein limit."""
+    """Flat limit at the origin of the rescaled point set; succeeds only with
+    Hilbert function (1, q, 1) and a Gorenstein limit.
+
+    E evaluates the monomials of degree <= 3, ascending in grevlex, at the
+    points.  Grevlex is graded, so u leads a top-degree form in(f), f in the
+    point ideal, exactly when column u of E depends on the columns before it
+    (Möller & Buchberger, 1982).  So the pivots of one RREF of E are the
+    limit's standard monomials, and column u on the pivot rows of u's degree
+    is u's normal form."""
     points = [tuple(field.scalar(x) for x in p) for p in points]
     q = len(points) - 2
     nvars = len(points[0])
-    names = tuple(f"y{i + 1}" for i in range(nvars))
-    monos = []
-    for s in range(4):
-        monos.extend(monomials_of_degree(nvars, s))
-    rows = []
-    for p in points:
-        row = []
-        for m in monos:
-            v = field.one
-            for x, e in zip(p, m):
-                for _ in range(e):
-                    v = v * x
-            row.append(v)
-        rows.append(tuple(row))
-    coeff_vectors = linalg.kernel_basis(field, rows, len(monos))
-    gens = [
-        MultiPoly(field, names, {m: c for m, c in zip(monos, vec) if c})
-        for vec in coeff_vectors
-    ]
-    forms = lowest_degree_initial_ideal(gens, 3)
-    hilbert = graded_hilbert(forms, nvars, 3)
-    expected = [1, q, 1, 0]
-    if hilbert != expected:
+    if any(len(pt) != nvars for pt in points):
+        raise DimensionMismatch("the points have different numbers of coordinates")
+    p = field.characteristic
+    monos = [m for s in range(4) for m in monomials_of_degree(nvars, s)]
+    E = []
+    for pt in points:
+        # the point as integers over their common denominator L: the row times
+        # L^3, which leaves the RREF alone
+        xs, L = linalg._integer_row([x.value for x in pt])
+        row = [prod(x**e for x, e in zip(xs, m) if e) * L ** (3 - sum(m)) for m in monos]
+        E.append([v % p for v in row] if p else row)
+    pivots = linalg.raw_rref(E, p)
+    if len(pivots) == len(monos):  # the ideal has no element of degree <= 3
+        raise ZeroInput("no generators")
+    degrees = [sum(monos[c]) for c in pivots]
+    hilbert = [degrees.count(s) for s in range(4)]
+    if hilbert[3]:
+        raise BoundTooSmall("graded quotient still has dimension in degree 3; raise the bound")
+    if hilbert != [1, q, 1, 0]:
         raise GenericityFailure(
             f"limit Hilbert function {hilbert[:3]} != (1, {q}, 1); resample"
         )
-    limit = quotient_algebra(forms)
+    col = {m: c for c, m in enumerate(monos)}
+
+    def normal_form(u):
+        return {monos[c]: row[col[u]] for c, row, deg in zip(pivots, E, degrees) if deg == sum(u)}
+
+    names = tuple(f"y{i + 1}" for i in range(nvars))
+    limit, _ = _monomial_algebra(field, names, [monos[c] for c in pivots], normal_form)
     gor = gorenstein_test(limit, seed=0)
     if gor.status != "oriented":
         raise GenericityFailure("limit algebra failed the Gorenstein test")

@@ -1,5 +1,6 @@
 """CLI report bytes on the G-fat points A_2 and A_3 and on the robber
-family, over QQ and F_7, and of help and usage errors.
+family, over QQ and F_7, of ``points-degenerate``, and of help and usage
+errors.
 
 Each case runs one command through ``run_command`` and compares the exit
 code and the sha256 of stdout with values recorded before the structure
@@ -104,6 +105,24 @@ ROBBER_DIGESTS = {
     ("7", None): (0, "9d5efc596c81114a0fd103303b6bd14038391dfd2bbc4ab3924fd6be8420b307"),
     ("7", "t=0"): (0, "e65d9f8d20438a6749d6bfa1f92a0e078d6be1ce6b130dfdcf0d89beed5ca583"),
 }
+
+
+# points-degenerate --q Q --seed S: (q, seed) -> (exit code, sha256), recorded
+# while the limit still came from the kernel, initial ideal and Buchberger;
+# seed 16 at q = 1 samples a point twice
+POINTS_DIGESTS = {
+    (1, 0): (0, "023850266b092736ddad39a03ab177f80960c0d66838f7990ba1b4bb0f811010"),
+    (1, 16): (1, "87bdf4ea46415d5710a6b4342468a040c82f4ec91a66b28d5fc98c5be4398aaf"),
+    (2, 0): (0, "3167f4478e6b311f8fa14cbc53c767f99df4e9150f608c7b028e2128dd2e8bb6"),
+    (3, 0): (0, "a932bfb608ca3e60faeafbff3111fb94563a4c6b64eccc0cdfd643c36d55c70a"),
+    (8, 0): (0, "2f2ea500bdb8e81094dc17059812f6fad31df882c967f3a0b45dc55ba787c5a0"),
+}
+
+
+@pytest.mark.parametrize("q,seed", sorted(POINTS_DIGESTS))
+def test_points_degenerate_report_bytes(capsys, q, seed):
+    argv = ["points-degenerate", "--q", str(q), "--seed", str(seed)]
+    assert digest(capsys, argv) == POINTS_DIGESTS[q, seed]
 
 
 def digest(capsys, argv):

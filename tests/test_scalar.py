@@ -46,6 +46,21 @@ def test_gf_of_a_non_prime_is_rejected(p):
         GF(p)
 
 
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+@pytest.mark.parametrize("value", [0.5, 2.7, 0.1, 3.0])
+def test_float_scalars_are_rejected(field, value):
+    # GF(5).scalar(0.5) was 0 mod 5 and QQ.scalar(0.1) a 56-bit binary fraction
+    with pytest.raises(BadParameter, match="is a float"):
+        field.scalar(value)
+
+
+def test_a_float_coordinate_is_rejected():
+    from gorlab.tensors import degeneration_from_points
+
+    with pytest.raises(BadParameter):
+        degeneration_from_points(F5, [(0, 1), (0.5, 1), (2, 1)])
+
+
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
