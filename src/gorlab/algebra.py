@@ -14,16 +14,18 @@ validation and every consumer of the table work from it.  New tables are
 built on reads by ``_table_on_rows``, the table of the rows of a constant
 matrix in coordinates against a row basis (``base_change``,
 ``direct_product``, the connected sums and homotopies of
-``frobenius._consum_core``, and ``decompose_augmented``), and by
-``AlgebraFamily.at``, which evaluates the family's read by Horner's rule;
-each hands its raw planes to ``on_read``, which boxes them once.
+``frobenius._consum_core``, and ``decompose_augmented``), which multiplies
+block by block on Kronecker-packed rows, and by ``AlgebraFamily.at``, which
+evaluates the family's read by Horner's rule; each hands its raw planes to
+``on_read``, which boxes them once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import lcm
+from operator import mul
 from types import MappingProxyType
 
 from . import linalg
@@ -431,38 +433,59 @@ def _table_on_rows(field: Field, tables, R, M, checks: int):
     last ``checks`` columns of M must send every product to 0 (with
     M = [C | N] of a RowSolver: the products lie in its row space), else
     Singular.  The tables come from their reads, brought to a common scale
-    Lc, and R and M from one raw_slices read (L), so products carry L³ Lc;
-    linalg.slice_mul throughout.
+    Lc, and R and M from one raw_slices read (L), so products carry L³ Lc.
+
+    The products run on Kronecker-packed rows (see linalg): row k of M is
+    one int P[k] with t^u e_l at slot u·w + l.  Block by block (offset o,
+    dim d, planes scaled to Lc), row j of c[i]·M is the int F[i][j] =
+    sum_k c[i][j][k](t)·P[o + k], and RF[a][o + j] = sum_i R[a][o + i]·F[i][j];
+    only block-local indices are visited.  Row b of plane a is
+    sum_j R[b][j]·RF[a][j], shifted by b·w·V slots for V = S_C + S_M - 1,
+    so each plane is read once.  With S_C and S_M the numbers of powers of t
+    in the tables and in M, a slot sums at most (sum of d³)·min(S_C, S_M)
+    terms of size at most top_R²·top_C·top_M (tops p - 1, or at p = 0 the
+    largest |entry|), and that bound sets the slot width
+    (linalg._slot_width).
     """
     if not R:
         return [], 1
     p = field.characteristic
-    n, D, w = len(R), sum(t.dim for t in tables), len(M[0])
+    n, w = len(R), len(M[0])
     (R, M), L = linalg.raw_slices([R, M], p)
     Lc = lcm(*(t.raw[1] for t in tables))
-    # row i*D + j of stack[s] is e_i e_j in ambient coordinates, zero across blocks
-    stack, o = {}, 0
+    blocks, D = [], 0
     for t in tables:
-        (*planes, _), Lt = t.raw
-        d, f = t.dim, Lc // Lt
-        for i, plane in enumerate(planes):
-            for s, X in plane:
-                rows = stack.setdefault(s, [[0] * D] * (D * D))
-                for j, row in enumerate(X):
-                    rows[(o + i) * D + o + j] = [0] * o + [x * f for x in row] + [0] * (D - o - d)
-        o += d
-    # row i of F is plane i times M, flattened; row a of RF is sum_i R[a][i] F[i]
-    F = [(s, [list(chain(*X[i * D:(i + 1) * D])) for i in range(D)])
-         for s, X in linalg.slice_mul(sorted(stack.items()), M, p)]
-    RF = linalg.slice_mul(R, F, p)
-    planes = []
-    for a in range(n):
-        plane = [(s, [X[a][j * w:(j + 1) * w] for j in range(D)]) for s, X in RF]
-        Z = linalg.slice_mul(R, plane, p)
-        if any(x for _, X in Z for row in X for x in row[w - checks:]):
+        blocks.append((D, t.raw[0][:-1], Lc // t.raw[1]))
+        D += t.dim
+    S_C = 1 + max((s for _, planes, _ in blocks for pl in planes for s, _ in pl), default=-1)
+    if not (R and M and S_C):
+        return [[] for _ in range(n)], L**3 * Lc
+    R, S_M = R[0][1], M[-1][0] + 1
+    top = (p - 1) ** 4 if p else (
+        max(map(abs, chain.from_iterable(R))) ** 2
+        * max(max(map(abs, chain.from_iterable(X))) for _, X in M)
+        * max(f * max(map(abs, chain.from_iterable(X))) for _, pls, f in blocks for pl in pls
+              for _, X in pl))
+    width = w * (S_C + S_M - 1)
+    K, read = linalg._slot_width(sum(len(pl) ** 3 for _, pl, _ in blocks) * min(S_C, S_M) * top,
+                                 p, n * width)
+    PM, RF = linalg._packed_rows(M, D, K, K * w), [[0] * D for _ in range(n)]
+    for o, planes, f in blocks:
+        d, PMo = len(planes), [f * x for x in PM[o:o + len(planes)]]
+        # FT[j][i] is F[i][j]
+        FT = list(zip(*([sum(map(mul, e[1], compress(PMo, e[0]))) if e else 0
+                         for e in linalg._packed_entries(pl, d, K * w)] for pl in planes)))
+        for RFa, Ra in zip(RF, (row[o:o + d] for row in R)):
+            RFa[o:o + d] = [sum(map(mul, Ra, col)) for col in FT]
+    keep, out = w - checks, []
+    for RFa in RF:
+        flat = read(sum(sum(map(mul, Rb, RFa)) << (K * width * b) for b, Rb in enumerate(R)))
+        if any(any(flat[c::w]) for c in range(keep, w)):
             raise Singular("vector is not in the row space")
-        planes.append([(s, [row[:w - checks] for row in X]) for s, X in Z if any(map(any, X))])
-    return planes, L**3 * Lc
+        Xs = ((u // w, [flat[b + u:b + u + keep] for b in range(0, n * width, width)])
+              for u in range(0, width, w))
+        out.append([(s, X) for s, X in Xs if any(map(any, X))])
+    return out, L**3 * Lc
 
 
 class AlgebraFamily(_Table):

@@ -31,10 +31,11 @@ times a common denominator L).  A structure table is read once, and the
 read lives on the object that owns it (``algebra._Read``); this module
 never sees the boxed table again.  ``raw_mul``, the one product loop, takes
 raw values only; ``slice_mul`` convolves it over k[t] on slice lists.  They
-serve the structure-table checks, the contractions and every new table of
-``algebra``, the Gram products of ``forms`` and Strassen's test in
-``tensors``.  ``RowSolver.map`` is the coordinate map the table
-constructors hand ``algebra._table_on_rows``.
+serve the unit law of the structure-table checks, the contractions
+(``_Table.contract``, ``augmentation_check``, ``NonUnitalOriented``), the
+Gram products of ``forms`` and Strassen's test in ``tensors``.
+``RowSolver.map`` is the coordinate map the table constructors hand
+``algebra._table_on_rows``.
 
 The cost of ``raw_mul`` follows the nonzero terms: a product row is summed
 from its first term x·b[k] over the nonzero rows b[k] that its nonzero
@@ -43,15 +44,17 @@ is a fresh row of zeros.  Products with sparse factors (the normalized
 slices of CW_q, unit-vector selections) cost little more than their
 nonzero terms.
 
-``first_noncommuting``, the exact commutation check behind
-``algebra.validate_structure`` (associativity) and ``tensors``' Strassen
-test, multiplies on packed rows instead (Kronecker substitution; Harvey,
-J. Symb. Comput. 2009).  Each row of a k[t] slice list becomes one Python
-int whose K-bit slots hold its coefficients, power by power, and each entry
-x(t) one int whose slots are spaced a row apart, so a product row is a few
-big-int multiply-adds.  K is chosen from a bound on a product slot, so no
-slot spills into the next: at p = 0 packed rows compare exactly as ints,
-and at p > 0 a row difference is unpacked and tested slot by slot mod p.
+Two products run on packed rows instead (Kronecker substitution; Harvey,
+J. Symb. Comput. 2009): ``first_noncommuting``, the exact commutation check
+behind ``algebra.validate_structure`` (associativity) and ``tensors``'
+Strassen test, and ``algebra._table_on_rows``, which builds every new
+table.  Each row of a k[t] slice list becomes one Python int whose K-bit
+slots hold its coefficients, power by power (``_packed_rows``), and each
+entry x(t) one int whose slots are spaced a row apart (``_packed_entries``),
+so a product row is a few big-int multiply-adds.  ``_slot_width`` chooses K
+from a bound on a slot, so no slot spills into the next, and reads packed
+slots back: exactly at p = 0, where packed rows also compare exactly as
+ints, and mod p at p > 0.
 
 ``bareiss`` is the one fraction-free elimination over k[t].  It works on raw
 coefficient lists (``poly_entries`` of a slice list): ints mod p, or over QQ
@@ -227,17 +230,10 @@ def _integer_slices(m):
     return [(s, [[next(ints) for _ in row] for row in X]) for s, X in m]
 
 
-def _packed(m, d: int, K: int):
-    """The packed rows P and entries E of a d x d slice list, slots K bits wide.
-
-    P[r] holds coefficient x of t^s e_l in row r at bit K(sd + l); E[r][l] is
-    entry (r, l), x(t), as the sum of x_s << Kds.  Then E[r][l]·P[m] is
-    x(t) times row m, packed the same way.  E[r] is kept as its nonzero
-    entries and their mask, or None when the row is zero.
-    """
-    step = K * d
-    P = [0] * d
-    E = [[0] * d for _ in range(d)]
+def _packed_rows(m, n: int, K: int, step: int):
+    """The n rows of a slice list as ints: row r holds coefficient x of t^s
+    e_l at bit K·l + step·s."""
+    P = [0] * n
     for s, X in m:
         for r, row in enumerate(X):
             if any(row):
@@ -245,31 +241,56 @@ def _packed(m, d: int, K: int):
                 for x in reversed(row):
                     acc = (acc << K) + x
                 P[r] += acc << (step * s)
-                Er = E[r]
+    return P
+
+
+def _packed_entries(m, n: int, step: int):
+    """The n rows of a slice list by their entries x(t), each the int
+    sum_s x_s << step·s: a row is a mask of its nonzero entries and those
+    entries, or None when it is zero.  With step = K times the width of
+    packed rows P (``_packed_rows``), sum(map(mul, entries, compress(P,
+    mask))) is the row times the matrix of P, packed the same way."""
+    if len(m) == 1 and not m[0][0]:
+        E = m[0][1]
+    else:
+        E = [[0] * len(m[0][1][0]) for _ in range(n)] if m else [[]] * n
+        for s, X in m:
+            for Er, row in zip(E, X):
                 for l, x in enumerate(row):
                     if x:
                         Er[l] += x << (step * s)
-    return P, [([bool(x) for x in Er], [x for x in Er if x]) if any(Er) else None for Er in E]
+    return [([bool(x) for x in Er], [x for x in Er if x]) if any(Er) else None for Er in E]
 
 
-def _slot_width(d: int, S: int, top: int, p: int):
-    """(K, off, typecode) for the slots of a product row of two d x d
-    matrices over k[t] with S powers of t and entries of size at most top.
+def _slot_width(bound: int, p: int, nslots: int):
+    """(K, read) for packed ints of ``nslots`` K-bit slots, each slot holding
+    a value in [-bound, bound].
 
-    Such a slot sums at most d·S terms of size at most top², so at most
-    bound = d·S·top².  At p = 0, 2·bound < 2^K: a difference of two slots
-    stays inside K bits, so packing is injective.  At p > 0 the slots are
-    >= 0 and off is the least multiple of p >= bound: a difference plus off
-    lies in [0, 2^K).  K is widened to the first array word that holds it,
-    whose typecode is returned (None when K > 64, or at p = 0).
+    off, bound rounded up to a multiple of p (bound itself at p = 0), brings
+    a slot into [0, 2^K): read(v) adds off to every slot, unpacks them,
+    lowest first (by bytes into an ``array`` when K fits a machine word, else
+    by shift and mask), and returns them mod p at p > 0, or less off again
+    at p = 0.  Since 2·bound < 2^K, two such packed ints at p = 0 are equal
+    only when every slot is.  K is widened to the first array word that
+    holds it.
     """
-    bound = d * S * top * top
-    if not p:
-        return bound.bit_length() + 1, 0, None
-    off = -(-bound // p) * p
+    off = -(-bound // p) * p if p else bound
     K = (bound + off).bit_length()
     K, code = next(((w, c) for w, c in _WORDS if w >= K), (K, None))
-    return K, off, code
+    offsets = off * ((1 << K * nslots) - 1) // ((1 << K) - 1)
+    nbytes, mask = K // 8 * nslots, (1 << K) - 1
+
+    def read(v):
+        v += offsets
+        if code:
+            slots = array(code, v.to_bytes(nbytes, "little"))
+            if sys.byteorder == "big":
+                slots.byteswap()
+        else:
+            slots = [(v >> (K * t)) & mask for t in range(nslots)]
+        return list(map(p.__rmod__, slots) if p else map(off.__rsub__, slots))
+
+    return K, read
 
 
 def first_noncommuting(mats, p: int):
@@ -279,15 +300,14 @@ def first_noncommuting(mats, p: int):
     Each matrix is a square slice list, as for slice_mul: ints in [0, p), or
     at p = 0 ints and Fractions; each is scaled to integers by its own
     common denominator, which leaves commutation alone.  Rows are packed
-    (see ``_packed``), so row j of mats[i]·mats[k] is sum_m E_i[j][m] P_k[m]
-    over the nonzero entries.  The slot width K, from d, the number S of
-    powers of t and top (p - 1, or the largest |entry|), keeps every slot
-    inside its bits (``_slot_width``).  At p = 0 the two packed rows are
-    compared as ints, exact because |slot| < 2^(K-1).  At p > 0 a row
-    difference plus a per-slot offset that is a multiple of p is unpacked
-    (by bytes when K fits a machine word, else by shift and mask) and each
-    slot tested mod p.  Pairs and rows are scanned in order, so the first
-    violation found is the first in that order.
+    (``_packed_rows``, ``_packed_entries``), so row j of mats[i]·mats[k] is
+    sum_m E_i[j][m] P_k[m] over the nonzero entries.  A product slot sums
+    at most d·S terms of size at most top², for S powers of t and top = p - 1
+    (or the largest |entry|); ``_slot_width`` keeps every slot of that bound
+    inside its bits.  At p = 0 the two packed rows are compared as ints; at
+    p > 0 their difference is read and each slot tested mod p.  Pairs and
+    rows are scanned in order, so the first violation found is the first in
+    that order.
     """
     d = next((len(X) for m in mats for _, X in m), 0)
     S = 1 + max((s for m in mats for s, _ in m), default=0)
@@ -296,12 +316,8 @@ def first_noncommuting(mats, p: int):
     else:
         mats = [_integer_slices(m) for m in mats]
         top = max((max(map(abs, chain.from_iterable(X))) for m in mats for _, X in m), default=0)
-    K, off, code = _slot_width(d, S, top, p)
-    if p:
-        nslots = d * (2 * S - 1)
-        offsets = sum(off << (K * t) for t in range(nslots))
-        nbytes, mask = K // 8 * nslots, (1 << K) - 1
-    packed = [_packed(m, d, K) for m in mats]
+    K, read = _slot_width(d * S * top * top, p, d * (2 * S - 1))
+    packed = [(_packed_rows(m, d, K, K * d), _packed_entries(m, d, K * d)) for m in mats]
     for i, k in combinations(range(len(mats)), 2):
         Pi, Ei = packed[i]
         Pk, Ek = packed[k]
@@ -311,15 +327,8 @@ def first_noncommuting(mats, p: int):
                 continue
             ab = sum(map(mul, a[1], compress(Pk, a[0]))) if a else 0
             ba = sum(map(mul, b[1], compress(Pi, b[0]))) if b else 0
-            if ab != ba:
-                if not p:
-                    return i, k, j
-                v = ab - ba + offsets
-                # only whether a slot is nonzero mod p matters, not their order
-                slots = (array(code, v.to_bytes(nbytes, sys.byteorder)) if code
-                         else [(v >> (K * t)) & mask for t in range(nslots)])
-                if any(map(p.__rmod__, slots)):
-                    return i, k, j
+            if ab != ba and (not p or any(read(ab - ba))):
+                return i, k, j
     return None
 
 

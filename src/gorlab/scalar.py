@@ -154,15 +154,18 @@ class Field:
             return value
         if isinstance(value, float):
             raise BadParameter(f"{value!r} is a float; pass an int or a Fraction")
-        if self.characteristic == 0:
-            return Scalar(self, Fraction(value))
-        if isinstance(value, Fraction):
-            num = value.numerator % self.characteristic
-            den = value.denominator % self.characteristic
-            if den == 0:
-                raise ZeroInput(f"denominator of {value} vanishes in {self}")
-            return Scalar(self, num * pow(den, -1, self.characteristic) % self.characteristic)
-        return Scalar(self, int(value) % self.characteristic)
+        try:
+            if self.characteristic == 0:
+                return Scalar(self, Fraction(value))
+            if isinstance(value, Fraction):
+                num = value.numerator % self.characteristic
+                den = value.denominator % self.characteristic
+                if den == 0:
+                    raise ZeroInput(f"denominator of {value} vanishes in {self}")
+                return Scalar(self, num * pow(den, -1, self.characteristic) % self.characteristic)
+            return Scalar(self, int(value) % self.characteristic)
+        except (ValueError, ZeroDivisionError) as ex:  # a string it cannot read
+            raise BadParameter(f"cannot parse scalar {value!r}: {ex}") from ex
 
     @property
     def zero(self) -> "Scalar":

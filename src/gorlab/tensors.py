@@ -308,6 +308,8 @@ def degeneration_from_points(field: Field, points) -> ReducedDegeneration:
     limit's standard monomials, and column u on the pivot rows of u's degree
     is u's normal form."""
     points = [tuple(field.scalar(x) for x in p) for p in points]
+    if not points:
+        raise ZeroInput("no points")
     q = len(points) - 2
     nvars = len(points[0])
     if any(len(pt) != nvars for pt in points):

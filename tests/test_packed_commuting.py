@@ -21,7 +21,6 @@ or accept, under both kernels.
 """
 
 import random
-from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count
@@ -132,22 +131,17 @@ def test_packed_matches_pairwise_scan(p, data):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 9), st.integers(0, 2**100), st.sampled_from(CHARACTERISTICS))
-def test_slot_width_holds_every_slot(d, S, top, p):
-    # a product slot sums at most d·S terms of size top², and a difference
-    # of two slots never spills: at p = 0 it lies strictly inside
-    # (-2^K, 2^K); at p > 0, shifted by off (a multiple of p), it lies in
-    # [0, 2^K) and a word of K bits holds it
-    if p:
-        top = p - 1
-    bound = d * S * top * top
-    K, off, code = linalg._slot_width(d, S, top, p)
-    if not p:
-        assert 2 * bound < 2**K and off == 0 and code is None
-    else:
-        assert off % p == 0 and bound <= off < bound + p and bound + off < 2**K
-        assert code is None or array(code).itemsize * 8 == K
-        assert (code is None) == (K > 64)
+@given(st.integers(0, 2**300), st.sampled_from(CHARACTERISTICS), st.integers(1, 9), st.data())
+def test_slot_width_holds_every_slot(bound, p, n, data):
+    # n packed slots, each in [-bound, bound] (also at the ends), read back
+    # exactly at p = 0 and mod p at p > 0; 2·bound < 2^K keeps two packed
+    # rows equal only when every slot is; K is a whole word up to 64 bits
+    K, read = linalg._slot_width(bound, p, n)
+    slots = [data.draw(st.sampled_from((-bound, 0, bound)) | st.integers(-bound, bound))
+             for _ in range(n)]
+    assert read(sum(x << (K * t) for t, x in enumerate(slots))) == [x % p if p else x
+                                                                   for x in slots]
+    assert 2 * bound < 2**K and (K > 64 or K in {w for w, _ in linalg._WORDS})
 
 
 @pytest.mark.parametrize("p", CHARACTERISTICS)

@@ -138,7 +138,7 @@ def test_matches_the_initial_ideal_pipeline(field, q, shift, kind, seed):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("points", [
-    [],
+    [(5,)],                                     # one point: q = -1
     [()],
     [(), (), ()],
     [(0,), (1,), (2,), (3,)],                   # four points on a line: no kernel in degree <= 3
@@ -154,6 +154,8 @@ def test_edge_cases_match(field, points):
 
 
 def test_edge_case_errors():
+    assert result(degeneration_from_points, QQ, []) == (ZeroInput, "no points")
+    assert result(degeneration_from_points, GF(7), []) == (ZeroInput, "no points")
     assert result(degeneration_from_points, QQ, [(), ()])[0] is ZeroInput
     assert result(degeneration_from_points, QQ, [(0,), (1,), (2,), (3,)]) == (ZeroInput, "no generators")
     collinear = [(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1)]

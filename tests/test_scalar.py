@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,26 @@ def test_float_scalars_are_rejected(field, value):
     # GF(5).scalar(0.5) was 0 mod 5 and QQ.scalar(0.1) a 56-bit binary fraction
     with pytest.raises(BadParameter, match="is a float"):
         field.scalar(value)
+
+
+@pytest.mark.parametrize("field, text", [(F5, "1/2"), (F5, "x"), (QQ, "abc"), (QQ, "1/0")],
+                         ids=["F5-1/2", "F5-x", "QQ-abc", "QQ-1/0"])
+def test_unreadable_strings_are_rejected(field, text):
+    # GF(5).scalar("1/2") let int()'s ValueError out; now a BadParameter, as
+    # in parse
+    with pytest.raises(BadParameter, match=f"^cannot parse scalar {re.escape(repr(text))}: "):
+        field.scalar(text)
+    assert F5.scalar("12") == F5.scalar(2)
+
+
+def test_parse_messages_are_unchanged():
+    for field, text, why in [(F5, "x", "Invalid literal for Fraction: 'x'"),
+                             (QQ, "abc", "Invalid literal for Fraction: 'abc'"),
+                             (QQ, "1/0", "Fraction(1, 0)")]:
+        with pytest.raises(BadParameter) as ex:
+            field.parse(text)
+        assert str(ex.value) == f"cannot parse scalar {text!r}: {why}"
+    assert F5.parse("1/2") == F5.scalar(3)
 
 
 def test_a_float_coordinate_is_rejected():
