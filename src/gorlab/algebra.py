@@ -15,9 +15,13 @@ built on reads by ``_table_on_rows``, the table of the rows of a constant
 matrix in coordinates against a row basis (``base_change``,
 ``direct_product``, the connected sums and homotopies of
 ``frobenius._consum_core``, and ``decompose_augmented``), which multiplies
-block by block on Kronecker-packed rows, and by ``AlgebraFamily.at``, which
-evaluates the family's read by Horner's rule; each hands its raw planes to
-``on_read``, which boxes them once.
+block by block on Kronecker-packed rows, by ``AlgebraFamily.at``, which
+evaluates the family's read by Horner's rule, and by the derived algebras
+(``frobenius.unitalize``, ``form_to_algebra``, ``hyp_algebra``, and
+``poly._monomial_algebra`` for quotients and A_q), which lay out the planes
+from their inputs' reads; each hands its raw planes to ``on_read``, which
+boxes them once.  Boxed tables come only from outside the library and
+from the hand-written ``families.robber_family`` and ``Tensor3.from_support``.
 """
 
 from __future__ import annotations

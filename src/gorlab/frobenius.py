@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .algebra import (
@@ -260,30 +261,22 @@ def unitalize(lam, nu: NonUnitalOriented) -> Augmented:
 
     Products follow (r+sx, v)(r'+s'x, v') =
     (rr' + (sr'+s'r+B(v,v')) x, r'v + rv' + vv'), with phi(r+sx, v) = r lam + s
-    and e(r+sx, v) = r.
+    and e(r+sx, v) = r.  The table is built on the reads of B (scale L_B) and
+    of V (scale L_V) over S = lcm(L_V, L_B): plane 0 is S·I, row 0 of plane k
+    is S e_k, and row v_j of plane v_i is S·(0, B(v_i, v_j), v_i v_j).
     """
     f = nu.algebra.field
-    lam = f.scalar(lam)
-    m = nu.dim
-    d = m + 2
-    z, o = f.zero, f.one
-    c = [[[z] * d for _ in range(d)] for _ in range(d)]
-    # unit products
-    for k in range(d):
-        c[0][k][k] = o
-        c[k][0][k] = o
-    # x*x = 0 and x*v = 0 already encoded by zeros
-    for i in range(m):
-        for j in range(m):
-            row = [z] * d
-            row[1] = nu.form.gram[i][j]
-            prod = nu.algebra.c[i][j]
-            for k in range(m):
-                row[2 + k] = prod[k]
-            c[2 + i][2 + j] = row
+    lam, m, o, z = f.scalar(lam), nu.dim, f.one, f.zero
+    (G,), L_B = linalg.raw_slices([nu.form.gram], f.characteristic)
+    G, V = dict(G).get(0, [[0] * m] * m), _constant_planes(nu.algebra.raw, m, m)
+    L_V = nu.algebra.raw[1]
+    d, S = m + 2, lcm(L_V, L_B)
+    eye, zero = [[S * (j == k) for k in range(d)] for j in range(d)], [0] * d
+    planes = [eye, [eye[1]] + [zero] * (d - 1)] + [
+        [eye[2 + i], zero] + [[0, g * (S // L_B), *(x * (S // L_V) for x in row)]
+                              for g, row in zip(G[i], V[i])] for i in range(m)]
     labels = ("1", "x") + tuple(nu.algebra.labels)
-    unit = tuple(o if k == 0 else z for k in range(d))
-    alg = FiniteAlgebra(f, labels, c, unit, validate=True)
+    alg = FiniteAlgebra.on_read([[(0, X)] for X in planes], S, f, labels, [1] + [0] * (d - 1))
     phi = tuple([lam, o] + [z] * m)
     e = tuple([o] + [z] * (m + 1))
     oa = OrientedAlgebra(alg, phi)
@@ -295,16 +288,13 @@ def unitalize(lam, nu: NonUnitalOriented) -> Augmented:
 
 def form_to_algebra(B: BilinearForm) -> Augmented:
     """The isotropically augmented algebra attached to a non-degenerate form:
-    unitalize(0, (V, B)) with the zero multiplication on V."""
+    unitalize(0, (V, B)) with the zero multiplication on V, whose read has
+    no slices."""
     if not is_nondegenerate(B):
         raise Degenerate("form is degenerate")
-    f = B.field
-    m = B.dim
-    z = f.zero
-    zero_mult = [[[z] * m for _ in range(m)] for _ in range(m)]
-    alg = FiniteAlgebra(
-        f, [f"v{i + 1}" for i in range(m)], zero_mult if m else [], None, validate=False
-    )
+    f, m = B.field, B.dim
+    alg = FiniteAlgebra.on_read([[] for _ in range(m)], 1, f, [f"v{i + 1}" for i in range(m)],
+                                validate=False)
     return unitalize(f.zero, NonUnitalOriented(alg, B))
 
 
@@ -313,29 +303,22 @@ def hyp_algebra(A: FiniteAlgebra) -> OrientedAlgebra:
 
     Products: (a, f)(b, g) = (ab, a.g + b.f) with (a.f)(b) = f(ab); the
     orientation evaluates the functional part at the unit, and its Gram
-    matrix in the basis (e_i; e_i^*) is exactly [[0, I], [I, 0]].
+    matrix in the basis (e_i; e_i^*) is exactly [[0, I], [I, 0]].  The table
+    is built on A's read C, at its scale.
     """
     if not A.is_unital:
         raise BadUnit("hyp_algebra needs a unital input")
-    f = A.field
-    d = A.dim
-    n = 2 * d
-    z = f.zero
-    c = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                c[i][j][k] = A.c[i][j][k]
-            # (e_i, 0) * (0, e_j^*) = (0, e_i . e_j^*), value at e_l is c[i][l][j]
-            row = [z] * n
-            for l in range(d):
-                row[d + l] = A.c[i][l][j]
-            c[i][d + j] = tuple(row)
-            c[d + j][i] = tuple(row)
-    unit = tuple(A.unit) + (z,) * d
-    phi = (z,) * d + tuple(A.unit)
+    f, d = A.field, A.dim
+    C, zero = _constant_planes(A.raw, d, d), [0] * d
+    # (e_i, 0) * (0, e_j^*) = (0, e_i . e_j^*), value at e_l is c[i][l][j]
+    dual = [[zero + [C[i][l][j] for l in range(d)] for j in range(d)] for i in range(d)]
+    planes = [[row + zero for row in C[i]] + dual[i] for i in range(d)]
+    planes += [[dual[i][j] for i in range(d)] + [zero + zero] * d for j in range(d)]
+    unit = tuple(A.unit) + (f.zero,) * d
+    phi = (f.zero,) * d + tuple(A.unit)
     labels = tuple(A.labels) + tuple(l + "*" for l in A.labels)
-    alg = FiniteAlgebra(f, labels, c, unit, validate=True)
+    alg = FiniteAlgebra.on_read([[(0, X)] if any(map(any, X)) else [] for X in planes],
+                                A.raw[1], f, labels, unit)
     return OrientedAlgebra(alg, phi)
 
 

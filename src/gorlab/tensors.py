@@ -10,6 +10,9 @@ of the points' evaluation matrix (Möller–Buchberger), with no Gröbner basis.
 A Tensor3 holds the read of its layers from construction (``raw``, as for
 an algebra's table; ``structure_tensor`` hands over the algebra's), and the
 contraction, the 1-genericity pencil and Strassen's test work from it alone.
+A_q (``aq_algebra``) is written down from its closed form, not compiled
+from its presentation; the tests compile the presentation by Buchberger
+and check both against CW_q.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .frobenius import (
     gorenstein_test,
     unitalize,
 )
-from .poly import MultiPoly, _monomial_algebra, monomials_of_degree, quotient_algebra
+from .poly import MultiPoly, _monomial_algebra, monomials_of_degree
 from .scalar import Field, Scalar
 
 
@@ -79,9 +82,13 @@ class Tensor3(_Read):
     def from_support(cls, field: Field, dims, support):
         """Build from a sparse list of (i, j, k, value) entries."""
         d1, d2, d3 = dims
+        if min(dims) < 0:
+            raise ShapeMismatch(f"negative dimension in {tuple(dims)}")
         z = field.zero
         e = [[[z] * d3 for _ in range(d2)] for _ in range(d1)]
         for i, j, k, v in support:
+            if not all(0 <= x < n for x, n in zip((i, j, k), dims)):
+                raise ShapeMismatch(f"entry ({i}, {j}, {k}) lies outside {tuple(dims)}")
             e[i][j][k] = field.scalar(v)
         return cls(field, e)
 
@@ -139,7 +146,9 @@ def cw_tensor(field: Field, q: int) -> Tensor3:
     """The big Coppersmith-Winograd tensor CW_q, from its closed-form support.
 
     Independent of the quotient-ring machinery on purpose: equality with the
-    structure tensor of the G-fat point algebra is a real test.
+    structure tensor of the G-fat point algebra compiled from its
+    presentation (``poly.quotient_algebra``, as the tests do) is a real test;
+    ``aq_algebra``'s closed form alone would not be one.
     """
     if q < 1:
         raise BadParameter("q must be at least 1")
@@ -155,22 +164,17 @@ def cw_tensor(field: Field, q: int) -> Tensor3:
 
 
 def aq_algebra(field: Field, q: int) -> FiniteAlgebra:
-    """The G-fat point algebra of degree q+2, compiled from its presentation
-    k[y_1..y_q]/((y_i y_j)_{i<j}, (y_i^2 - y_j^2)_{i<j}, y_1^3)."""
+    """The G-fat point algebra of degree q+2,
+    k[y_1..y_q]/((y_i y_j)_{i<j}, (y_i^2 - y_j^2)_{i<j}, y_1^3), from its
+    closed form: on the standard monomials 1, y_1, ..., y_q, y_1^2 of that
+    presentation, y_i y_j = delta_ij y_1^2 and every product of degree 3 is 0."""
     if q < 1:
         raise BadParameter("q must be at least 1")
+    one = (0,) * q
+    monos = [one, *(one[:i] + (1,) + one[i + 1:] for i in range(q)), (2,) + one[1:]]
     names = tuple(f"y{i + 1}" for i in range(q))
-    gens = []
-    for i in range(q):
-        for j in range(i + 1, q):
-            mi = tuple(1 if v in (i, j) else 0 for v in range(q))
-            gens.append(MultiPoly(field, names, {mi: 1}))
-            sq_i = tuple(2 if v == i else 0 for v in range(q))
-            sq_j = tuple(2 if v == j else 0 for v in range(q))
-            gens.append(MultiPoly(field, names, {sq_i: 1, sq_j: -1}))
-    cube = tuple(3 if v == 0 else 0 for v in range(q))
-    gens.append(MultiPoly(field, names, {cube: 1}))
-    return quotient_algebra(gens)
+    return _monomial_algebra(field, names, monos, lambda u: (
+        {u: 1} if sum(u) < 2 else {monos[-1]: 1} if sum(u) == max(u) == 2 else {}))[0]
 
 
 @dataclass(frozen=True)

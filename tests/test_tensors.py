@@ -120,6 +120,24 @@ def test_cw_equals_structure_tensor_of_aq_f7():
         assert cw_tensor(F7, q) == structure_tensor(aq_algebra(F7, q))
 
 
+def aq_presentation(field, q):
+    """The relations (y_i y_j)_{i<j}, (y_i^2 - y_j^2)_{i<j}, y_1^3 of A_q."""
+    y = poly_ring(field, *(f"y{i + 1}" for i in range(q)))
+    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
+    return ([y[i] * y[j] for i, j in pairs] + [y[i] ** 2 - y[j] ** 2 for i, j in pairs]
+            + [y[0] ** 3])
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_cw_equals_structure_tensor_of_the_compiled_presentation(field):
+    # aq_algebra writes A_q down in closed form; compiling the presentation
+    # by Buchberger keeps the identification with CW_q independent of it
+    for q in range(1, 9):
+        A = quotient_algebra(aq_presentation(field, q))
+        assert aq_algebra(field, q) == A
+        assert cw_tensor(field, q) == structure_tensor(A)
+
+
 def test_one_generic_unit_witness():
     A = aq_algebra(QQ, 2)
     T = structure_tensor(A)
@@ -295,6 +313,18 @@ def test_reduced_degeneration_bad_parameters():
         reduced_degeneration(0, 0)
     with pytest.raises(BadParameter):
         reduced_degeneration(2, 0, GF(3))
+
+
+def test_tensor_from_support_rejects_entries_outside_its_dims():
+    for dims, entry in (((2, 2, 2), (-1, 0, 0, 5)), ((2, 2, 2), (2, 0, 0, 5)),
+                        ((2, 3, 1), (1, 2, 1, 1)), ((0, 1, 1), (0, 0, 0, 1))):
+        with pytest.raises(ShapeMismatch, match=rf"entry \({entry[0]}, {entry[1]}, "):
+            Tensor3.from_support(QQ, dims, [entry])
+    for dims in ((-1, 2, 2), (2, -1, 2), (2, 2, -3)):
+        with pytest.raises(ShapeMismatch, match="negative dimension"):
+            Tensor3.from_support(QQ, dims, [])
+    T = Tensor3.from_support(QQ, (2, 3, 1), [(1, 2, 0, 4), (0, 0, 0, 1)])
+    assert T.dims == (2, 3, 1) and T.entries[1][2][0] == QQ.scalar(4)
 
 
 def test_tensor_from_support_and_serialize():
