@@ -434,10 +434,11 @@ def _table_on_rows(field: Field, tables, R, M, checks: int):
 
     Plane a is R·(sum_i R[a][i] c[i])·M, row b being (r_a r_b)·M; R is
     constant, the tables (algebras or families) and M may hold TPolys.  The
-    last ``checks`` columns of M must send every product to 0 (with
-    M = [C | N] of a RowSolver: the products lie in its row space), else
-    Singular.  The tables come from their reads, brought to a common scale
-    Lc, and R and M from one raw_slices read (L), so products carry L³ Lc.
+    last ``checks`` columns of M must send every product to 0, else
+    Singular: with M = [C | N], a coordinate map C of R's row space whose N
+    vanishes exactly on that space, the products must lie in it.  The tables
+    come from their reads, brought to a common scale Lc, and R and M from
+    one raw_slices read (L), so products carry L³ Lc.
 
     The products run on Kronecker-packed rows (see linalg): row k of M is
     one int P[k] with t^u e_l at slot u·w + l.  Block by block (offset o,

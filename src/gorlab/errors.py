@@ -110,6 +110,10 @@ class GenericityFailure(GorlabError):
     pass
 
 
+class BudgetExceeded(GorlabError):
+    pass
+
+
 class IOFailure(GorlabError):
     kind = "IOError"
 

@@ -215,7 +215,10 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     """Split an isotropically augmented algebra as k[x]/x^2 (+) V.
 
     V is the orthogonal complement of span(1, x); its multiplication is the
-    ambient one followed by orthogonal projection back onto V.
+    ambient one followed by orthogonal projection back onto V.  V's rows Q
+    are in RREF, pivot columns P, so its coordinate map needs no elimination:
+    it is [C | N], C taking a vector's entries at P and, for c off P, column
+    c of N being v_c - sum_i v_{P_i} Q_i[c], which vanishes exactly on V.
     """
     A = oa.algebra
     e = A.coerce_vector(e)
@@ -241,12 +244,10 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     lr = lam.value
     proj = [[int(j == k) - gx[j] * ur[k] - (g1[j] - lr * gx[j]) * xr[k] for k in range(A.dim)]
             for j in range(A.dim)]
-    if p:
-        proj = [[v % p for v in row] for row in proj]
-    M = ()
-    if m:
-        _, rmap = linalg.unbox(linalg.RowSolver(f, vrows).map, f)
-        M = linalg._box(f, linalg.raw_mul(proj, rmap, p, zero))
+    P = [next(c for c, v in enumerate(row) if v) for row in Vr]
+    M = [[v[c] for c in P] + [v[c] - sum(v[q] * Q[c] for q, Q in zip(P, Vr))
+                              for c in range(A.dim) if c not in P] for v in proj]
+    M = linalg._box(f, [[v % p for v in row] for row in M] if p else M)
     planes, scale = _table_on_rows(f, [A], vrows, M, A.dim - m)
     VG = linalg.raw_mul(Vr, G, p, zero)
     gramV = linalg._box(f, linalg.raw_mul(VG, [list(col) for col in zip(*Vr)], p, zero))
@@ -341,22 +342,43 @@ def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
     """Glue two augmented algebras along their augmentations and kill the
     difference of the socle generators.
 
-    Entries of the right factor's table/orientation/socle may be TPolys; all
-    basis bookkeeping uses constant vectors only (the fiber-product basis is
-    the joint unit plus the two augmentation kernels, and the eliminated
-    coordinate has constant coefficient), so no polynomial elimination ever
-    happens.
+    Entries of the right factor's table/orientation/socle may be TPolys.
+    The basis is the joint unit (u1, u2), then (k, 0) and (0, k') for the
+    RREF bases of ker e1 and ker e2: for e with last nonzero entry e_j, the
+    rows e_c - (e_c/e_j) e_j, c != j, pivots at every column but j.  As
+    e1(u1) = e2(u2) = 1 (Augmented checks e(1) = 1; the robber's constant
+    augmentation has it), ``split`` reads the coordinates of v = (a, b) off
+    in closed form, c0 = e1(a) and then a - c0 u1 and b - c0 u2 at those
+    pivots, and v lies in the fiber product iff e1(a) - e2(b) vanishes.  No
+    elimination runs, and the eliminated socle coordinate is constant.
     """
     d1, d2 = A1.dim, A2.dim
-    k1 = linalg.kernel_basis(field, [e1], d1)
-    k2 = linalg.kernel_basis(field, [e2], d2)
-    z1, z2 = (field.zero,) * d1, (field.zero,) * d2
+
+    def kernel(e):  # the RREF basis of ker e, and its pivot columns
+        j, I = max(c for c, x in enumerate(e) if x), linalg.identity(field, len(e))
+        cols = [c for c in range(len(e)) if c != j]
+        return [I[c][:j] + (-e[c] / e[j],) + I[c][j + 1:] for c in cols], cols
+
+    (k1, piv1), (k2, piv2) = kernel(e1), kernel(e2)
     rows = [tuple(unit1) + tuple(unit2)]
-    rows += [tuple(r) + z2 for r in k1]
-    rows += [z1 + tuple(r) for r in k2]
-    solver = linalg.RowSolver(field, rows)
-    w = tuple(x1) + tuple(-x for x in x2)
-    w_coords = solver.coords(w)
+    rows += [r + (field.zero,) * d2 for r in k1]
+    rows += [(field.zero,) * d1 + r for r in k2]
+
+    def split(v):
+        """The coordinates of v = (a, b) in the rows, and e1(a) - e2(b)."""
+        a, b = v[:d1], v[d1:]
+        c0 = linalg.sum_dot(e1, a)
+        coords = (c0, *(a[c] - c0 * unit1[c] for c in piv1),
+                  *(b[c] - c0 * unit2[c] for c in piv2))
+        return coords, c0 - linalg.sum_dot(e2, b)
+
+    def coords_in_rows(v):
+        coords, check = split(v)
+        if check:
+            raise Singular("vector is not in the row space")
+        return coords
+
+    w_coords = coords_in_rows(tuple(x1) + tuple(-x for x in x2))
 
     def is_const_nonzero(v):
         if isinstance(v, TPoly):
@@ -376,8 +398,8 @@ def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
             coords = tuple(a - factor * b for a, b in zip(coords, w_coords))
         return tuple(coords[i] for i in keep)
 
-    # [C | N] of the fiber-product rows, C followed by the elimination of w
-    M = [reduce(row[:-1]) + row[-1:] for row in solver.map]
+    # [C | N], row j split(e_j): C followed by the elimination of w, and the check
+    M = [reduce(coords) + (check,) for coords, check in map(split, linalg.identity(field, d1 + d2))]
     read = _table_on_rows(field, [A1, A2], [rows[i] for i in keep], M, 1)
     phi = tuple(
         linalg.sum_dot(phi1, rows[i][:d1]) + linalg.sum_dot(phi2, rows[i][d1:])
@@ -398,7 +420,7 @@ def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
     labels = tuple(labels[i] for i in keep)
 
     def project(ambient):
-        return reduce(solver.coords(tuple(ambient)))
+        return reduce(coords_in_rows(tuple(ambient)))
 
     return _ConsumData(labels, read, unit, phi, e_left, e_right_of, project)
 
@@ -689,10 +711,9 @@ def gorenstein_test(
     f = A.field
     d = A.dim
     J, soc = _nilradical_and_socle(A)
-    if len(soc) != d - len(J):
-        return GorensteinResult(
-            "not_gorenstein", None, None, 0, Subspace(d, J, f), Subspace(d, soc, f)
-        )
+    if len(soc) != d - len(J):  # J and Soc come from raw_kernel, in RREF
+        return GorensteinResult("not_gorenstein", None, None, 0,
+                                *(Subspace.on_rref(d, linalg._box(f, S), f) for S in (J, soc)))
     p, L = f.characteristic, A.raw[1]
     # unscaled values: the symbolic determinant and the trials over QQ need them
     terms = [[[(k, v if p else Fraction(v, L)) for k, v in enumerate(row) if v] for row in plane]

@@ -2,11 +2,11 @@
 
 At the API, matrices are tuples of row tuples of Scalar.  The field routines
 ``rref``, ``det`` and ``mat_mul`` -- and through them ``kernel_basis``,
-``invert``, ``solve_right``, ``solve_right_affine``, ``RowSolver``,
-``extend_to_basis`` and ``complement_in`` -- unbox their input once to raw
-values (ints in [0, p) over F_p, Fractions over QQ), run their one
-elimination or product loop on those, and box the result once.  Unboxing
-checks that every entry is a Scalar of one field.  ``raw_rref``,
+``invert``, ``solve_right``, ``solve_right_affine``, ``extend_to_basis``
+and ``complement_in`` -- unbox their input once to raw values (ints in
+[0, p) over F_p, Fractions over QQ), run their one elimination or product
+loop on those, and box the result once.  Unboxing checks that every entry
+is a Scalar of one field.  ``raw_rref``,
 ``raw_kernel``, ``raw_det``, ``raw_invert`` and ``raw_complement`` are that
 elimination loop, the kernel read off it, the determinant, the inverse and
 complement_in's greedy choice, for callers that already hold raw values:
@@ -34,8 +34,6 @@ raw values only; ``slice_mul`` convolves it over k[t] on slice lists.  They
 serve the unit law of the structure-table checks, the contractions
 (``_Table.contract``, ``augmentation_check``, ``NonUnitalOriented``), the
 Gram products of ``forms`` and Strassen's test in ``tensors``.
-``RowSolver.map`` is the coordinate map the table constructors hand
-``algebra._table_on_rows``.
 
 The cost of ``raw_mul`` follows the nonzero terms: a product row is summed
 from its first term x·b[k] over the nonzero rows b[k] that its nonzero
@@ -634,37 +632,6 @@ def solve_right(field: Field, m, b):
 def solve_right_affine(field: Field, m, b):
     """Some solution of M x = b, free coordinates set to 0 (canonical)."""
     return _solve(field, m, b)[0]
-
-
-class RowSolver:
-    """Coordinates with respect to a fixed full-rank row basis Q of k^D.
-
-    One elimination: the RREF of [Q^T | I] is [[I; 0] | T], T·Q^T = [I; 0],
-    and ``map`` is the D x D matrix [C | N] = T^T.  A vector v lies in the
-    row space iff v·N = 0, and then v·C are its coordinates.  The basis must
-    have field entries; v may have TPoly entries (constant matrix,
-    polynomial right-hand side), which keeps all family computations free of
-    polynomial elimination.  ``frobenius._consum_core`` expresses the socle
-    difference and ``project`` through ``coords``; the connected sums and
-    ``decompose_augmented`` hand ``map`` to ``algebra._table_on_rows``.
-    """
-
-    def __init__(self, field: Field, rows):
-        self.rows = mat(rows)
-        m = len(self.rows)
-        ncols = len(self.rows[0]) if self.rows else 0
-        aug = [list(col) + list(e) for col, e in zip(zip(*self.rows), identity(field, ncols))]
-        red, pivots = rref(aug)
-        if sum(c < m for c in pivots) < m:
-            raise Singular("rows are dependent")
-        self.map = transpose([row[m:] for row in red])
-
-    def coords(self, v):
-        m = len(self.rows)
-        out = tuple(sum_dot(v, col) for col in zip(*self.map))
-        if any(out[m:]):
-            raise Singular("vector is not in the row space")
-        return out[:m]
 
 
 def extend_to_basis(field: Field, rows, ambient: int):

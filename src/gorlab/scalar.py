@@ -14,11 +14,12 @@ the result once.  ``linalg`` imports them for ``bareiss``, so
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import BadParameter, FieldMismatch, ZeroInput
+from .errors import BadParameter, BudgetExceeded, FieldMismatch, ZeroInput
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +319,13 @@ class Scalar:
         return hash((self.field.characteristic, self.value))
 
     def __str__(self):
-        if self.field.characteristic == 0:
-            return str(self.value)
-        return f"{self.value} mod {self.field.characteristic}"
+        try:
+            if self.field.characteristic == 0:
+                return str(self.value)
+            return f"{self.value} mod {self.field.characteristic}"
+        except ValueError as ex:  # an int past sys.get_int_max_str_digits()
+            raise BudgetExceeded(f"a value exceeds the {sys.get_int_max_str_digits()}-digit "
+                                 "limit for integer string conversion") from ex
 
     def __repr__(self):
         return f"Scalar({self})"

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -432,6 +433,21 @@ def test_literal_with_too_many_digits_is_a_syntax_error(capsys, tmp_path, text, 
     assert payload["kind"] == "SyntaxError"
     assert payload["message"] == "number has too many digits"
     assert payload["location"] == dict(zip(("line", "col"), location))
+
+
+@pytest.mark.parametrize("argv", [["robber", "--at", "t=1e5000"], ["tensor", "{big}"]],
+                         ids=["robber", "tensor"])
+def test_report_value_with_too_many_digits_is_a_budget_error(capsys, tmp_path, argv):
+    # the grammar takes a 2201-digit literal, but the square in the tensor
+    # report, like 10^5000 in the robber's fiber, has more digits than str()
+    # converts
+    p = tmp_path / "big.alg"
+    p.write_text(f"field Q\nvars x\nrel x^2 - {'7' * 2201}^2\n")
+    code, payload, _ = run(capsys, *(a.format(big=p) for a in argv))
+    assert code == 1
+    assert payload["kind"] == "BudgetExceeded"
+    assert payload["message"] == (f"a value exceeds the {sys.get_int_max_str_digits()}-digit "
+                                  "limit for integer string conversion")
 
 
 @pytest.mark.parametrize(

@@ -11,12 +11,18 @@ over QQ, ints over F_p), or raise the same exception with the same message:
 on corpus samples over QQ and F_7, on random change-of-basis matrices (with
 denominators over QQ, and singular ones), on fibers at t = 0, 1 and random
 values, and on row bases that are not closed under multiplication.
-``family_socle_generator`` is compared with Cramer's rule.
+``family_socle_generator`` is compared with Cramer's rule.  The
+connected-sum core reads its kernels and coordinates in closed form; its
+eliminated coordinate, table and projection are compared with kernel_basis
+and the one-elimination ``RowSolver`` of ``row_solver.py``, and the
+eliminations of each construction are counted.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gorlab import GF, QQ, linalg
@@ -46,9 +52,10 @@ from gorlab.frobenius import (
     rees_family,
     socle_generator,
 )
-from gorlab.scalar import Scalar, TPoly
+from gorlab.scalar import Scalar, TPoly, as_tpoly
 
 from corpus import build_corpus
+from row_solver import RowSolver
 
 FIELDS = (QQ, GF(7))
 
@@ -100,16 +107,18 @@ def ref_base_change(A, P):
     return FiniteAlgebra(A.field, [f"b{i}" for i in range(A.dim)], c, unit, validate=False)
 
 
-def ref_consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
-    c1, c2 = A1.c, A2.c
-    d1, d2 = len(c1), len(c2)
+def ref_fiber_product(field, unit1, unit2, e1, e2, x1, x2, solver_cls):
+    """The connected-sum basis by elimination: kernel_basis for the
+    augmentation kernels and a solver for coordinates.  Returns the rows,
+    the solver, the kept rows and the reduction by the socle difference."""
+    d1, d2 = len(e1), len(e2)
     k1 = linalg.kernel_basis(field, [e1], d1)
     k2 = linalg.kernel_basis(field, [e2], d2)
     z1, z2 = (field.zero,) * d1, (field.zero,) * d2
     rows = [tuple(unit1) + tuple(unit2)]
     rows += [tuple(r) + z2 for r in k1]
     rows += [z1 + tuple(r) for r in k2]
-    solver = RefRowSolver(field, rows)
+    solver = solver_cls(field, rows)
     w_coords = solver.coords(tuple(x1) + tuple(-x for x in x2))
 
     def is_const_nonzero(v):
@@ -129,6 +138,15 @@ def ref_consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2, zer
         if factor:
             coords = tuple(a - factor * b for a, b in zip(coords, w_coords))
         return tuple(coords[i] for i in keep)
+
+    return rows, solver, keep, reduce
+
+
+def ref_consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2, zero):
+    c1, c2 = A1.c, A2.c
+    d1 = len(c1)
+    rows, solver, keep, reduce = ref_fiber_product(field, unit1, unit2, e1, e2, x1, x2,
+                                                   RefRowSolver)
 
     def product(u, v):
         return ref_table_multiply(c1, u[:d1], v[:d1], zero) + ref_table_multiply(
@@ -297,6 +315,123 @@ def test_homotopy_core_matches_boxed_loops(data):
     assert outcome(core_table, *args) == outcome(ref_consum_core, *args)
 
 
+def row_solver_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
+    """The core's labels (they name the eliminated coordinate), boxed table
+    and projection as they were built on a RowSolver's map [C | N]."""
+    rows, solver, keep, reduce = ref_fiber_product(field, unit1, unit2, e1, e2, x1, x2,
+                                                   RowSolver)
+    M = [reduce(row[:-1]) + row[-1:] for row in solver.map]
+    read = _table_on_rows(field, [A1, A2], [rows[i] for i in keep], M, 1)
+    cls = AlgebraFamily if isinstance(A2, AlgebraFamily) else FiniteAlgebra
+    labels = ["1", *(f"a{i + 1}" for i in range(A1.dim - 1)),
+              *(f"b{i + 1}" for i in range(A2.dim - 1))]
+    labels = tuple(labels[i] for i in keep)
+    return labels, cls.on_read(*read, field, labels, validate=False).c, \
+        lambda v: reduce(solver.coords(v))
+
+
+def core_args_drawn(data, field):
+    """The arguments of a connected sum of two corpus samples, or of a
+    homotopy (the robber family on the right), with a perturbed left
+    augmentation, and the right factor's zero."""
+    t1 = data.draw(st.sampled_from(corpus(field)))
+    e1 = perturbed_augmentation(data, t1)
+    if data.draw(st.booleans()):
+        t2 = data.draw(st.sampled_from(corpus(field)))
+        return core_args(t1, e1, socle_generator(t2.oa, t2.e), t2.algebra, t2.algebra.unit,
+                         t2.e, t2.oa.phi, field.zero)
+    rob = robber_family(field)
+    const = tuple(u.constant_value() for u in rob.augmentations["const"])
+    return core_args(t1, e1, family_socle_generator(rob, "const"), rob,
+                     tuple(u.constant_value() for u in rob.unit), const, rob.orientation,
+                     TPoly(field))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_core_coordinates_match_the_row_solver(data):
+    # the closed-form kernels and coordinates against kernel_basis and one
+    # elimination: the same eliminated coordinate, table and projection, or
+    # the same exception; projected vectors lie in the fiber product or off
+    # it, with polynomial entries on the right of a homotopy
+    field = data.draw(st.sampled_from(FIELDS))
+    *args, zero = core_args_drawn(data, field)
+
+    def core(*args):
+        out = _consum_core(*args)
+        cls = AlgebraFamily if isinstance(zero, TPoly) else FiniteAlgebra
+        return out.labels, cls.on_read(*out.read, field, out.labels, validate=False).c, \
+            out.project
+
+    new, ref = outcome(core, *args), outcome(row_solver_core, *args)
+    assert new[:2] == ref[:2]
+    if len(new) < 3:  # both raised
+        return
+    d1, (e1, e2), unit2 = args[1].dim, args[5:7], args[4]
+    right = scalars(field) if not isinstance(zero, TPoly) else st.builds(
+        lambda cs: TPoly(field, cs), st.lists(scalars(field), max_size=3))
+    for _ in range(3):
+        a = [data.draw(scalars(field)) for _ in range(d1)]
+        b = [data.draw(right) for _ in e2]
+        if data.draw(st.integers(0, 3)):  # into the fiber product: e2(b) = e1(a)
+            delta = linalg.sum_dot(e1, a) - linalg.sum_dot(e2, b)
+            b = [x + delta * u for x, u in zip(b, unit2)]
+
+        def coords(project):
+            return tuple(as_tpoly(x, field) for x in project(tuple(a) + tuple(b)))
+
+        assert outcome(coords, new[2]) == outcome(coords, ref[2])
+
+
+def test_core_project_membership_and_tpoly_rhs():
+    # project gives coordinates in the connected sum: the joint unit is its
+    # unit and the two socle generators meet; a vector off the fiber
+    # product raises Singular, and TPoly right-hand sides are linear in t
+    t1, t2 = corpus(QQ)[2:4]
+    x1, x2 = socle_generator(t1.oa, t1.e), socle_generator(t2.oa, t2.e)
+    *args, _ = core_args(t1, t1.e, x2, t2.algebra, t2.algebra.unit, t2.e, t2.oa.phi, QQ.zero)
+    data = _consum_core(*args)
+    z1, z2 = (QQ.zero,) * t1.algebra.dim, (QQ.zero,) * t2.algebra.dim
+    assert data.project(t1.algebra.unit + t2.algebra.unit) == data.unit
+    assert data.project(x1 + z2) == data.project(z1 + x2)
+    assert any(data.project(x1 + z2))
+    with pytest.raises(Singular, match="^vector is not in the row space$"):
+        data.project(t1.algebra.unit + z2)
+    t = TPoly.t(QQ)
+    both = data.project(tuple(t * x for x in x1) + tuple(t * t * x for x in x2))
+    assert both == tuple((t + t * t) * c for c in data.project(x1 + z2))
+    with pytest.raises(Singular, match="^vector is not in the row space$"):
+        data.project(tuple(t * u for u in t1.algebra.unit) + z2)
+
+
+def test_eliminations_per_construction():
+    # raw_rref calls, which every elimination makes: the connected-sum core
+    # reads its coordinates in closed form; a homotopy solves only for the
+    # input's socle generator; decompose_augmented eliminates for the socle
+    # generator, span(1, x) and V, and not for coordinates in V
+    calls, real = [0], linalg.raw_rref
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    def count(fn, *args):
+        calls[0] = 0
+        with mock.patch.object(linalg, "raw_rref", counting):
+            fn(*args)
+        return calls[0]
+
+    for field in FIELDS:
+        t1, t2 = corpus(field)[2:4]
+        assert (t1.algebra.dim, t2.algebra.dim) == (4, 5)
+        x1, x2 = socle_generator(t1.oa, t1.e), socle_generator(t2.oa, t2.e)
+        *args, _ = core_args(t1, t1.e, x2, t2.algebra, t2.algebra.unit, t2.e, t2.oa.phi,
+                             field.zero)
+        assert count(_consum_core, *args) == 0
+        assert [count(homotopy_families, t) for t in (t1, t2)] == [1, 1]
+        assert [count(decompose_augmented, t.oa, t.e) for t in (t1, t2)] == [4, 4]
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.data())
 def test_decompose_matches_boxed_loops(data):
@@ -365,7 +500,7 @@ def test_table_on_rows_checks_the_row_space(data):
         return
 
     def new():
-        M = linalg.RowSolver(field, R).map
+        M = RowSolver(field, R).map
         planes, scale = _table_on_rows(field, [A], R, M, A.dim - len(R))
         return FiniteAlgebra.on_read(planes, scale, field, range(len(R)), validate=False).c
 

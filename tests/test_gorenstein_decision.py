@@ -14,14 +14,15 @@ every not_gorenstein certificate must pass the independent checks of
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from certificates import assert_not_gorenstein_certificate
 from corpus import random_invertible
-from gorlab import GF, QQ, poly_ring, quotient_algebra
-from gorlab.algebra import base_change, direct_product
+from gorlab import GF, QQ, linalg, poly_ring, quotient_algebra
+from gorlab.algebra import Subspace, base_change, direct_product
 from gorlab.forms import is_nondegenerate
 from gorlab.frobenius import _find_nonvanishing, b_phi, gorenstein_test
 from gorlab.poly import MultiPoly, det_multipoly
@@ -228,3 +229,23 @@ def test_decision_on_named_cases(name, field, build, gorenstein):
     for B in (A, direct_product(A, _quotient(field, lambda x, y, z: [x**2 - x, y, z]))):
         rep = check_decision(B)
         assert (rep.status != "not_gorenstein") == gorenstein
+
+
+def test_not_gorenstein_reduces_each_basis_once():
+    # J and Soc come from raw_kernel in RREF and are handed to the
+    # certificate as they are: two raw_rref calls each for the two kernels
+    # and one for the trace form's rank mod a prime, none to reduce them again
+    x, y = poly_ring(QQ, "x", "y")
+    A = quotient_algebra([x**2, x * y, y**2])
+    calls, real = [0], linalg.raw_rref
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    with mock.patch.object(linalg, "raw_rref", counting):
+        rep = gorenstein_test(A)
+    assert rep.status == "not_gorenstein" and calls[0] == 5
+    for S in (rep.nilradical, rep.socle):
+        assert S == Subspace(3, S.rows) and S.field == QQ
+    assert_not_gorenstein_certificate(A, rep)

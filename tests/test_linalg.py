@@ -73,18 +73,6 @@ def test_bareiss_polynomial_matrix():
     assert d == t * t - 1
 
 
-def test_row_solver_membership_and_tpoly_rhs():
-    rows = M(QQ, [[1, 0, 1], [0, 1, 1]])
-    solver = linalg.RowSolver(QQ, rows)
-    c = solver.coords([QQ.scalar(2), QQ.scalar(3), QQ.scalar(5)])
-    assert c == (QQ.scalar(2), QQ.scalar(3))
-    with pytest.raises(Singular):
-        solver.coords([QQ.one, QQ.zero, QQ.zero])
-    t = TPoly.t(QQ)
-    c2 = solver.coords((t, 2 * t, 3 * t))
-    assert c2[0] == t and c2[1] == 2 * t
-
-
 def test_complement_in():
     inner = M(QQ, [[1, 0, 0]])
     outer = M(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])

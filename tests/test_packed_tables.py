@@ -34,6 +34,7 @@ from gorlab.families import robber_family
 from gorlab.scalar import TPoly
 
 from corpus import random_invertible
+from row_solver import RowSolver
 
 WIDE = 2**64 + 13
 FIELDS = (GF(2), GF(7), GF(65537), GF(2**61 - 1), QQ)
@@ -171,7 +172,7 @@ def test_ideal_rows_pass_their_checks(field, data):
         return
     scales = [tpoly(rng, field, data.draw(st.integers(1, 3)), 0.3) or TPoly(field, [1])
               for _ in range(D)]
-    M = [[x * q for x, q in zip(row, scales)] for row in linalg.RowSolver(field, R).map]
+    M = [[x * q for x, q in zip(row, scales)] for row in RowSolver(field, R).map]
     want = ref_table_on_rows(field, tables, R, M, D - len(R))
     assert _table_on_rows(field, tables, R, M, D - len(R)) == want
 

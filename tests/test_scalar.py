@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gorlab.errors import BadParameter, FieldMismatch, ZeroInput
+from gorlab.errors import BadParameter, BudgetExceeded, FieldMismatch, ZeroInput
 from gorlab.scalar import (
     GF,
     QQ,
@@ -73,6 +73,15 @@ def test_parse_messages_are_unchanged():
             field.parse(text)
         assert str(ex.value) == f"cannot parse scalar {text!r}: {why}"
     assert F5.parse("1/2") == F5.scalar(3)
+
+
+def test_a_value_too_long_for_str_is_a_budget_error():
+    # str() of an int past the interpreter's digit limit raises ValueError;
+    # every scalar reaches report text through Scalar.__str__
+    for x in (QQ.scalar(10**5000), QQ.scalar(Fraction(1, 10**5000))):
+        with pytest.raises(BudgetExceeded, match="-digit limit for integer string conversion"):
+            str(x)
+    assert str(QQ.scalar(10**4000)) == "1" + "0" * 4000
 
 
 def test_a_float_coordinate_is_rejected():
