@@ -19,9 +19,9 @@ block by block on Kronecker-packed rows, by ``AlgebraFamily.at``, which
 evaluates the family's read by Horner's rule, and by the derived algebras
 (``frobenius.unitalize``, ``form_to_algebra``, ``hyp_algebra``, and
 ``poly._monomial_algebra`` for quotients and A_q), which lay out the planes
-from their inputs' reads; each hands its raw planes to ``on_read``, which
-boxes them once.  Boxed tables come only from outside the library and
-from the hand-written ``families.robber_family`` and ``Tensor3.from_support``.
+from their inputs' reads; each hands its raw planes to ``on_read``, and the
+table is boxed on first read of ``c``.  Boxed tables come in only from
+outside and from ``families.robber_family`` and ``Tensor3.from_support``.
 """
 
 from __future__ import annotations
@@ -125,8 +125,9 @@ def validate_structure(c, unit, zero, read=None):
     Entries may be Scalars or TPolys (``zero`` names the ring); the checks
     are then polynomial identities.  Table and unit are read once by
     raw_slices, so over QQ the unit law reads unit·c[i] = L² e_i.  A caller
-    that already holds that read, ([*plane slices, unit slices], L), passes
-    it as ``read``.  Raises naming the first violating triple.
+    holding that read, ([*plane slices, unit slices], L), passes it as
+    ``read``, and the table ``c`` is then used only for its length.  Raises
+    naming the first violating triple.
     """
     p = zero.field.characteristic
     d = len(c)
@@ -158,12 +159,12 @@ class _Read:
     unit: no slices) as one linalg.raw_slices read gives them, ints mod p or
     over QQ the entries times a common denominator L.  There is one way in
     per form of the table: a constructor given the boxed table reads it once,
-    after its shape checks; ``on_read`` takes the raw planes instead and the
-    object boxes them once (``_Table._fill``).  Validation and every consumer
-    work from this read.
+    after its shape checks, and keeps it; ``on_read`` takes the raw planes
+    instead.  Validation and every consumer work from this read, and the
+    boxed table is boxed from it on first read of ``c`` (``_boxed``).
     """
 
-    __slots__ = ("raw",)
+    __slots__ = ("raw", "_c")
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -171,11 +172,20 @@ class _Read:
     @classmethod
     def on_read(cls, planes, scale, *args, **kwargs):
         """cls(*args, **kwargs) on the raw plane slices ``planes`` over
-        ``scale`` instead of a boxed table, which is boxed from them; a
-        caller that already holds the boxed table passes it as ``c``."""
+        ``scale`` instead of a boxed table, boxed from them on first read."""
         out = object.__new__(cls)
+        object.__setattr__(out, "_c", None)
         out._fill(planes, scale, *args, **kwargs)
         return out
+
+    def _boxed(self, shape):
+        """``_c``, boxed from the read (planes of ``shape``) on first call."""
+        if self._c is None:
+            (*planes, _), L = self.raw
+            zero, memo = self._entry(0, self.field), {}
+            object.__setattr__(self, "_c", tuple(
+                _box_plane(self.field, pl, L, zero, shape, memo) for pl in planes))
+        return self._c
 
     def _keep(self, planes, scale, unit):
         """Keep plane slices over ``scale`` and the unit's (a vector, or None)
@@ -200,25 +210,25 @@ class _Table(_Read):
     unit, entries coerced by ``_entry``: what FiniteAlgebra (Scalars) and
     AlgebraFamily (TPolys) share, with the contractions on the read."""
 
-    __slots__ = ("field", "dim", "labels", "c", "unit")
+    __slots__ = ("field", "dim", "labels", "unit")
+    c = property(lambda self: self._boxed((self.dim,) * 2),
+                 doc="The boxed table, boxed from the read on first read.")
 
     def _read_of(self, field, labels, c):
-        """The raw planes, their scale and the coerced table of a boxed
-        table ``c``, read once after its shape check."""
+        """Keep the coerced table of a boxed table ``c``, and read it once
+        after its shape check: the raw planes and their scale."""
         d = len(labels)
         c = tuple(tuple(tuple(self._entry(x, field) for x in row) for row in plane) for plane in c)
         if len(c) != d or any(len(p) != d or any(len(r) != d for r in p) for p in c):
             raise DimensionMismatch("structure constants are not d*d*d")
-        return (*linalg.raw_slices(c, field.characteristic), c)
+        object.__setattr__(self, "_c", c)
+        return linalg.raw_slices(c, field.characteristic)
 
-    def _fill(self, planes, scale, field, labels, unit=None, validate=True, c=None):
-        d, zero, memo = len(planes), self._entry(0, field), {}
-        if c is None:
-            c = tuple(_box_plane(field, pl, scale, zero, (d, d), memo) for pl in planes)
+    def _fill(self, planes, scale, field, labels, unit=None, validate=True):
+        d = len(planes)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "labels", tuple(str(x) for x in labels))
-        object.__setattr__(self, "c", c)
         if unit is not None:
             unit = tuple(self._entry(x, field) for x in unit)
             if len(unit) != d:
@@ -226,7 +236,10 @@ class _Table(_Read):
         object.__setattr__(self, "unit", unit)
         self._keep(planes, scale, unit)
         if validate:
-            validate_structure(c, unit, zero, read=self.raw)
+            # nothing is boxed: with ``read`` given the table counts only by its
+            # length and ring (bench/tracing.py reads the ring off c[0][0][0])
+            zero = self._entry(0, field)
+            validate_structure((((zero,),),) * d, unit, zero, read=self.raw)
 
     def coerce_vector(self, v):
         v = tuple(self._entry(x, self.field) for x in v)
@@ -276,8 +289,8 @@ class FiniteAlgebra(_Table):
     _show = str
 
     def __init__(self, field: Field, labels, c, unit=None, validate: bool = True):
-        planes, scale, c = self._read_of(field, labels, c)
-        self._fill(planes, scale, field, labels, unit, validate, c=c)
+        planes, scale = self._read_of(field, labels, c)
+        self._fill(planes, scale, field, labels, unit, validate)
 
     @staticmethod
     def _entry(x, field):
@@ -318,12 +331,12 @@ def multiply(A: FiniteAlgebra, u, v):
     """The product of two coefficient vectors, by bilinear contraction."""
     u = A.coerce_vector(u)
     v = A.coerce_vector(v)
-    out = [A.field.zero] * A.dim
+    out, c = [A.field.zero] * A.dim, A.c
     for i, ui in enumerate(u):
         for j, vj in enumerate(v):
             if ui and vj:
                 f = ui * vj
-                for k, ck in enumerate(A.c[i][j]):
+                for k, ck in enumerate(c[i][j]):
                     if ck:
                         out[k] = out[k] + f * ck
     return tuple(out)
@@ -382,16 +395,18 @@ def direct_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
 
 
 def base_change(A: FiniteAlgebra, P, labels=None) -> FiniteAlgebra:
-    """Rewrite the table in the basis f_i = sum_j P[i][j] e_j."""
+    """Rewrite the table and unit in the basis f_i = sum_j P[i][j] e_j."""
     P = tuple(A.coerce_vector(row) for row in P)
     if len(P) != A.dim:
         raise DimensionMismatch("change of basis must be square")
-    Pinv = linalg.invert(A.field, P)
-    planes, scale = _table_on_rows(A.field, [A], P, Pinv, 0)
-    unit = linalg.vec_mat(A.unit, Pinv) if A.unit is not None else None
+    f, p = A.field, A.field.characteristic
+    Pinv = linalg.raw_invert(linalg.unbox(P, f)[1], p)
+    planes, scale = _table_on_rows(f, [A], P, linalg._box(f, Pinv), 0)
+    unit = None if A.unit is None else linalg._box(f, linalg.raw_mul(
+        [[x.value for x in A.unit]], Pinv, p, 0 if p else Fraction(0)))[0]
     if labels is None:
         labels = tuple(f"b{i}" for i in range(A.dim))
-    return FiniteAlgebra.on_read(planes, scale, A.field, labels, unit, validate=False)
+    return FiniteAlgebra.on_read(planes, scale, f, labels, unit, validate=False)
 
 
 def _box_plane(field: Field, slices, scale: int, zero, shape, memo: dict):
@@ -518,12 +533,12 @@ class AlgebraFamily(_Table):
         augmentations=None,
         validate: bool = True,
     ):
-        planes, scale, c = self._read_of(field, labels, c)
-        self._fill(planes, scale, field, labels, unit, orientation, augmentations, validate, c=c)
+        planes, scale = self._read_of(field, labels, c)
+        self._fill(planes, scale, field, labels, unit, orientation, augmentations, validate)
 
     def _fill(self, planes, scale, field, labels, unit=None, orientation=None,
-              augmentations=None, validate=True, c=None):
-        super()._fill(planes, scale, field, labels, unit, validate, c)
+              augmentations=None, validate=True):
+        super()._fill(planes, scale, field, labels, unit, validate)
         object.__setattr__(self, "orientation",
                            None if orientation is None else self.coerce_vector(orientation))
         object.__setattr__(self, "augmentations", MappingProxyType(

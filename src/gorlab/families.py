@@ -11,8 +11,8 @@ raw coefficient slices, see ``linalg.raw_slices``).  The family Gram matrix,
 its unit determinant and the socle solve (``linalg.bareiss`` on raw
 coefficient lists), the augmentation check and the fibers all work from it.
 The robber family is built from coefficient lists and fully validated once
-per field, then kept (it is immutable); the homotopies are built on the raw
-planes of the connected sum that builds them, boxed once and shared.
+per field, then kept (it is immutable); the homotopies share the raw planes
+of their connected sum, each boxed on first read of ``c``.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def robber_family(field: Field) -> AlgebraFamily:
 class HomotopyFamilies:
     """The two homotopies out of the robber construction.
 
-    h_const and h_mv share structure constants and orientation (literally
-    the same tuples) and differ only in the distinguished augmentation
+    h_const and h_mv share the raw planes of their table, have equal
+    orientations, and differ only in the distinguished augmentation
     "aug"; both also carry the other one under its own name.  `project`
     maps a vector of the ambient product T + robber (length dim(T) + 4,
     entries Scalar or TPoly) to its class in the family basis.
@@ -207,11 +207,11 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
         robber.orientation,
     )
     augs = {"const": data.e_left, "mv": data.e_right_of(robber.augmentations["mv"])}
-    # the homotopies share the table and its raw planes; only "aug" differs
+    # the homotopies share the raw planes of the table; only "aug" differs
     h_const = AlgebraFamily.on_read(*data.read, f, data.labels, data.unit, data.phi,
                                     {"aug": augs["const"], **augs})
     h_mv = AlgebraFamily.on_read(*data.read, f, data.labels, data.unit, data.phi,
-                                 {"aug": augs["mv"], **augs}, validate=False, c=h_const.c)
+                                 {"aug": augs["mv"], **augs}, validate=False)
     if not family_det_is_unit(h_const):  # pragma: no cover
         raise Singular("homotopy family lost its orientation")
     for name in ("const", "mv"):  # pragma: no branch

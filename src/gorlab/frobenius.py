@@ -350,7 +350,11 @@ def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
     augmentation has it), ``split`` reads the coordinates of v = (a, b) off
     in closed form, c0 = e1(a) and then a - c0 u1 and b - c0 u2 at those
     pivots, and v lies in the fiber product iff e1(a) - e2(b) vanishes.  No
-    elimination runs, and the eliminated socle coordinate is constant.
+    elimination runs, and the eliminated socle coordinate is constant.  Nor
+    for [C | N]: ``reduce`` is linear, and row j is e1[j]·reduce(u) + reduce(δ_j)
+    with check e1[j] for j < d1, else reduce(δ_j) with check -e2[j - d1], for
+    u = (1, -u1 at piv1, -u2 at piv2) and δ_j the unit vector at column j's
+    coordinate (0 for a kernel's dropped column).
     """
     d1, d2 = A1.dim, A2.dim
 
@@ -398,8 +402,16 @@ def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
             coords = tuple(a - factor * b for a, b in zip(coords, w_coords))
         return tuple(coords[i] for i in keep)
 
-    # [C | N], row j split(e_j): C followed by the elimination of w, and the check
-    M = [reduce(coords) + (check,) for coords, check in map(split, linalg.identity(field, d1 + d2))]
+    # [C | N] in closed form: delta maps column j to reduce(δ_j)
+    u = reduce((field.one, *(-unit1[c] for c in piv1), *(-unit2[c] for c in piv2)))
+    delta = dict(zip([*piv1, *(d1 + c for c in piv2)],
+                     map(reduce, linalg.identity(field, len(rows))[1:])))
+    M, zeros = [], (field.zero,) * len(keep)
+    for j in range(d1 + d2):
+        row = delta.get(j, zeros)
+        if j < d1 and e1[j]:
+            row = tuple(a + e1[j] * b for a, b in zip(row, u))
+        M.append((*row, e1[j] if j < d1 else -e2[j - d1]))
     read = _table_on_rows(field, [A1, A2], [rows[i] for i in keep], M, 1)
     phi = tuple(
         linalg.sum_dot(phi1, rows[i][:d1]) + linalg.sum_dot(phi2, rows[i][d1:])

@@ -9,7 +9,8 @@ of the points' evaluation matrix (Möller–Buchberger), with no Gröbner basis.
 
 A Tensor3 holds the read of its layers from construction (``raw``, as for
 an algebra's table; ``structure_tensor`` hands over the algebra's), and the
-contraction, the 1-genericity pencil and Strassen's test work from it alone.
+contraction, the 1-genericity pencil and Strassen's test work from it alone;
+``entries`` is boxed on first read of it, as an algebra's ``c`` is.
 A_q (``aq_algebra``) is written down from its closed form, not compiled
 from its presentation; the tests compile the presentation by Buchberger
 and check both against CW_q.
@@ -53,7 +54,10 @@ class Tensor3(_Read):
     """A d1 x d2 x d3 array of scalars; its layers T[i] are the planes of
     its read ``raw`` (see algebra._Read), which has no unit slices."""
 
-    __slots__ = ("field", "dims", "entries")
+    __slots__ = ("field", "dims")
+    entries = property(lambda self: self._boxed(self.dims[1:]),
+                       doc="The boxed layers, boxed from the read on first read.")
+    _entry = staticmethod(FiniteAlgebra._entry)
 
     def __init__(self, field: Field, entries):
         entries = tuple(
@@ -64,14 +68,12 @@ class Tensor3(_Read):
         d3 = len(entries[0][0]) if d2 else 0
         if any(len(p) != d2 or any(len(r) != d3 for r in p) for p in entries):
             raise ShapeMismatch("ragged tensor")
-        self._fill(*linalg.raw_slices(entries, field.characteristic), field, c=entries)
+        object.__setattr__(self, "_c", entries)
+        self._fill(*linalg.raw_slices(entries, field.characteristic), field, (len(entries), d2, d3))
 
-    def _fill(self, planes, scale, field, c):
-        d1 = len(c)
-        d2 = len(c[0]) if d1 else 0
+    def _fill(self, planes, scale, field, dims):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dims", (d1, d2, len(c[0][0]) if d2 else 0))
-        object.__setattr__(self, "entries", c)
+        object.__setattr__(self, "dims", dims)
         self._keep(planes, scale, None)
 
     def _layers(self):
@@ -122,13 +124,7 @@ class Tensor3(_Read):
         return f"Tensor3{self.dims} over {self.field}"
 
     def serialize(self) -> dict:
-        d1, d2, d3 = self.dims
-        flat = [
-            str(self.entries[i][j][k])
-            for i in range(d1)
-            for j in range(d2)
-            for k in range(d3)
-        ]
+        flat = [str(x) for layer in self.entries for row in layer for x in row]
         return {
             "field": {"kind": self.field.kind, "characteristic": self.field.characteristic},
             "dims": list(self.dims),
@@ -139,7 +135,7 @@ class Tensor3(_Read):
 def structure_tensor(A: FiniteAlgebra) -> Tensor3:
     """The multiplication table of A, viewed as a 3-tensor, and its read."""
     (*planes, _), L = A.raw
-    return Tensor3.on_read(planes, L, A.field, c=A.c)
+    return Tensor3.on_read(planes, L, A.field, (A.dim,) * 3)
 
 
 def cw_tensor(field: Field, q: int) -> Tensor3:
