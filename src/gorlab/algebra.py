@@ -6,7 +6,8 @@ by e_i (row j is e_i e_j), and validation is three matrix identities on
 these planes: c[i][j] = c[j][i] (commutativity); c[i]·c[k] = c[k]·c[i],
 since row j of each side is (e_i e_j) e_k and e_i (e_j e_k) (associativity);
 and sum_m unit[m] c[m] = I (the unit law).  Every later construction leans
-on these checks being exact; they run on raw coefficient slices.
+on these checks being exact; they run on raw coefficient slices, once, where
+a table enters the library, not on what a construction builds from valid input.
 
 The read of a table lives on its object: FiniteAlgebra, AlgebraFamily and
 tensors.Tensor3 hold ``raw`` from construction (see ``_Read``), and
@@ -172,7 +173,8 @@ class _Read:
     @classmethod
     def on_read(cls, planes, scale, *args, **kwargs):
         """cls(*args, **kwargs) on the raw plane slices ``planes`` over
-        ``scale`` instead of a boxed table, boxed from them on first read."""
+        ``scale`` instead of a boxed table, boxed from them on first read;
+        with ``validate=False`` the caller vouches for the table."""
         out = object.__new__(cls)
         object.__setattr__(out, "_c", None)
         out._fill(planes, scale, *args, **kwargs)
@@ -283,7 +285,8 @@ class _Table(_Read):
 
 
 class FiniteAlgebra(_Table):
-    """A commutative (optionally unital) algebra of finite dimension."""
+    """A commutative (optionally unital) algebra of finite dimension; with
+    ``validate=False`` the caller vouches for its table."""
 
     __slots__ = ()
     _show = str
@@ -512,9 +515,10 @@ class AlgebraFamily(_Table):
     """An algebra whose structure constants are polynomials in t.
 
     Commutativity, associativity and the unit law are required as exact
-    polynomial identities, so every specialization is valid at once.  An
-    optional orientation and named augmentations (a read-only mapping) ride
-    along as TPoly vectors.  Validation, ``at``, ``gram`` and the family
+    polynomial identities (with ``validate=False`` the caller vouches for
+    them), so every specialization is valid at once.  An optional
+    orientation and named augmentations (a read-only mapping) ride along as
+    TPoly vectors.  Validation, ``at``, ``gram`` and the family
     checks of ``families`` and ``frobenius.augmentation_check`` all work
     from the read ``raw``.  (Exposed through the families module.)
     """

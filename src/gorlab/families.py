@@ -11,8 +11,9 @@ raw coefficient slices, see ``linalg.raw_slices``).  The family Gram matrix,
 its unit determinant and the socle solve (``linalg.bareiss`` on raw
 coefficient lists), the augmentation check and the fibers all work from it.
 The robber family is built from coefficient lists and fully validated once
-per field, then kept (it is immutable); the homotopies share the raw planes
-of their connected sum, each boxed on first read of ``c``.
+per field, then kept (it is immutable); the homotopies and fibers, valid by
+construction, are not re-validated.  The homotopies share the raw planes of
+their connected sum, each boxed on first read of ``c``.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ class Fiber:
 
 
 def specialize(F: AlgebraFamily, c) -> Fiber:
-    """Evaluate every structure constant and functional at t = c; the fiber
-    is re-validated."""
+    """Evaluate every structure constant and functional at t = c.  The fiber
+    is not re-validated: the family's identities hold at every t = c."""
     c = F.field.scalar(c)
-    alg = F.at(c, validate=True)
+    alg = F.at(c, validate=False)
     ori = (
         tuple(tpoly_eval(x, c) for x in F.orientation)
         if F.orientation is not None
@@ -186,7 +187,9 @@ class HomotopyFamilies:
 def homotopy_families(T: Augmented) -> HomotopyFamilies:
     """Connected sum of the constant family on T with the robber family,
     carried out over k[t]; endpoints interpolate between adding a split-off
-    double point with T's augmentation and with the double point's own."""
+    double point with T's augmentation and with the double point's own.
+    Nothing is re-validated, by connected_sum's argument; the augmentations
+    descend, as both robber augmentations vanish on its socle generator."""
     x1 = socle_generator(T.oa, T.e)
     if linalg.sum_dot(T.e, x1):  # isotropy_check, on the one solve
         raise NotIsotropic("input augmentation is not isotropic")
@@ -208,15 +211,9 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
     )
     augs = {"const": data.e_left, "mv": data.e_right_of(robber.augmentations["mv"])}
     # the homotopies share the raw planes of the table; only "aug" differs
-    h_const = AlgebraFamily.on_read(*data.read, f, data.labels, data.unit, data.phi,
-                                    {"aug": augs["const"], **augs})
-    h_mv = AlgebraFamily.on_read(*data.read, f, data.labels, data.unit, data.phi,
-                                 {"aug": augs["mv"], **augs}, validate=False)
-    if not family_det_is_unit(h_const):  # pragma: no cover
-        raise Singular("homotopy family lost its orientation")
-    for name in ("const", "mv"):  # pragma: no branch
-        if not augmentation_check(h_const, augs[name]):  # pragma: no cover
-            raise Singular(f"augmentation {name} does not descend to the sum")
+    h_const, h_mv = (AlgebraFamily.on_read(*data.read, f, data.labels, data.unit, data.phi,
+                                           {"aug": augs[name], **augs}, validate=False)
+                     for name in ("const", "mv"))
     return HomotopyFamilies(h_const, h_mv, data.project)
 
 

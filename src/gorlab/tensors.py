@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import prod
 
 from . import linalg
-from .algebra import AlgebraFamily, FiniteAlgebra, _constant_planes, _Read
+from .algebra import AlgebraFamily, FiniteAlgebra, _constant_planes, _Read, base_change
 from .errors import (
     BadParameter,
     BoundTooSmall,
@@ -44,7 +44,6 @@ from .frobenius import (
     _symbolic_certificate,
     decompose_augmented,
     gorenstein_test,
-    unitalize,
 )
 from .poly import MultiPoly, _monomial_algebra, monomials_of_degree
 from .scalar import Field, Scalar
@@ -267,14 +266,17 @@ def degeneration_to_cw(T: Augmented) -> DegenerationReport:
     V-multiplication, i.e. the shape of form_to_algebra(B).  Over an
     algebraically closed field the special fiber is the G-fat point A_q;
     over the given exact field the report carries the isometry invariants
-    of B instead of an isomorphism claim.
+    of B instead of an isomorphism claim.  The input in the adapted basis
+    (1, x, V) has phi = (lam, 1, 0, ...) and e = (1, 0, ...).
     """
     dec = decompose_augmented(T.oa, T.e)  # raises NotIsotropic
     f, nu = T.oa.field, dec.nonunital
-    U = unitalize(dec.lam, nu)
+    labels = ("1", "x") + nu.algebra.labels
+    U = base_change(T.algebra, dec.adapted_basis, labels)
     # weights (0, 2, 1, ..., 1) on (1, x, V): V·V -> V takes a t, V·V -> x does not
-    fam = _graded_family(U.algebra, [0, 2] + [1] * nu.dim, U.algebra.labels,
-                        orientation=U.oa.phi, augmentations={"aug": U.e})
+    fam = _graded_family(U, [0, 2] + [1] * nu.dim, labels,
+                         orientation=[dec.lam, 1] + [0] * nu.dim,
+                         augmentations={"aug": [1] + [0] * (nu.dim + 1)})
     inv = witt_invariants(nu.form)
     # in characteristic 2 an alternating V-form cannot become A_q's identity form
     closed_fiber_is_aq = f.characteristic != 2 or not is_even(nu.form)

@@ -3,8 +3,10 @@
 Each sample is assembled from blocks whose Frobenius structure is known
 (nilpotent chains, form extensions, reduced points), carries its
 augmentation through a non-reduced block so isotropy holds, and is then
-scrambled by a random change of basis.  Everything is re-validated by the
-library on construction.
+scrambled by a random change of basis.  The tables are valid by
+construction, as direct products and base changes of valid blocks, and the
+library validates only the form blocks (``unitalize``); it checks every
+sample's orientation and augmentation.
 """
 
 import random

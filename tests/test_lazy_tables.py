@@ -22,7 +22,14 @@ from unittest import mock
 import pytest
 
 from gorlab import GF, QQ, algebra, linalg
-from gorlab.algebra import FiniteAlgebra, _box_plane, _Read, base_change, direct_product
+from gorlab.algebra import (
+    AlgebraFamily,
+    FiniteAlgebra,
+    _box_plane,
+    _Read,
+    base_change,
+    direct_product,
+)
 from gorlab.cli import compile_presentation, parse_presentation
 from gorlab.families import homotopy_families, specialize
 from gorlab.frobenius import (
@@ -166,9 +173,13 @@ def test_validation_sees_the_length_and_ring_of_the_table(field):
         seen.append((len(c), type(c[0][0][0]) if c else None, type(zero)))
         return real(c, unit, zero, read)
 
-    t1, t2 = corpus(field)[1:3]
+    t1 = corpus(field)[1]
+    dec = decompose_augmented(t1.oa, t1.e)
+    h = homotopy_families(t1).h_const
+    (*planes, _), scale = h.raw
     with mock.patch.object(algebra, "validate_structure", keeping):
-        for build in (lambda: connected_sum(t1, t2).algebra, lambda: homotopy_families(t1).h_const):
+        for build in (lambda: unitalize(dec.lam, dec.nonunital).algebra,
+                      lambda: AlgebraFamily.on_read(planes, scale, field, h.labels, h.unit)):
             obj = build()
             assert seen.pop() == (obj.dim, type(obj._entry(0, field)), type(obj._entry(0, field)))
             assert obj._c is None
