@@ -35,6 +35,7 @@ from fractions import Fraction
 from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import (
+    Degenerate,
     DuplicateClause,
     FieldMismatch,
     GorlabError,
@@ -50,6 +51,7 @@ from .frobenius import (
     Augmented,
     OrientedAlgebra,
     augmentation_check,
+    b_phi,
     connected_sum,
     gorenstein_test,
     isotropy_check,
@@ -428,10 +430,13 @@ class CompiledDocument:
     phi: tuple | None
     e: tuple | None
 
-    def oriented(self) -> OrientedAlgebra:
+    def orientation(self) -> tuple:
         if self.phi is None:
             raise UnknownMonomial("document has no orient clause")
-        return OrientedAlgebra(self.algebra, self.phi)
+        return self.phi
+
+    def oriented(self) -> OrientedAlgebra:
+        return OrientedAlgebra(self.algebra, self.orientation())
 
     def augmented(self) -> Augmented:
         if self.e is None:
@@ -697,8 +702,11 @@ def _cmd_cw(args) -> dict:
 
 def _cmd_witt(args) -> dict:
     cd = load_algebra_file(args.file)
-    oa = cd.oriented()
-    inv = witt_invariants(oa.form)
+    # one determinant of b_phi: witt_invariants' decides the orientation too
+    try:
+        inv = witt_invariants(b_phi(cd.algebra, cd.orientation()))
+    except Degenerate:
+        raise Degenerate("phi does not orient the algebra: b_phi is degenerate") from None
     return {"command": "witt", **inv.serialize()}
 
 

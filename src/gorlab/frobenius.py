@@ -211,15 +211,14 @@ class Decomposition:
     adapted_basis: tuple  # rows (1, x, v_1, ..., v_{d-2}) in old coordinates
 
 
-def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
-    """Split an isotropically augmented algebra as k[x]/x^2 (+) V.
+def _split(oa: OrientedAlgebra, e):
+    """The split of an isotropically augmented algebra along span(1, x).
 
-    V is the orthogonal complement of span(1, x); its multiplication is the
-    ambient one followed by orthogonal projection back onto V.  V's rows Q
-    are in RREF, pivot columns P, so its coordinate map needs no elimination:
-    it is [C | N], C taking a vector's entries at P and, for c off P, column
-    c of N being v_c - sum_i v_{P_i} Q_i[c], which vanishes exactly on V.
-    V is m/(x) for the ideals m = ker e and (x) (a x = e(a) x), so valid.
+    Returns lam = phi(1), V's form, V's labels, the adapted basis (1, x, V)
+    and the raw values (G, x, 1, V) it came from.  V is the orthogonal
+    complement of span(1, x), its rows in RREF; its form V·G·V^T (G is
+    symmetric) is non-degenerate, span(1, x) being a hyperbolic plane of
+    the non-degenerate b_phi, and is not re-checked.
     """
     A = oa.algebra
     e = A.coerce_vector(e)
@@ -227,21 +226,38 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     if linalg.sum_dot(e, x):  # isotropy_check, on the one solve
         raise NotIsotropic("augmentation is not isotropic")
     f = oa.field
-    lam = oa.phi_of(A.unit)
-    span1x = Subspace(A.dim, [A.unit, x])
     from .forms import orth_complement
 
-    V = orth_complement(oa.form, span1x)
-    vrows = V.rows
-    m = len(vrows)
-    # on raw values, boxed once: the projection along span(1, x),
-    # w -> w - B(w, x) 1 - (B(w, 1) - lam B(w, x)) x, times the coordinate
-    # map of V, and V's Gram matrix V·G·V^T (G is symmetric)
+    vrows = orth_complement(oa.form, Subspace(A.dim, [A.unit, x])).rows
     p = f.characteristic
     zero = 0 if p else Fraction(0)
     _, G = linalg.unbox(oa.form.gram, f)
     _, (xr, ur, *Vr) = linalg.unbox([x, A.unit, *vrows], f)
-    gx, g1 = linalg.raw_mul([xr, ur], G, p, zero)
+    VG = linalg.raw_mul(Vr, G, p, zero)
+    gramV = linalg._box(f, linalg.raw_mul(VG, [list(col) for col in zip(*Vr)], p, zero))
+    labels = tuple(f"v{i + 1}" for i in range(len(vrows)))
+    adapted = linalg.mat([A.unit, x] + list(vrows))
+    return oa.phi_of(A.unit), BilinearForm(f, gramV), labels, adapted, (G, xr, ur, Vr)
+
+
+def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
+    """Split an isotropically augmented algebra as k[x]/x^2 (+) V.
+
+    V is the orthogonal complement of span(1, x) (see ``_split``); its
+    multiplication is the ambient one followed by orthogonal projection back
+    onto V.  V's rows Q are in RREF, pivot columns P, so its coordinate map
+    needs no elimination: it is [C | N], C taking a vector's entries at P
+    and, for c off P, column c of N being v_c - sum_i v_{P_i} Q_i[c], which
+    vanishes exactly on V.  V is m/(x) for the ideals m = ker e and (x)
+    (a x = e(a) x), so valid.
+    """
+    lam, form, labels, adapted, (G, xr, ur, Vr) = _split(oa, e)
+    A, f = oa.algebra, oa.field
+    # on raw values, boxed once: the projection along span(1, x),
+    # w -> w - B(w, x) 1 - (B(w, 1) - lam B(w, x)) x, times the coordinate
+    # map of V
+    p = f.characteristic
+    gx, g1 = linalg.raw_mul([xr, ur], G, p, 0 if p else Fraction(0))
     lr = lam.value
     proj = [[int(j == k) - gx[j] * ur[k] - (g1[j] - lr * gx[j]) * xr[k] for k in range(A.dim)]
             for j in range(A.dim)]
@@ -249,14 +265,9 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     M = [[v[c] for c in P] + [v[c] - sum(v[q] * Q[c] for q, Q in zip(P, Vr))
                               for c in range(A.dim) if c not in P] for v in proj]
     M = linalg._box(f, [[v % p for v in row] for row in M] if p else M)
-    planes, scale = _table_on_rows(f, [A], vrows, M, A.dim - m)
-    VG = linalg.raw_mul(Vr, G, p, zero)
-    gramV = linalg._box(f, linalg.raw_mul(VG, [list(col) for col in zip(*Vr)], p, zero))
-    alg = FiniteAlgebra.on_read(planes, scale, f, [f"v{i + 1}" for i in range(m)],
-                                validate=False)
-    nonu = NonUnitalOriented(alg, BilinearForm(f, gramV))
-    adapted = linalg.mat([A.unit, x] + list(vrows))
-    return Decomposition(lam, nonu, adapted)
+    planes, scale = _table_on_rows(f, [A], adapted[2:], M, A.dim - len(Vr))
+    alg = FiniteAlgebra.on_read(planes, scale, f, labels, validate=False)
+    return Decomposition(lam, NonUnitalOriented(alg, form), adapted)
 
 
 def unitalize(lam, nu: NonUnitalOriented) -> Augmented:

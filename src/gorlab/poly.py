@@ -16,6 +16,12 @@ straight from two tails), ``normal_form`` and the structure constants of
 product of raw polynomials; ``cli._parse_poly`` builds its relations with
 them.  MultiPolys are unboxed on input and boxed once on output.
 
+``groebner_basis`` takes the generators in reduced and prunes its pairs by
+the Gebauer–Möller update (``_update``), so relations that echo earlier
+ones, as most of A_q's x_i^2 - x_j^2 do, form few S-polynomials.
+``standard_monomials`` walks the staircase degree by degree, not the box
+of pure powers around it.
+
 The ``MultiPoly`` operators (+, -, *, ``scale``, ``term_mul``,
 ``substitute``) are thin wrappers over ``_raw_add`` and ``_raw_mul``, and so
 are the minor expansion of ``det_multipoly`` and the shifted rows of
@@ -25,9 +31,9 @@ function remains public API; ``points-degenerate`` no longer uses it.
 
 from __future__ import annotations
 
+from bisect import insort
 from heapq import heapify, heappop, heappush
-from itertools import product
-from operator import add, le, sub
+from operator import add, le, neg, sub
 
 from . import linalg
 from .algebra import FiniteAlgebra
@@ -50,7 +56,7 @@ def mono_degree(m: Monomial) -> int:
 
 def grevlex_key(m: Monomial):
     """Sort key: ascending under the order described in the module docstring."""
-    return (sum(m), tuple(-e for e in m))
+    return (sum(m), tuple(map(neg, m)))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -313,10 +319,10 @@ def _divisor(g: MultiPoly):
     return _monic(g.leading_monomial(), _raw(g), g.field.characteristic)
 
 
-def _s_poly(f, g, p: int) -> dict:
-    """S-polynomial of two monic divisors, straight from their tails."""
+def _s_poly(f, g, l, p: int) -> dict:
+    """S-polynomial of two monic divisors with lcm l of their leading
+    monomials, straight from their tails."""
     (lf, tf), (lg, tg) = f, g
-    l = mono_lcm(lf, lg)
     qf, qg = mono_div(l, lf), mono_div(l, lg)
     out = {tuple(map(add, qf, m)): c for m, c in tf.items()}
     return _raw_add(out, {tuple(map(add, qg, m)): c for m, c in tg.items()}, -1, p)
@@ -367,23 +373,25 @@ def normal_form(f: MultiPoly, gb) -> MultiPoly:
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    return _boxed(
-        f.field, f.variables, _s_poly(_divisor(f), _divisor(g), f.field.characteristic)
-    )
+    df, dg = _divisor(f), _divisor(g)
+    raw = _s_poly(df, dg, mono_lcm(df[0], dg[0]), f.field.characteristic)
+    return _boxed(f.field, f.variables, raw)
 
 
 def groebner_basis(gens) -> list[MultiPoly]:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Buchberger's algorithm: the pending pair whose leading monomials have the
-    smallest lcm goes first, ties by index pair (i, j).  A pair is dropped by
-    the coprimality criterion or by the chain criterion (some other leading
-    monomial divides the lcm and both side pairs are done).  The output is
-    the unique reduced basis, sorted by ascending leading monomial.
+    Buchberger's algorithm with the Gebauer–Möller pair update, in the UPDATE
+    form of Becker & Weispfenning (*Gröbner Bases*, GTM 141, 1993).  The
+    generators enter by ascending leading monomial, each reduced by the basis
+    so far; one that reduces to zero is dropped, so dependent relations make
+    no pairs.  Every new element h goes through ``_update``.  The pending
+    pair with the smallest lcm goes first, ties by index pair (i, j); its
+    S-polynomial, reduced by the basis, enters as h when it is not zero.
 
-    The basis is kept as monic divisors (lm, tail) of raw values; the
-    S-polynomials are formed from the tails and reduced by ``_reduce``, and
-    the reduced basis is boxed once.
+    The basis is kept as monic divisors (lm, tail) of raw values, tried by
+    ascending leading monomial.  It stays minimal, so the reduced basis, in
+    that order, is its tails reduced once and boxed once.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -393,83 +401,106 @@ def groebner_basis(gens) -> list[MultiPoly]:
         if g.field != field or g.variables != variables:
             raise FieldMismatch("generators live in different rings")
     p = field.characteristic
-    basis = [_divisor(g) for g in gens]
-    lms = [lm for lm, _ in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    queue = [(grevlex_key(mono_lcm(lms[i], lms[j])), i, j) for i, j in pairs]
-    heapify(queue)
-    while queue:
-        _, i, j = heappop(queue)
-        pairs.discard((i, j))
-        l = mono_lcm(lms[i], lms[j])
-        # first Buchberger criterion: coprime leading monomials
-        if l == mono_mul(lms[i], lms[j]):
-            continue
-        # chain criterion: some k with lm(k) | lcm and both side pairs done
-        skip = False
-        for k, lm_k in enumerate(lms):
-            if k in (i, j) or not mono_divides(lm_k, l):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pairs and b not in pairs:
-                skip = True
-                break
-        if skip:
-            continue
-        h = _reduce(_s_poly(basis[i], basis[j], p), basis, p)
+    basis, pairs, queue = [], {}, []
+    alive, G = [], []  # basis indices by ascending lm, and their divisors
+
+    def enter(h):
+        nonlocal alive, G
         if h:
             basis.append(_monic(next(iter(h)), h, p))
-            lms.append(basis[-1][0])
-            new = len(basis) - 1
-            for k in range(new):
-                pairs.add((k, new))
-                heappush(queue, (grevlex_key(mono_lcm(lms[k], lms[new])), k, new))
-    # interreduce to the unique reduced basis: minimalize by leading
-    # monomial first, then reduce each tail against the others
-    lead = {}
-    for div in basis:
-        lead.setdefault(div[0], div)
-    minimal = [
-        div
-        for m, div in lead.items()
-        if not any(m != m2 and mono_divides(m2, m) for m2 in lead)
-    ]
-    final = []
-    for i, (lm, tail) in enumerate(minimal):
-        others = [div for k, div in enumerate(minimal) if k != i]
-        final.append({lm: field.one.value, **_reduce(dict(tail), others, p)})
-    final.sort(key=lambda g: grevlex_key(next(iter(g))))
-    return [_boxed(field, variables, g) for g in final]
+            alive = _update(basis, alive, pairs, queue)
+            G = [basis[k] for k in alive]
+
+    for g in sorted(gens, key=lambda g: grevlex_key(g.leading_monomial())):
+        enter(_reduce(_raw(g), G, p))
+    while queue:
+        _, i, j = heappop(queue)
+        l = pairs.pop((i, j), None)
+        if l is not None:
+            enter(_reduce(_s_poly(basis[i], basis[j], l, p), G, p))
+    one = field.one.value
+    return [_boxed(field, variables, {lm: one, **_reduce(dict(tail), G, p)}) for lm, tail in G]
+
+
+def _update(basis, alive, pairs, queue) -> list:
+    """Becker–Weispfenning's UPDATE for the newest divisor h = basis[-1].
+
+    Of the pairs (g, h), g alive, a pair goes when a strictly smaller lcm
+    among them divides its lcm, and an equal-lcm group goes whole when it
+    holds a coprime pair; one pair is queued per remaining lcm, unless both
+    are monomials (the S-polynomial is 0).  An old pair (a, b) goes when
+    lm(h) divides its lcm and differs from both lcm(a, h) and lcm(b, h)
+    (criterion B_k).  Returns the indices alive once h joins, by ascending
+    leading monomial: h and those whose leading monomial lm(h) does not
+    divide.
+    """
+    t = len(basis) - 1
+    lm_t, tail_t = basis[t]
+    groups: dict = {}  # lcm -> the alive g with lcm(lm(g), lm(h)) = lcm
+    for g in alive:
+        groups.setdefault(mono_lcm(basis[g][0], lm_t), []).append(g)
+    for (a, b), l in list(pairs.items()):
+        if (
+            mono_divides(lm_t, l)
+            and mono_lcm(basis[a][0], lm_t) != l
+            and mono_lcm(basis[b][0], lm_t) != l
+        ):
+            del pairs[(a, b)]
+    minimal = []  # the lcms no other lcm strictly divides, met by ascending degree
+    for l in sorted(groups, key=sum):
+        if any(mono_divides(l2, l) for l2 in minimal):
+            continue
+        minimal.append(l)
+        gs = groups[l]
+        if any(l == mono_mul(basis[g][0], lm_t) for g in gs):
+            continue
+        g = gs[0]
+        if tail_t or basis[g][1]:
+            pairs[(g, t)] = l
+            heappush(queue, (grevlex_key(l), g, t))
+    alive = [g for g in alive if not mono_divides(lm_t, basis[g][0])]
+    insort(alive, t, key=lambda k: grevlex_key(basis[k][0]))
+    return alive
 
 
 def standard_monomials(gb, cap: int = 100_000) -> list[Monomial]:
     """Monomials outside the leading-term ideal, sorted ascending.
 
-    These form the canonical basis of the quotient ring.  Raises
-    InfiniteDimensional when the staircase is infinite or exceeds cap.
+    These form the canonical basis of the quotient ring.  The order ideal is
+    walked degree by degree: a monomial u of degree s + 1 is reached once,
+    from u / x_i for the last variable x_i in u, and is standard when it is
+    no leading monomial and u / x_j is standard (of degree s) for every x_j
+    in u.  So the cost follows the staircase, not the box of pure powers.
+    Raises InfiniteDimensional when some variable has no pure power among
+    the leading monomials (the staircase is infinite) or the staircase
+    exceeds cap.
     """
     gb = [g for g in gb if g]
     if not gb:
         raise InfiniteDimensional("the zero ideal has infinite quotient")
     nvars = len(gb[0].variables)
-    lms = [g.leading_monomial() for g in gb]
+    lms = {g.leading_monomial() for g in gb}
     if any(mono_degree(m) == 0 for m in lms):
         return []  # unit ideal: zero ring
-    bounds = []
     for i in range(nvars):
-        pure = [
-            m[i] for m in lms if all(e == 0 for j, e in enumerate(m) if j != i)
-        ]
-        if not pure:
+        if not any(m[i] == mono_degree(m) for m in lms):
             raise InfiniteDimensional(f"no pure power of variable {i} in the ideal")
-        bounds.append(min(pure))
-    out = []
-    for m in product(*(range(b) for b in bounds)):
-        if not any(mono_divides(lm, m) for lm in lms):
-            out.append(m)
-            if len(out) > cap:
-                raise InfiniteDimensional(f"more than {cap} standard monomials")
+    out, layer = [], [(0,) * nvars]
+    while layer:
+        out += layer
+        if len(out) > cap:
+            raise InfiniteDimensional(f"more than {cap} standard monomials")
+        below, standard, layer = layer, set(layer), []
+        for m in below:
+            last = max((k for k, e in enumerate(m) if e), default=0)
+            for i in range(last, nvars):
+                u = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                if u not in lms and all(
+                    u[:j] + (u[j] - 1,) + u[j + 1 :] in standard
+                    for j in range(last + 1)
+                    if j != i and u[j]
+                ):
+                    layer.append(u)
     out.sort(key=grevlex_key)
     return out
 

@@ -41,8 +41,8 @@ from .frobenius import (
     GorensteinResult,
     _graded_family,
     _nonsingular_point,
+    _split,
     _symbolic_certificate,
-    decompose_augmented,
     gorenstein_test,
 )
 from .poly import MultiPoly, _monomial_algebra, monomials_of_degree
@@ -269,18 +269,20 @@ def degeneration_to_cw(T: Augmented) -> DegenerationReport:
     of B instead of an isomorphism claim.  The input in the adapted basis
     (1, x, V) has phi = (lam, 1, 0, ...) and e = (1, 0, ...).
     """
-    dec = decompose_augmented(T.oa, T.e)  # raises NotIsotropic
-    f, nu = T.oa.field, dec.nonunital
-    labels = ("1", "x") + nu.algebra.labels
-    U = base_change(T.algebra, dec.adapted_basis, labels)
+    # the split alone: V's table is a block of U, and witt_invariants'
+    # determinant rejects a degenerate V-form
+    lam, form, vlabels, adapted, _ = _split(T.oa, T.e)  # raises NotIsotropic
+    f, m = T.oa.field, form.dim
+    labels = ("1", "x") + vlabels
+    U = base_change(T.algebra, adapted, labels)
     # weights (0, 2, 1, ..., 1) on (1, x, V): V·V -> V takes a t, V·V -> x does not
-    fam = _graded_family(U, [0, 2] + [1] * nu.dim, labels,
-                         orientation=[dec.lam, 1] + [0] * nu.dim,
-                         augmentations={"aug": [1] + [0] * (nu.dim + 1)})
-    inv = witt_invariants(nu.form)
+    fam = _graded_family(U, [0, 2] + [1] * m, labels,
+                         orientation=[lam, 1] + [0] * m,
+                         augmentations={"aug": [1] + [0] * (m + 1)})
+    inv = witt_invariants(form)
     # in characteristic 2 an alternating V-form cannot become A_q's identity form
-    closed_fiber_is_aq = f.characteristic != 2 or not is_even(nu.form)
-    return DegenerationReport(fam, nu.form, inv, dec.adapted_basis, closed_fiber_is_aq)
+    closed_fiber_is_aq = f.characteristic != 2 or not is_even(form)
+    return DegenerationReport(fam, form, inv, adapted, closed_fiber_is_aq)
 
 
 @dataclass(frozen=True)

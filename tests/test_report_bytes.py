@@ -146,6 +146,35 @@ def test_every_case_is_pinned():
     assert set(DIGESTS) == cases
 
 
+# witt on an orient clause whose b_phi is degenerate: .alg text -> (exit code,
+# sha256), recorded while witt took the determinant of B_phi twice
+DEGENERATE_WITT_DIGESTS = {
+    "field Q\nvars x\nrel x^2\norient 1 : 1\n":
+        (1, "91c3edd8370a0c4787e69c1bcbd82f7400529a00f0c495c776bc88280da33473"),
+    "field F 7\nvars x y\nrel x^2 - y^2\nrel x*y\norient 1 : 2, x : 1\n":
+        (1, "91c3edd8370a0c4787e69c1bcbd82f7400529a00f0c495c776bc88280da33473"),
+}
+
+
+@pytest.mark.parametrize("text", sorted(DEGENERATE_WITT_DIGESTS))
+def test_degenerate_witt_report_bytes(tmp_path, capsys, text):
+    path = tmp_path / "degenerate.alg"
+    path.write_text(text)
+    assert digest(capsys, ["witt", str(path)]) == DEGENERATE_WITT_DIGESTS[text]
+
+
+@pytest.mark.parametrize("field", ["Q", "F 7"])
+def test_witt_takes_one_determinant(tmp_path, capsys, monkeypatch, field):
+    from gorlab import linalg
+
+    calls, det = [], linalg.det
+    monkeypatch.setattr(linalg, "det", lambda *a: calls.append(a) or det(*a))
+    path = tmp_path / "a2.alg"
+    path.write_text(aq_text(field, 2))
+    assert digest(capsys, ["witt", str(path)]) == DIGESTS[field, 2, "witt"]
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("field,at", sorted(ROBBER_DIGESTS, key=str))
 def test_robber_report_bytes(capsys, field, at):
     argv = ["robber", "--field", field] + (["--at", at] if at else [])

@@ -16,7 +16,9 @@ off, and keep no post-condition check.  Here:
   the sums and the unitalizations, and a non-degenerate b_phi on each sum;
 - ``degeneration_to_cw`` reads its (1, x, V) algebra off the input in the
   adapted basis, and its family has the ``serialize()`` bytes of the one
-  built through ``unitalize``.
+  built through ``unitalize``; it takes only the split of
+  ``decompose_augmented`` (no table for V, no ``NonUnitalOriented``), and
+  ``witt_invariants`` still rejects a degenerate V-form.
 """
 
 import json
@@ -26,7 +28,7 @@ from unittest import mock
 
 import pytest
 
-from gorlab import GF, QQ, algebra
+from gorlab import GF, QQ, algebra, frobenius, tensors
 from gorlab.algebra import AlgebraFamily, FiniteAlgebra, validate_structure
 from gorlab.families import (
     family_det_is_unit,
@@ -35,7 +37,8 @@ from gorlab.families import (
     scale_multiplication_family,
     specialize,
 )
-from gorlab.forms import is_nondegenerate
+from gorlab.errors import Degenerate
+from gorlab.forms import BilinearForm, is_nondegenerate, witt_invariants
 from gorlab.frobenius import (
     OrientedAlgebra,
     _graded_family,
@@ -174,3 +177,27 @@ def test_degeneration_family_matches_the_unitalize_path(field):
         got = degeneration_to_cw(t).family.serialize()
         want = ref_degeneration_family(t).serialize()
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_degeneration_reads_only_the_split(field):
+    """degeneration_to_cw builds no table for V and no NonUnitalOriented,
+    and its V-form, invariants and adapted basis are decompose_augmented's."""
+    for t in corpus(field)[:6]:
+        dec = decompose_augmented(t.oa, t.e)
+        with mock.patch.object(frobenius, "_table_on_rows", refuse), \
+                mock.patch.object(frobenius.NonUnitalOriented, "__post_init__", refuse):
+            rep = degeneration_to_cw(t)
+        assert rep.v_form == dec.nonunital.form
+        assert rep.adapted_basis == dec.adapted_basis
+        assert rep.invariants == witt_invariants(dec.nonunital.form)
+
+
+def test_degeneration_rejects_a_degenerate_v_form():
+    """witt_invariants' determinant is the one check of the V-form left."""
+    t = corpus(QQ)[3]
+    lam, form, labels, adapted, raw = frobenius._split(t.oa, t.e)
+    flat = BilinearForm(QQ, [[QQ.zero] * form.dim for _ in range(form.dim)])
+    with mock.patch.object(tensors, "_split", lambda oa, e: (lam, flat, labels, adapted, raw)):
+        with pytest.raises(Degenerate, match="^form is degenerate$"):
+            degeneration_to_cw(t)
