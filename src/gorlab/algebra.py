@@ -112,14 +112,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
 
-def full_space(field: Field, n: int) -> Subspace:
-    return Subspace(n, linalg.identity(field, n))
-
-
-def zero_space(n: int) -> Subspace:
-    return Subspace(n, ())
-
-
 def validate_structure(c, unit, zero, read=None):
     """Check commutativity, associativity and the unit law of a table.
 

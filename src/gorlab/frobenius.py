@@ -5,6 +5,11 @@ augmentations and socle generators, the equivalence between isotropically
 augmented algebras and non-unital ones (decompose/unitalize), connected
 sums, hyperbolic algebras, the bridge to symmetric bilinear forms, surgery,
 and the Rees degeneration family.
+
+Each fact is checked where it enters, by a constructor or an entry point.
+A builder whose output holds by construction fills it in via ``_trusted``,
+which checks nothing, and its docstring says why; the tests assert what is
+not checked at run time (tests/test_trusted_builders.py).
 """
 
 from __future__ import annotations
@@ -45,17 +50,25 @@ def b_phi(A: FiniteAlgebra, phi) -> BilinearForm:
     return BilinearForm(A.field, _box_plane(A.field, slices, scale, A.field.zero, (A.dim,) * 2, {}))
 
 
+def _trusted(cls, **fields):
+    """A cls holding ``fields`` as given, with none of its checks run."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
 class OrientedAlgebra:
     """A unital algebra with a functional making b_phi non-degenerate."""
 
     __slots__ = ("algebra", "phi", "form")
 
-    def __init__(self, algebra: FiniteAlgebra, phi, validate: bool = True):
+    def __init__(self, algebra: FiniteAlgebra, phi):
         if not algebra.is_unital:
             raise BadUnit("orientations require a unital algebra")
         phi = algebra.coerce_vector(phi)
         form = b_phi(algebra, phi)
-        if validate and not is_nondegenerate(form):
+        if not is_nondegenerate(form):
             raise Degenerate("phi does not orient the algebra: b_phi is degenerate")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "phi", phi)
@@ -131,9 +144,8 @@ class Augmented:
     e: tuple
 
     def __post_init__(self):
-        e = self.oa.algebra.coerce_vector(self.e)
-        object.__setattr__(self, "e", e)
-        if not augmentation_check(self.oa.algebra, e):
+        object.__setattr__(self, "e", self.oa.algebra.coerce_vector(self.e))
+        if not augmentation_check(self.oa.algebra, self.e):
             raise BadUnit("e is not an algebra map to the base field")
 
     @property
@@ -215,29 +227,27 @@ def _split(oa: OrientedAlgebra, e):
     """The split of an isotropically augmented algebra along span(1, x).
 
     Returns lam = phi(1), V's form, V's labels, the adapted basis (1, x, V)
-    and the raw values (G, x, 1, V) it came from.  V is the orthogonal
-    complement of span(1, x), its rows in RREF; its form V·G·V^T (G is
-    symmetric) is non-degenerate, span(1, x) being a hyperbolic plane of
-    the non-degenerate b_phi, and is not re-checked.
+    and the raw values (x·G, 1·G, x, 1, V) it came from, G the Gram matrix.
+    V = ker([x; 1]·G) is the orthogonal complement of span(1, x), its rows in
+    RREF; its form V·G·V^T (G is symmetric) is non-degenerate, span(1, x)
+    being a hyperbolic plane of b_phi for an augmentation e (B(1, x) = e(1)).
     """
-    A = oa.algebra
+    A, f = oa.algebra, oa.field
     e = A.coerce_vector(e)
     x = socle_generator(oa, e)
     if linalg.sum_dot(e, x):  # isotropy_check, on the one solve
         raise NotIsotropic("augmentation is not isotropic")
-    f = oa.field
-    from .forms import orth_complement
-
-    vrows = orth_complement(oa.form, Subspace(A.dim, [A.unit, x])).rows
     p = f.characteristic
     zero = 0 if p else Fraction(0)
     _, G = linalg.unbox(oa.form.gram, f)
-    _, (xr, ur, *Vr) = linalg.unbox([x, A.unit, *vrows], f)
+    _, (xr, ur) = linalg.unbox([x, A.unit], f)
+    gx, g1 = linalg.raw_mul([xr, ur], G, p, zero)
+    Vr = linalg.raw_kernel([gx[:], g1[:]], A.dim, p)  # reduces its rows in place
     VG = linalg.raw_mul(Vr, G, p, zero)
     gramV = linalg._box(f, linalg.raw_mul(VG, [list(col) for col in zip(*Vr)], p, zero))
-    labels = tuple(f"v{i + 1}" for i in range(len(vrows)))
-    adapted = linalg.mat([A.unit, x] + list(vrows))
-    return oa.phi_of(A.unit), BilinearForm(f, gramV), labels, adapted, (G, xr, ur, Vr)
+    labels = tuple(f"v{i + 1}" for i in range(len(Vr)))
+    adapted = linalg.mat([A.unit, x] + list(linalg._box(f, Vr)))
+    return oa.phi_of(A.unit), BilinearForm(f, gramV), labels, adapted, (gx, g1, xr, ur, Vr)
 
 
 def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
@@ -249,15 +259,16 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     needs no elimination: it is [C | N], C taking a vector's entries at P
     and, for c off P, column c of N being v_c - sum_i v_{P_i} Q_i[c], which
     vanishes exactly on V.  V is m/(x) for the ideals m = ker e and (x)
-    (a x = e(a) x), so valid.
+    (a x = e(a) x), so valid, as is its form (see ``_split``); only e is checked.
     """
-    lam, form, labels, adapted, (G, xr, ur, Vr) = _split(oa, e)
+    if not augmentation_check(oa.algebra, e):
+        raise BadUnit("e is not an algebra map to the base field")
+    lam, form, labels, adapted, (gx, g1, xr, ur, Vr) = _split(oa, e)
     A, f = oa.algebra, oa.field
     # on raw values, boxed once: the projection along span(1, x),
     # w -> w - B(w, x) 1 - (B(w, 1) - lam B(w, x)) x, times the coordinate
     # map of V
     p = f.characteristic
-    gx, g1 = linalg.raw_mul([xr, ur], G, p, 0 if p else Fraction(0))
     lr = lam.value
     proj = [[int(j == k) - gx[j] * ur[k] - (g1[j] - lr * gx[j]) * xr[k] for k in range(A.dim)]
             for j in range(A.dim)]
@@ -267,7 +278,7 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     M = linalg._box(f, [[v % p for v in row] for row in M] if p else M)
     planes, scale = _table_on_rows(f, [A], adapted[2:], M, A.dim - len(Vr))
     alg = FiniteAlgebra.on_read(planes, scale, f, labels, validate=False)
-    return Decomposition(lam, NonUnitalOriented(alg, form), adapted)
+    return Decomposition(lam, _trusted(NonUnitalOriented, algebra=alg, form=form), adapted)
 
 
 def unitalize(lam, nu: NonUnitalOriented) -> Augmented:
@@ -278,7 +289,7 @@ def unitalize(lam, nu: NonUnitalOriented) -> Augmented:
     and e(r+sx, v) = r.  The table is built on the reads of B (scale L_B) and
     of V (scale L_V) over S = lcm(L_V, L_B): plane 0 is S·I, row 0 of plane k
     is S e_k, and row v_j of plane v_i is S·(0, B(v_i, v_j), v_i v_j).
-    The table is validated; e is isotropic, its socle generator being x.
+    The table and phi are checked; e is an algebra map, isotropic as e(x) = 0.
     """
     f = nu.algebra.field
     lam, m, o, z = f.scalar(lam), nu.dim, f.one, f.zero
@@ -294,19 +305,19 @@ def unitalize(lam, nu: NonUnitalOriented) -> Augmented:
     alg = FiniteAlgebra.on_read([[(0, X)] for X in planes], S, f, labels, [1] + [0] * (d - 1))
     phi = tuple([lam, o] + [z] * m)
     e = tuple([o] + [z] * (m + 1))
-    return Augmented(OrientedAlgebra(alg, phi), e)
+    return _trusted(Augmented, oa=OrientedAlgebra(alg, phi), e=e)
 
 
 def form_to_algebra(B: BilinearForm) -> Augmented:
     """The isotropically augmented algebra attached to a non-degenerate form:
     unitalize(0, (V, B)) with the zero multiplication on V, whose read has
-    no slices."""
+    no slices, which any form B is compatible with.  B is checked."""
     if not is_nondegenerate(B):
         raise Degenerate("form is degenerate")
     f, m = B.field, B.dim
     alg = FiniteAlgebra.on_read([[] for _ in range(m)], 1, f, [f"v{i + 1}" for i in range(m)],
                                 validate=False)
-    return unitalize(f.zero, NonUnitalOriented(alg, B))
+    return unitalize(f.zero, _trusted(NonUnitalOriented, algebra=alg, form=B))
 
 
 def hyp_algebra(A: FiniteAlgebra) -> OrientedAlgebra:
@@ -314,8 +325,8 @@ def hyp_algebra(A: FiniteAlgebra) -> OrientedAlgebra:
 
     Products: (a, f)(b, g) = (ab, a.g + b.f) with (a.f)(b) = f(ab); the
     orientation evaluates the functional part at the unit, and its Gram
-    matrix in the basis (e_i; e_i^*) is exactly [[0, I], [I, 0]].  The table
-    is built on A's read C, at its scale.
+    matrix in the basis (e_i; e_i^*) is exactly [[0, I], [I, 0]], not re-checked.
+    The table is built on A's read C, at its scale, and checked.
     """
     if not A.is_unital:
         raise BadUnit("hyp_algebra needs a unital input")
@@ -330,7 +341,7 @@ def hyp_algebra(A: FiniteAlgebra) -> OrientedAlgebra:
     labels = tuple(A.labels) + tuple(l + "*" for l in A.labels)
     alg = FiniteAlgebra.on_read([[(0, X)] if any(map(any, X)) else [] for X in planes],
                                 A.raw[1], f, labels, unit)
-    return OrientedAlgebra(alg, phi)
+    return _trusted(OrientedAlgebra, algebra=alg, phi=phi, form=b_phi(alg, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +406,9 @@ def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
 
     w_coords = coords_in_rows(tuple(x1) + tuple(-x for x in x2))
 
-    def is_const_nonzero(v):
-        if isinstance(v, TPoly):
-            return v.is_constant() and bool(v)
-        return bool(v)
-
-    elim = max((i for i, v in enumerate(w_coords) if is_const_nonzero(v)), default=None)
-    if elim is None or elim == 0:  # pragma: no cover
-        raise Singular("no constant coordinate available to eliminate")
+    # a nonzero constant: x1 != 0 is constant and in ker e1, so not at the unit
+    elim = max(i for i, v in enumerate(w_coords)
+               if v and (not isinstance(v, TPoly) or v.is_constant()))
     w_at = w_coords[elim]
     inv = (w_at.constant_value() if isinstance(w_at, TPoly) else w_at).inverse()
     keep = [i for i in range(len(rows)) if i != elim]
@@ -451,7 +457,7 @@ def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
     The result has dimension d1 + d2 - 2, carries phi1 + phi2, and the
     common augmentation.  Valid by construction, so not re-validated: the
     fiber product is an algebra, x1 - x2 spans an ideal of it (a x = e(a) x),
-    phi1 + phi2 orients the quotient, and e1(x1) = 0 keeps e isotropic.
+    phi1 + phi2 orients it, e descends, and e1(x1) = 0 keeps e isotropic.
     """
     if t1.oa.field != t2.oa.field:
         raise FieldMismatch("summands live over different fields")
@@ -473,7 +479,8 @@ def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
         t2.oa.phi,
     )
     alg = FiniteAlgebra.on_read(*data.read, f, data.labels, data.unit, validate=False)
-    return Augmented(OrientedAlgebra(alg, data.phi, validate=False), data.e_left)
+    oa = _trusted(OrientedAlgebra, algebra=alg, phi=data.phi, form=b_phi(alg, data.phi))
+    return _trusted(Augmented, oa=oa, e=data.e_left)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 At the API, matrices are tuples of row tuples of Scalar.  The field routines
 ``rref``, ``det`` and ``mat_mul`` -- and through them ``kernel_basis``,
-``invert``, ``solve_right``, ``solve_right_affine``, ``extend_to_basis``
-and ``complement_in`` -- unbox their input once to raw values (ints in
-[0, p) over F_p, Fractions over QQ), run their one elimination or product
-loop on those, and box the result once.  Unboxing checks that every entry
-is a Scalar of one field.  ``raw_rref``,
+``invert``, ``solve_right`` and ``solve_right_affine`` -- unbox their input
+once to raw values (ints in [0, p) over F_p, Fractions over QQ), run their
+one elimination or product loop on those, and box the result once.
+Unboxing checks that every entry is a Scalar of one field.  ``raw_rref``,
 ``raw_kernel``, ``raw_det``, ``raw_invert`` and ``raw_complement`` are that
 elimination loop, the kernel read off it, the determinant, the inverse and
-complement_in's greedy choice, for callers that already hold raw values:
+a greedy complement of one row space in another (``forms.surgery``'s
+section), for callers that already hold raw values:
 ``frobenius._nonsingular_point`` runs ``raw_det`` on every seeded trial of
 the witness searches for ``gorenstein_test`` and ``one_generic``; the Gram
 routines of ``forms`` and Strassen's test in ``tensors`` run on raw values
@@ -634,20 +634,6 @@ def solve_right_affine(field: Field, m, b):
     return _solve(field, m, b)[0]
 
 
-def extend_to_basis(field: Field, rows, ambient: int):
-    """Standard vectors completing an rref row set to a basis of k^ambient."""
-    red, pivots = rref(rows, ambient)
-    pivset = set(pivots)
-    z, o = field.zero, field.one
-    extra = []
-    for c in range(ambient):
-        if c not in pivset:
-            v = [z] * ambient
-            v[c] = o
-            extra.append(tuple(v))
-    return mat(extra)
-
-
 def raw_complement(inner, outer, p: int, ncols: int):
     """Indices of the rows of ``outer`` that complete ``inner`` to a basis of
     the outer row space, both given as raw row lists and compared on their
@@ -664,14 +650,3 @@ def raw_complement(inner, outer, p: int, ncols: int):
     if sum(c < k for c in pivots) > m or len(pivots) < m:
         raise DimensionMismatch("inner space is not contained in outer space")
     return [c - k for c in pivots[:m] if c >= k]
-
-
-def complement_in(field: Field, inner, outer, ambient: int):
-    """Rows of `outer` completing `inner` to a basis of the outer row space.
-
-    Both inputs must be rref bases with inner contained in outer; the choice
-    is deterministic (greedy scan in row order, see raw_complement).
-    """
-    found, work = unbox([*inner, *outer])
-    p = found.characteristic if found else 0
-    return mat(outer[i] for i in raw_complement(work[:len(inner)], work[len(inner):], p, ambient))

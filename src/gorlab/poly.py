@@ -664,14 +664,3 @@ def det_multipoly(matrix, field: Field, variables) -> MultiPoly:
         return memo[cols]
 
     return _boxed(field, variables, rec(tuple(range(n))))
-
-
-def graded_hilbert(forms, nvars: int, bound: int) -> list[int]:
-    """Hilbert function of k[x]/<forms> through the bound, assuming the forms
-    are the per-degree independent spanning sets produced above."""
-    counts = [0] * (bound + 1)
-    for f in forms:
-        counts[f.total_degree()] += 1
-    return [
-        len(monomials_of_degree(nvars, s)) - counts[s] for s in range(bound + 1)
-    ]

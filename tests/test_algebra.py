@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import random_augmented, random_nondegenerate_form
+from helpers import full_space
 from gorlab import GF, QQ, linalg, poly_ring, quotient_algebra
 from gorlab.algebra import (
     Subspace,
@@ -12,7 +13,6 @@ from gorlab.algebra import (
     annihilator,
     base_change,
     direct_product,
-    full_space,
     ideal_span,
     multiply,
 )

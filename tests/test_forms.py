@@ -4,7 +4,7 @@ import re
 import pytest
 
 from gorlab import GF, QQ, linalg
-from gorlab.algebra import Subspace, full_space, zero_space
+from gorlab.algebra import Subspace
 from gorlab.errors import (
     Degenerate,
     DimensionMismatch,
@@ -31,6 +31,8 @@ from gorlab.forms import (
     witt_invariants,
 )
 from gorlab.scalar import TPoly
+
+from helpers import full_space, zero_space
 
 F2 = GF(2)
 F7 = GF(7)

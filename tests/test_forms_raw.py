@@ -38,6 +38,7 @@ from gorlab.forms import (
 )
 from gorlab.scalar import TPoly
 
+from helpers import extend_to_basis
 from test_linalg import greedy_complement
 
 FIELDS = (GF(2), GF(3), GF(101), QQ)
@@ -76,7 +77,7 @@ def ref_metabolic_path(B, L):
     if B.dim != 2 * n:
         raise NotLagrangian("Lagrangian must have half the ambient dimension")
     f = B.field
-    W0 = linalg.extend_to_basis(f, L.rows, B.dim)
+    W0 = extend_to_basis(f, L.rows, B.dim)
     pairing = linalg.mat_mul(linalg.mat_mul(W0, B.gram), linalg.transpose(L.rows))
     W = linalg.mat_mul(linalg.invert(f, pairing), W0)
     adapted = linalg.mat(list(L.rows) + list(W))

@@ -9,6 +9,8 @@ from gorlab import GF, QQ, linalg
 from gorlab.errors import DimensionMismatch, FieldMismatch, Singular
 from gorlab.scalar import Scalar, TPoly
 
+from helpers import complement_in, extend_to_basis
+
 
 def M(field, rows):
     return linalg.mat([[field.scalar(x) for x in r] for r in rows])
@@ -76,13 +78,13 @@ def test_bareiss_polynomial_matrix():
 def test_complement_in():
     inner = M(QQ, [[1, 0, 0]])
     outer = M(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    comp = linalg.complement_in(QQ, inner, outer, 3)
+    comp = complement_in(QQ, inner, outer, 3)
     assert len(comp) == 2
 
 
 def test_extend_to_basis():
     rows = M(GF(5), [[1, 2, 0]])
-    extra = linalg.extend_to_basis(GF(5), rows, 3)
+    extra = extend_to_basis(GF(5), rows, 3)
     full, _ = linalg.rref(list(rows) + list(extra), 3)
     assert len(full) == 3
 
@@ -349,4 +351,4 @@ def test_complement_in_matches_greedy_scan(case, data):
         except DimensionMismatch as ex:
             return str(ex)
 
-    assert run(lambda i, o, c: linalg.complement_in(field, i, o, c)) == run(greedy_complement)
+    assert run(lambda i, o, c: complement_in(field, i, o, c)) == run(greedy_complement)

@@ -32,12 +32,13 @@ from gorlab.errors import BoundTooSmall, DimensionMismatch, GenericityFailure, Z
 from gorlab.frobenius import gorenstein_test
 from gorlab.poly import (
     MultiPoly,
-    graded_hilbert,
     lowest_degree_initial_ideal,
     monomials_of_degree,
     quotient_algebra,
 )
 from gorlab.tensors import ReducedDegeneration, degeneration_from_points, reduced_degeneration
+
+from helpers import graded_hilbert
 
 FIELDS = [QQ, GF(2), GF(3), GF(7), GF(101)]
 

@@ -9,7 +9,6 @@ from gorlab.errors import BoundTooSmall, InfiniteDimensional, UnitIdeal
 from gorlab.poly import (
     MultiPoly,
     det_multipoly,
-    graded_hilbert,
     grevlex_key,
     groebner_basis,
     lowest_degree_initial_ideal,
@@ -21,6 +20,8 @@ from gorlab.poly import (
     s_polynomial,
     standard_monomials,
 )
+
+from helpers import graded_hilbert
 
 
 def test_grevlex_order_two_vars():

@@ -19,16 +19,37 @@ off, and keep no post-condition check.  Here:
   built through ``unitalize``; it takes only the split of
   ``decompose_augmented`` (no table for V, no ``NonUnitalOriented``), and
   ``witt_invariants`` still rejects a degenerate V-form.
+
+The oriented wrappers follow the same rule: ``connected_sum``,
+``decompose_augmented``, ``unitalize``, ``form_to_algebra`` and
+``hyp_algebra`` fill ``OrientedAlgebra``, ``Augmented`` and
+``NonUnitalOriented`` through ``frobenius._trusted``, and ``surgery``,
+``robber_family`` and the connected-sum core keep no post-condition check.
+Here:
+
+- the determinants, augmentation checks and wrapper checks each
+  construction runs are counted on corpus inputs over QQ and F_7;
+- on the derandomized corpus over QQ, F_2, F_3 and F_7, what those checks
+  decided is asserted instead: the public ``NonUnitalOriented`` accepts V,
+  the augmentations of ``unitalize`` and ``form_to_algebra`` are algebra
+  maps, the forms of ``hyp_algebra`` and ``surgery`` are non-degenerate, and
+  the robber family has a unit Gram determinant and two augmentations;
+- ``decompose_augmented`` checks its one outside input, the augmentation:
+  isotropic functionals that are not algebra maps raise ``BadUnit``, on
+  A_2 and on a sweep over the corpus, where the split once returned a
+  non-associative V or a misleading ``Singular``.
 """
 
 import json
 import random
+from collections import Counter
+from contextlib import ExitStack
 from functools import lru_cache
 from unittest import mock
 
 import pytest
 
-from gorlab import GF, QQ, algebra, frobenius, tensors
+from gorlab import GF, QQ, algebra, frobenius, linalg, poly_ring, quotient_algebra, tensors
 from gorlab.algebra import AlgebraFamily, FiniteAlgebra, validate_structure
 from gorlab.families import (
     family_det_is_unit,
@@ -37,17 +58,21 @@ from gorlab.families import (
     scale_multiplication_family,
     specialize,
 )
-from gorlab.errors import Degenerate
+from gorlab.errors import BadUnit, Degenerate
 from gorlab.forms import BilinearForm, is_nondegenerate, witt_invariants
 from gorlab.frobenius import (
+    NonUnitalOriented,
     OrientedAlgebra,
     _graded_family,
     augmentation_check,
     connected_sum,
     decompose_augmented,
+    form_to_algebra,
     hyp_algebra,
     isotropy_check,
     rees_family,
+    socle_generator,
+    surgery_inverse,
     unitalize,
 )
 from gorlab.tensors import degeneration_to_cw
@@ -201,3 +226,121 @@ def test_degeneration_rejects_a_degenerate_v_form():
     with mock.patch.object(tensors, "_split", lambda oa, e: (lam, flat, labels, adapted, raw)):
         with pytest.raises(Degenerate, match="^form is degenerate$"):
             degeneration_to_cw(t)
+
+
+# ---------------------------------------------------------------------------
+# the oriented wrappers: checked where they enter, built unchecked
+
+
+COUNTED = {
+    "raw_det": (linalg, "raw_det"),
+    "augmentation_check": (frobenius, "augmentation_check"),
+    "NonUnitalOriented": (NonUnitalOriented, "__post_init__"),
+    "Augmented": (frobenius.Augmented, "__post_init__"),
+}
+
+
+def checks_run(build):
+    """The COUNTED checks build() runs, by label, with how often."""
+    counts = Counter()
+    with ExitStack() as stack:
+        for label, (owner, name) in COUNTED.items():
+            def counting(*args, _real=getattr(owner, name), _label=label, **kwargs):
+                counts[_label] += 1
+                return _real(*args, **kwargs)
+
+            stack.enter_context(mock.patch.object(owner, name, counting))
+        build()
+    return dict(counts)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_checks_per_construction(field):
+    """Only the entry checks are left: unitalize's orientation determinant,
+    form_to_algebra's own determinant (and unitalize's), rees_family's
+    surgery precondition and decompose_augmented's augmentation check."""
+    t, t2 = corpus(field)[4:6]
+    assert (t.algebra.dim, t2.algebra.dim) == (6, 7)
+    dec = decompose_augmented(t.oa, t.e)
+    oa = isotropic(t)
+    builds = {
+        "connected_sum": (lambda: connected_sum(t, t2), {}),
+        "decompose_augmented": (lambda: decompose_augmented(t.oa, t.e),
+                                {"augmentation_check": 1}),
+        "unitalize": (lambda: unitalize(dec.lam, dec.nonunital), {"raw_det": 1}),
+        "form_to_algebra": (lambda: form_to_algebra(dec.nonunital.form), {"raw_det": 2}),
+        "hyp_algebra": (lambda: hyp_algebra(t.algebra), {}),
+        "rees_family": (lambda: rees_family(oa), {"raw_det": 1}),
+    }
+    for name, (build, want) in builds.items():
+        assert checks_run(build) == want, name
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_oriented_builders_keep_what_is_no_longer_checked(field):
+    ts = corpus(field)
+    for t in ts:
+        dec = decompose_augmented(t.oa, t.e)
+        nu = dec.nonunital
+        assert NonUnitalOriented(nu.algebra, nu.form) == nu
+        for built in (unitalize(dec.lam, nu), form_to_algebra(nu.form)):
+            assert augmentation_check(built.algebra, built.e)
+        h = hyp_algebra(t.algebra)
+        assert is_nondegenerate(h.form) and OrientedAlgebra(h.algebra, h.phi) == h
+        assert is_nondegenerate(rees_family(isotropic(t)).surgered)
+        assert is_nondegenerate(surgery_inverse(isotropic(t)))
+        # the connected-sum core finds its constant coordinate on every input
+        assert connected_sum(t, t).algebra.dim == 2 * t.algebra.dim - 2
+        assert homotopy_families(t).h_const.dim == t.algebra.dim + 2
+    robber = robber_family(field)
+    assert family_det_is_unit(robber)
+    for name in ("const", "mv"):
+        assert augmentation_check(robber, robber.augmentations[name])
+
+
+def a2():
+    """A_2 = QQ[y1, y2]/(y1 y2, y1^2 - y2^2, y1^3), oriented by the y1^2
+    coefficient."""
+    y1, y2 = poly_ring(QQ, "y1", "y2")
+    A = quotient_algebra([y1 * y2, y1 * y1 - y2 * y2, y1 * y1 * y1])
+    assert A.labels == ("1", "y1", "y2", "y1^2")
+    return OrientedAlgebra(A, [0, 0, 0, 1])
+
+
+def test_decompose_rejects_a_functional_that_is_no_augmentation():
+    """e = (1, -2, 0, -2) is isotropic but no algebra map (e(y1)^2 = 4 !=
+    e(y1^2)); unchecked, the split returned a non-associative V."""
+    oa = a2()
+    e = [1, -2, 0, -2]
+    assert isotropy_check(oa, e) and not augmentation_check(oa.algebra, e)
+    with pytest.raises(BadUnit, match="^e is not an algebra map to the base field$"):
+        decompose_augmented(oa, e)
+
+
+def isotropic_non_augmentations(field, n):
+    """n seeded pairs (t, e), t from the corpus with dim >= 4, e isotropic
+    for t.oa and not an algebra map: e = a + s t.e on the line through a
+    random a along t.e, which is isotropic, with s the root of
+    Q(a) + 2 s B(a, t.e) = 0 for the form B(u, v) = u·G^-1·v, Q(u) = B(u, u)."""
+    rng = random.Random(f"isotropic non-augmentations {field}")
+    ts = [t for t in corpus(field) if t.algebra.dim >= 4]
+    out = []
+    while len(out) < n:
+        t = rng.choice(ts)
+        a = [field.scalar(rng.randint(-3, 3)) for _ in range(t.algebra.dim)]
+        pair = linalg.sum_dot(a, socle_generator(t.oa, t.e))
+        if not pair:
+            continue
+        s = -linalg.sum_dot(a, socle_generator(t.oa, a)) / (pair + pair)
+        e = tuple(x + s * y for x, y in zip(a, t.e))
+        assert isotropy_check(t.oa, e)
+        if not augmentation_check(t.algebra, e):
+            out.append((t, e))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_decompose_rejects_isotropic_non_augmentations(field):
+    for t, e in isotropic_non_augmentations(field, 8):
+        with pytest.raises(BadUnit, match="^e is not an algebra map to the base field$"):
+            decompose_augmented(t.oa, e)
