@@ -14,14 +14,20 @@ forbidden.  Reports are JSON objects tagged "schema": "gorlab/1"; identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1 domain
 error, 2 usage error.
 
-Design.  Each call builds the argument parser afresh, since a real call is
+Design.  Each call builds its argument parser afresh, since a real call is
 a fresh process, but only as much of it as the call needs: argv naming a
-command gets that command's subparser alone, from the declarative table
-``_COMMANDS``; help, an unknown command or no arguments get all of them.
-``_parse_poly`` builds each relation on raw term dicts {monomial: raw
-value} (ints mod p, or Fractions over QQ) with ``poly._raw_add`` and
-``poly._raw_mul`` and boxes one MultiPoly per relation;
-``poly._quotient_with_index`` compiles the relations on raw values as well.
+command gets one parser, ``gorlab <command>``, with that command's
+arguments from the declarative table ``_COMMANDS``, and no subparsers;
+help, an unknown command or no arguments get the top-level parser with
+every command's subparser.  ``_parse_poly`` builds each relation on raw
+term dicts {monomial: raw value} with ``poly._raw_add``, ``_raw_mul`` and
+``_raw_pow`` (a power of one term in closed form), reading integer literals
+and exponents as ints, and boxes one MultiPoly per relation.
+``poly._quotient_with_index`` compiles the relations on raw values from
+there to the table: one Buchberger run hands its reduced monic divisors to
+the staircase walk and to the normal forms, and the table is written as
+integer planes.  ``compile_presentation`` checks the aug clause once, so
+``CompiledDocument.augmented`` builds its ``Augmented`` unchecked.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .forms import BilinearForm, hyp_embed, hyperbolic_form, gro_member, witt_in
 from .frobenius import (
     Augmented,
     OrientedAlgebra,
+    _trusted,
     augmentation_check,
     b_phi,
     connected_sum,
@@ -59,7 +66,16 @@ from .frobenius import (
     socle_generator,
 )
 from .algebra import Subspace
-from .poly import MultiPoly, _quotient_with_index, _raw_add, _raw_mul, grevlex_key, mono_label
+from .poly import (
+    MultiPoly,
+    _boxed,
+    _quotient_with_index,
+    _raw_add,
+    _raw_mul,
+    _raw_pow,
+    grevlex_key,
+    mono_label,
+)
 from .scalar import GF, QQ, Field, Scalar
 from .tensors import (
     cw_tensor,
@@ -212,15 +228,16 @@ def _integer(p: _Parser, what: str) -> int:
     t = p.expect("NUMBER")
     if "/" in t.text:
         raise ParseError(f"{what} must be an integer", t.line, t.col)
-    return _literal(t).numerator
+    return _literal(t)
 
 
-def _literal(t: _Token) -> Fraction:
-    """The value of a NUMBER token.  A zero denominator, or more digits than
-    int() converts (sys.get_int_max_str_digits()), is a ParseError there."""
+def _literal(t: _Token):
+    """The value of a NUMBER token: an int, or a Fraction when it has a
+    denominator.  A zero denominator, or more digits than int() converts
+    (sys.get_int_max_str_digits()), is a ParseError there."""
     num, _, den = t.text.partition("/")
     try:
-        return Fraction(int(num), int(den or 1))
+        return Fraction(int(num), int(den)) if den else int(num)
     except ValueError:
         raise ParseError("number has too many digits", t.line, t.col) from None
     except ZeroDivisionError:
@@ -245,11 +262,11 @@ def _parse_scalar(p: _Parser, field: Field) -> Scalar:
 
 def _parse_poly(p: _Parser, field: Field, variables) -> MultiPoly:
     """One polynomial, built on raw term dicts {monomial: raw value} and
-    boxed once."""
+    boxed once.  Integer literals stay ints (mod p over F_p) until then; a
+    literal with a denominator is read by the field."""
     var_index = {v: i for i, v in enumerate(variables)}
     char = field.characteristic
     n = len(variables)
-    one = field.one.value
 
     def parse_atom() -> dict:
         t = p.peek()
@@ -263,11 +280,15 @@ def _parse_poly(p: _Parser, field: Field, variables) -> MultiPoly:
             return _raw_add({}, parse_atom_pow(), -1, char)
         if t.kind == "NUMBER":
             p.next()
-            c = field.scalar(_literal(t)).value
+            c = _literal(t)
+            if type(c) is not int:
+                c = field.scalar(c).value
+            elif char:
+                c %= char
             return {(0,) * n: c} if c else {}
         if t.kind == "IDENT":
             i = var_index[_known_variable(p.next(), var_index)]
-            return {(0,) * i + (1,) + (0,) * (n - i - 1): one}
+            return {(0,) * i + (1,) + (0,) * (n - i - 1): 1}
         raise ParseError(
             f"expected a term, found {t.text or t.kind!r}", t.line, t.col,
             expected="term",
@@ -278,14 +299,7 @@ def _parse_poly(p: _Parser, field: Field, variables) -> MultiPoly:
         t = p.peek()
         if t.kind == "OP" and t.text == "^":
             p.next()
-            e = _integer(p, "exponent")
-            out = {(0,) * n: one}
-            while e:
-                if e & 1:
-                    out = _raw_mul(out, base, char)
-                base = _raw_mul(base, base, char)
-                e >>= 1
-            base = out
+            base = _raw_pow(base, _integer(p, "exponent"), n, char)
         # juxtaposition is forbidden: the next token must be an operator
         nxt = p.peek()
         if nxt.kind in ("IDENT", "NUMBER") or (nxt.kind == "OP" and nxt.text == "("):
@@ -309,7 +323,8 @@ def _parse_poly(p: _Parser, field: Field, variables) -> MultiPoly:
             out = _raw_add(out, parse_term(), 1 if op == "+" else -1, char)
         return out
 
-    return MultiPoly(field, variables, parse_expr())
+    raw = parse_expr()
+    return _boxed(field, variables, raw if char else {m: Fraction(c) for m, c in raw.items()})
 
 
 def _parse_monomial_text(p: _Parser, variables):
@@ -439,9 +454,11 @@ class CompiledDocument:
         return OrientedAlgebra(self.algebra, self.orientation())
 
     def augmented(self) -> Augmented:
+        """The oriented algebra with the aug clause's e, which
+        ``compile_presentation`` has already checked to be an algebra map."""
         if self.e is None:
             raise UnknownVariable("document has no aug clause")
-        return Augmented(self.oriented(), self.e)
+        return _trusted(Augmented, oa=self.oriented(), e=self.e)
 
 
 def compile_presentation(doc: PresentationDocument) -> CompiledDocument:
@@ -789,32 +806,40 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The gorlab argument parser with every command's subparser, or with
-    only the subparser of ``command``."""
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give p the arguments of command ``name``, from ``_COMMANDS``."""
+    fn, *arguments = _COMMANDS[name]
+    p.set_defaults(fn=fn)
+    p.add_argument("--pretty", action="store_true")
+    for flags, kw in arguments:
+        p.add_argument(*flags, **kw)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The gorlab argument parser, with every command's subparser."""
     top = _Parser2(prog="gorlab", description=_DESCRIPTION)
     sub = top.add_subparsers(dest="cmd", required=True)
-    for name, (fn, *arguments) in _COMMANDS.items():
-        if command is None or name == command:
-            p = sub.add_parser(name)
-            p.set_defaults(fn=fn)
-            p.add_argument("--pretty", action="store_true")
-            for flags, kw in arguments:
-                p.add_argument(*flags, **kw)
+    for name in _COMMANDS:
+        _add_arguments(sub.add_parser(name), name)
     return top
 
 
 def run_command(argv) -> int:
     """Dispatch one CLI invocation; returns the exit code.
 
-    A call that names a command builds only that command's subparser; any
-    other argv (help, an unknown command, nothing) gets the full parser, so
-    help and usage errors list every command.
+    A call that names a command parses the rest of argv with that command's
+    parser alone, which prints the help and usage errors its subparser in
+    ``build_parser`` prints; any other argv (help, an unknown command,
+    nothing) gets the full parser, so help and usage errors list every
+    command.
     """
     argv = list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _add_arguments(_Parser2(prog=f"gorlab {argv[0]}"), argv[0]).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as ex:
         return int(ex.code or 0)
     try:

@@ -132,6 +132,13 @@ def robber_family(field: Field) -> AlgebraFamily:
     coefficient lists (low degree first), its table validated on the first
     call for a field; later calls return that same family.
     """
+    return _robber(field)[0]
+
+
+def _robber(field: Field):
+    """The robber family over field and its socle generator for "const"
+    (``family_socle_generator``), both built on the first call for a field
+    and kept in ``_ROBBERS``."""
     try:
         return _ROBBERS[field]
     except KeyError:
@@ -159,8 +166,8 @@ def robber_family(field: Field) -> AlgebraFamily:
         augmentations={"const": powers[0], "mv": vec((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1))},
         validate=True,
     )
-    _ROBBERS[field] = fam
-    return fam
+    _ROBBERS[field] = fam, family_socle_generator(fam, "const")
+    return _ROBBERS[field]
 
 
 @dataclass(frozen=True)
@@ -189,8 +196,7 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
     if linalg.sum_dot(T.e, x1):  # isotropy_check, on the one solve
         raise NotIsotropic("input augmentation is not isotropic")
     f = T.oa.field
-    robber = robber_family(f)
-    x2 = family_socle_generator(robber, "const")
+    robber, x2 = _robber(f)
     data = _consum_core(
         f,
         T.algebra,

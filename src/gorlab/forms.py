@@ -223,10 +223,29 @@ def surgery(B: BilinearForm, W: Subspace) -> SurgeryResult:
     if any(map(any, linalg.raw_mul(WG, linalg.transpose(Wk), p, zero))):
         raise NotIsotropic("B does not vanish on W")
     _check_perp(B, W, G)
+    return _surgery(B, G, Wk, WG)
+
+
+def _surgery(B: BilinearForm, G, W, WG) -> SurgeryResult:
+    """surgery with its preconditions unchecked: B non-degenerate with raw
+    Gram matrix G, W raw rows spanning a subspace isotropic for B, and
+    WG = W·G.  The result depends on W's span alone: W-perp = ker(W·G), and
+    the section is chosen by which rows of W-perp leave the span of W."""
+    f, d = B.field, B.dim
+    p, zero = f.characteristic, 0 if f.characteristic else Fraction(0)
     perp = linalg.raw_kernel(WG, d, p)
-    S = [perp[i] for i in linalg.raw_complement(Wk, perp, p, d)]
+    S = [perp[i] for i in linalg.raw_complement(W, perp, p, d)]
     gram = linalg.raw_mul(linalg.raw_mul(S, G, p, zero), linalg.transpose(S), p, zero)
     return SurgeryResult(BilinearForm(f, linalg._box(f, gram)), linalg._box(f, S))
+
+
+def _line_surgery(B: BilinearForm, v) -> SurgeryResult:
+    """surgery along the line of v, a nonzero vector of Scalars, unchecked:
+    B must be non-degenerate and B(v, v) = 0.  v itself spans the line, so
+    no elimination is needed to hand it over."""
+    G, p, zero = _raw(B)
+    row = [x.value for x in v]
+    return _surgery(B, G, [row], linalg.raw_mul([row], G, p, zero))
 
 
 @dataclass(frozen=True)

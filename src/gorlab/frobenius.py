@@ -39,7 +39,7 @@ from .errors import (
     NotIsotropicUnit,
     Singular,
 )
-from .forms import BilinearForm, FormFamily, is_nondegenerate, surgery
+from .forms import BilinearForm, FormFamily, _line_surgery, is_nondegenerate
 from .poly import MultiPoly, det_multipoly
 from .scalar import Field, Scalar, TPoly
 
@@ -492,8 +492,8 @@ def surgery_inverse(oa: OrientedAlgebra) -> BilinearForm:
     (phi(1) = 0); inverse to form_to_algebra up to congruence."""
     if oa.phi_of(oa.algebra.unit):
         raise NotIsotropicUnit("phi(1) must vanish")
-    W = Subspace(oa.dim, [oa.algebra.unit])
-    return surgery(oa.form, W).form
+    # b_phi is non-degenerate, and b_phi(1, 1) = phi(1) = 0
+    return _line_surgery(oa.form, oa.algebra.unit).form
 
 
 @dataclass(frozen=True)
@@ -520,8 +520,8 @@ def rees_family(oa: OrientedAlgebra) -> ReesResult:
     f = oa.field
     if oa.phi_of(A.unit):
         raise NotIsotropicUnit("phi(1) must vanish")
-    W = Subspace(A.dim, [A.unit])
-    sres = surgery(oa.form, W)
+    # b_phi is non-degenerate, and b_phi(1, 1) = phi(1) = 0
+    sres = _line_surgery(oa.form, A.unit)
     evecs = sres.section  # complement of the unit line in ker phi
     D = sres.form
     # x: phi(x) = 1 and B(x, e_i) = 0

@@ -10,17 +10,25 @@ standard, which fixes the basis labels everywhere downstream.
 Division and Buchberger run on raw coefficients: a polynomial is a dict
 {monomial: raw value}, ints in [0, p) over F_p or Fractions over QQ, and a
 divisor is stored monic as (leading monomial, tail).  ``_reduce`` is the one
-reduction loop; it serves ``groebner_basis`` (whose S-polynomials are formed
+reduction loop; it serves Buchberger (whose S-polynomials are formed
 straight from two tails), ``normal_form`` and the structure constants of
-``_quotient_with_index``.  ``_raw_add`` and ``_raw_mul`` are the sum and
-product of raw polynomials; ``cli._parse_poly`` builds its relations with
-them.  MultiPolys are unboxed on input and boxed once on output.
+``_quotient_with_index``.  ``_raw_add``, ``_raw_mul`` and ``_raw_pow`` are
+the sum, product and power of raw polynomials; ``cli._parse_poly`` builds
+its relations with them.  MultiPolys are unboxed on input and boxed once on
+output.
 
-``groebner_basis`` takes the generators in reduced and prunes its pairs by
-the Gebauer–Möller update (``_update``), so relations that echo earlier
-ones, as most of A_q's x_i^2 - x_j^2 do, form few S-polynomials.
-``standard_monomials`` walks the staircase degree by degree, not the box
-of pure powers around it.
+Buchberger is ``_reduced_divisors``: it takes the generators in reduced,
+prunes its pairs by the Gebauer–Möller update (``_update``), so relations
+that echo earlier ones, as most of A_q's x_i^2 - x_j^2 do, form few
+S-polynomials, and returns the reduced basis as monic divisors.  The public
+``groebner_basis`` boxes them; ``_quotient_with_index`` hands them, raw, to
+the staircase walk over their leading monomials (``_staircase``, which
+``standard_monomials`` wraps; it walks degree by degree, not the box of pure
+powers around the staircase) and to the normal forms of the products of
+standard monomials.  ``_monomial_algebra`` writes the table as integer
+planes over the lcm of its denominators, which ``FiniteAlgebra.on_read``
+takes as they are; ``tensors.aq_algebra`` and the points flat limit build
+their tables the same way.
 
 The ``MultiPoly`` operators (+, -, *, ``scale``, ``term_mul``,
 ``substitute``) are thin wrappers over ``_raw_add`` and ``_raw_mul``, and so
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heapify, heappop, heappush
+from math import lcm
 from operator import add, le, neg, sub
 
 from . import linalg
@@ -305,6 +314,23 @@ def _raw_mul(a: dict, b: dict, p: int) -> dict:
     return {m: v for m, v in out.items() if v}
 
 
+def _raw_pow(base: dict, e: int, n: int, p: int) -> dict:
+    """base^e on a raw term dict in n variables: one term in closed form,
+    else by square-and-multiply, squaring no further than the last bit.
+    The power 0 is 1 as an int."""
+    if len(base) == 1:
+        ((m, c),) = base.items()
+        return {tuple(x * e for x in m): pow(c, e, p) if p else c**e}
+    out = {(0,) * n: 1}
+    while e:
+        if e & 1:
+            out = _raw_mul(out, base, p)
+        e >>= 1
+        if e:
+            base = _raw_mul(base, base, p)
+    return out
+
+
 def _monic(lm, h: dict, p: int):
     """The monic divisor (lm, tail) of the raw polynomial h (consumed) with
     leading monomial lm."""
@@ -379,7 +405,18 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def groebner_basis(gens) -> list[MultiPoly]:
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal generated by gens: the monic
+    divisors of ``_reduced_divisors``, boxed once."""
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    field, variables, one = gens[0].field, gens[0].variables, gens[0].field.one.value
+    return [_boxed(field, variables, {lm: one, **tail}) for lm, tail in _reduced_divisors(gens)]
+
+
+def _reduced_divisors(gens) -> list:
+    """The reduced Groebner basis of the nonzero MultiPolys gens, as monic
+    divisors (lm, tail) of raw values by ascending leading monomial.
 
     Buchberger's algorithm with the Gebauer–Möller pair update, in the UPDATE
     form of Becker & Weispfenning (*Gröbner Bases*, GTM 141, 1993).  The
@@ -388,14 +425,8 @@ def groebner_basis(gens) -> list[MultiPoly]:
     no pairs.  Every new element h goes through ``_update``.  The pending
     pair with the smallest lcm goes first, ties by index pair (i, j); its
     S-polynomial, reduced by the basis, enters as h when it is not zero.
-
-    The basis is kept as monic divisors (lm, tail) of raw values, tried by
-    ascending leading monomial.  It stays minimal, so the reduced basis, in
-    that order, is its tails reduced once and boxed once.
+    The basis stays minimal, so the reduced basis is its tails reduced once.
     """
-    gens = [g for g in gens if g]
-    if not gens:
-        return []
     field, variables = gens[0].field, gens[0].variables
     for g in gens[1:]:
         if g.field != field or g.variables != variables:
@@ -418,8 +449,7 @@ def groebner_basis(gens) -> list[MultiPoly]:
         l = pairs.pop((i, j), None)
         if l is not None:
             enter(_reduce(_s_poly(basis[i], basis[j], l, p), G, p))
-    one = field.one.value
-    return [_boxed(field, variables, {lm: one, **_reduce(dict(tail), G, p)}) for lm, tail in G]
+    return [(lm, _reduce(dict(tail), G, p)) for lm, tail in G]
 
 
 def _update(basis, alive, pairs, queue) -> list:
@@ -464,22 +494,27 @@ def _update(basis, alive, pairs, queue) -> list:
 
 
 def standard_monomials(gb, cap: int = 100_000) -> list[Monomial]:
-    """Monomials outside the leading-term ideal, sorted ascending.
-
-    These form the canonical basis of the quotient ring.  The order ideal is
-    walked degree by degree: a monomial u of degree s + 1 is reached once,
-    from u / x_i for the last variable x_i in u, and is standard when it is
-    no leading monomial and u / x_j is standard (of degree s) for every x_j
-    in u.  So the cost follows the staircase, not the box of pure powers.
-    Raises InfiniteDimensional when some variable has no pure power among
-    the leading monomials (the staircase is infinite) or the staircase
-    exceeds cap.
-    """
+    """Monomials outside the leading-term ideal of gb, sorted ascending: the
+    canonical basis of the quotient ring (``_staircase``)."""
     gb = [g for g in gb if g]
     if not gb:
         raise InfiniteDimensional("the zero ideal has infinite quotient")
-    nvars = len(gb[0].variables)
-    lms = {g.leading_monomial() for g in gb}
+    return _staircase({g.leading_monomial() for g in gb}, len(gb[0].variables), cap)
+
+
+def _staircase(lms, nvars: int, cap: int) -> list[Monomial]:
+    """The monomials in nvars variables that no monomial of the set lms
+    divides, sorted ascending, for lms the leading monomials of a Groebner
+    basis.
+
+    The order ideal is walked degree by degree: a monomial u of degree s + 1
+    is reached once, from u / x_i for the last variable x_i in u, and is
+    standard when it is no leading monomial and u / x_j is standard (of
+    degree s) for every x_j in u.  So the cost follows the staircase, not
+    the box of pure powers.  Raises InfiniteDimensional when some variable
+    has no pure power among lms (the staircase is infinite) or the staircase
+    exceeds cap.
+    """
     if any(mono_degree(m) == 0 for m in lms):
         return []  # unit ideal: zero ring
     for i in range(nvars):
@@ -517,40 +552,52 @@ def quotient_algebra(gens, cap: int = 100_000) -> FiniteAlgebra:
 def _quotient_with_index(gens, cap: int = 100_000):
     """quotient_algebra and its basis index {standard monomial: position}.
 
-    Each product of two standard monomials is reduced once, on raw values,
-    by the monic divisors of the reduced basis.
+    One Buchberger run gives the reduced monic divisors; the staircase is
+    walked over their leading monomials, and each product of two standard
+    monomials is reduced by them on raw values.
     """
     gens = [g for g in gens if g]
     if not gens:
         raise InfiniteDimensional("the zero ideal has infinite quotient")
     field, variables = gens[0].field, gens[0].variables
-    gb = groebner_basis(gens)
-    monos = standard_monomials(gb, cap)
+    divisors = _reduced_divisors(gens)
+    monos = _staircase({lm for lm, _ in divisors}, len(variables), cap)
     if not monos:
         raise UnitIdeal("the relations generate the unit ideal")
-    divisors, one = [_divisor(g) for g in gb], field.one.value
-    return _monomial_algebra(
-        field, variables, monos, lambda u: _reduce({u: one}, divisors, field.characteristic)
-    )
+    one, p = field.one.value, field.characteristic
+    return _monomial_algebra(field, variables, monos, lambda u: _reduce({u: one}, divisors, p))
 
 
 def _monomial_algebra(field: Field, variables, monos, normal_form):
     """The algebra on the standard monomials ``monos`` (ascending, so 1
-    first), not validated, and its index {monomial: position}.  Its table
-    holds ``normal_form(u)``, a {standard monomial: raw value} dict, for each
-    product u of two of them, taken once; the table is boxed once."""
+    first), not validated, and its index {monomial: position}.
+
+    Its table holds ``normal_form(u)``, a {standard monomial: raw value}
+    dict, for each product u of two of them that is not itself standard (a
+    standard u is its own normal form), taken once.  The planes are written
+    as integers over L, the lcm of the denominators of the entries (L = 1
+    over F_p), and boxed on first read.
+    """
     index = {m: i for i, m in enumerate(monos)}
     d = len(monos)
-    values = [[None] * d for _ in range(d)]
+    forms = []
     for i, mi in enumerate(monos):
         for j in range(i, d):
-            raw = values[i][j] = values[j][i] = [0] * d
-            for m, coeff in normal_form(mono_mul(mi, monos[j])).items():
-                raw[index[m]] = coeff
+            u = mono_mul(mi, monos[j])
+            forms.append((i, j, {u: 1} if u in index else normal_form(u)))
+    L = 1
+    if not field.characteristic:
+        L = lcm(*{c.denominator for _, _, nf in forms for c in nf.values() if c})
+    rows = [[None] * d for _ in range(d)]
+    for i, j, nf in forms:
+        row = rows[i][j] = rows[j][i] = [0] * d
+        for m, c in nf.items():
+            if c:
+                row[index[m]] = c.numerator * (L // c.denominator)
+    planes = [[(0, M)] if any(map(any, M)) else [] for M in rows]
     unit = [field.one] + [field.zero] * (d - 1)
     labels = [mono_label(m, variables) for m in monos]
-    planes, scale = linalg.scaled_slices([[plane] for plane in values], field.characteristic)
-    return FiniteAlgebra.on_read(planes, scale, field, labels, unit, validate=False), index
+    return FiniteAlgebra.on_read(planes, L, field, labels, unit, validate=False), index
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,14 @@ def degeneration_from_points(field: Field, points) -> ReducedDegeneration:
     point ideal, exactly when column u of E depends on the columns before it
     (Möller & Buchberger, 1982).  So the pivots of one RREF of E are the
     limit's standard monomials, and column u on the pivot rows of u's degree
-    is u's normal form."""
+    is u's normal form.
+
+    E is first built and reduced on the monomials of degree <= 2 alone.
+    When that block has full row rank q + 2 and more than q + 2 columns,
+    every pivot of E lies in it, and the RREF is unique, so its pivots and
+    pivot rows are E's on every column read (no pivot has degree 3, and no
+    normal form reads a column of degree 3).  Otherwise E is reduced
+    whole."""
     points = [tuple(field.scalar(x) for x in p) for p in points]
     if not points:
         raise ZeroInput("no points")
@@ -319,15 +326,22 @@ def degeneration_from_points(field: Field, points) -> ReducedDegeneration:
     if any(len(pt) != nvars for pt in points):
         raise DimensionMismatch("the points have different numbers of coordinates")
     p = field.characteristic
-    monos = [m for s in range(4) for m in monomials_of_degree(nvars, s)]
-    E = []
-    for pt in points:
-        # the point as integers over their common denominator L: the row times
-        # L^3, which leaves the RREF alone
-        xs, L = linalg._integer_row([x.value for x in pt])
-        row = [prod(x**e for x, e in zip(xs, m) if e) * L ** (3 - sum(m)) for m in monos]
-        E.append([v % p for v in row] if p else row)
-    pivots = linalg.raw_rref(E, p)
+    # each point as integers over its common denominator L
+    scaled = [linalg._integer_row([x.value for x in pt]) for pt in points]
+
+    def reduced(top):
+        """The monomials of degree <= top, E on them (in RREF) and its pivots."""
+        monos = [m for s in range(top + 1) for m in monomials_of_degree(nvars, s)]
+        E = []
+        for xs, L in scaled:
+            # the row times L^top, which leaves the RREF alone
+            row = [prod(x**e for x, e in zip(xs, m) if e) * L ** (top - sum(m)) for m in monos]
+            E.append([v % p for v in row] if p else row)
+        return monos, E, linalg.raw_rref(E, p)
+
+    monos, E, pivots = reduced(2)
+    if len(pivots) < q + 2 or len(monos) <= q + 2:
+        monos, E, pivots = reduced(3)
     if len(pivots) == len(monos):  # the ideal has no element of degree <= 3
         raise ZeroInput("no generators")
     degrees = [sum(monos[c]) for c in pivots]

@@ -219,6 +219,18 @@ def test_socle_solves_once(capsys, a2_file, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [["socle"], ["homotopy", "--which", "mv"], ["degenerate"],
+                                  ["consum"]], ids=" ".join)
+def test_the_aug_clause_is_checked_once(capsys, a2_file, monkeypatch, argv):
+    """compile_presentation checks the aug clause; the Augmented that
+    CompiledDocument.augmented builds does not check it again."""
+    calls = _count_calls(monkeypatch, "augmentation_check", frobenius, cli)
+    files = [a2_file] * (2 if argv[0] == "consum" else 1)
+    code, _, _ = run(capsys, argv[0], *files, *argv[1:])
+    assert code == 0
+    assert len(calls) == len(files)
+
+
 def test_consum_command(capsys, tmp_path):
     p = tmp_path / "dual.alg"
     p.write_text("field Q\nvars x\nrel x^2\norient x : 1\naug x = 0\n")

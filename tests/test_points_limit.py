@@ -15,6 +15,11 @@ or the same exception type and message, over QQ, F_2, F_3, F_7 and F_101:
   denominator may vanish);
 - duplicated points, collinear points (``BoundTooSmall`` when there are
   four of them), points with no coordinates, and no points at all.
+
+E is reduced on its degree <= 2 columns alone when they reach full row
+rank q + 2 in more than q + 2 columns, and whole otherwise; both paths are
+pinned by the widths of the eliminations, among them the square block of
+one variable and three points, which must take the whole matrix.
 """
 
 import json
@@ -214,3 +219,53 @@ def test_one_elimination_and_no_groebner_pipeline():
         rep = reduced_degeneration(3, 0)
     assert rep.hilbert == [1, 3, 1]
     assert seen == [1]
+
+
+def widths_reduced(field, points):
+    """The result, and the column count of each elimination of E, that is,
+    of those run before the Gorenstein test."""
+    widths, raw_rref, testing = [], linalg.raw_rref, []
+
+    def spying(rows, *args, **kwargs):
+        if not testing:
+            widths.append(len(rows[0]))
+        return raw_rref(rows, *args, **kwargs)
+
+    def gorenstein(A, seed):
+        testing.append(True)
+        return gorenstein_test(A, seed=seed)
+
+    with mock.patch.object(linalg, "raw_rref", spying), \
+            mock.patch.object(tensors, "gorenstein_test", gorenstein):
+        got = result(degeneration_from_points, field, points)
+    return got, widths
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+@pytest.mark.parametrize("points,widths", [
+    # full row rank q + 2 on the degree <= 2 block (1 + 4 + 10 columns): E is
+    # reduced there alone
+    ([(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 2, 3, 1)], [15]),
+    ([(0, 0), (1, 0), (0, 1), (1, 1)], [6]),
+    # one variable and three points: the degree <= 2 block is square (3 x 3),
+    # so its full rank says nothing of degree 3, and E is reduced whole
+    ([(1,), (2,), (3,)], [3, 4]),
+    ([(0,), (1,), (2,), (3,)], [3, 4]),   # rank 3 < 4 points
+    ([(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1)], [10, 20]),  # collinear: rank 3 < 4
+    ([(0, 1), (0, 1), (1, 1)], [6, 10]),  # a point twice: rank 2 < 3
+])
+def test_the_degree_two_block_or_the_whole_matrix(field, points, widths):
+    """Both paths of degeneration_from_points, each against the reference
+    pipeline (the same report bytes, or the same exception and message)."""
+    got, seen = widths_reduced(field, points)
+    assert seen == widths
+    assert got == result(ref_degeneration_from_points, field, points)
+
+
+def test_the_square_block_keeps_its_limit():
+    """Three points on a line in one variable have the limit k[y]/(y^3),
+    Hilbert function (1, 1, 1): the draft that took the square degree <= 2
+    block at its word raised ZeroInput here."""
+    rep = degeneration_from_points(QQ, [(1,), (2,), (3,)])
+    assert rep.hilbert == [1, 1, 1]
+    assert rep.limit.labels == ("1", "y1", "y1^2")

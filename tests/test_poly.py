@@ -335,7 +335,8 @@ def test_compile_presentation_runs_buchberger_once(monkeypatch):
     import gorlab.poly
     from gorlab.cli import compile_presentation, parse_presentation
 
-    original = gorlab.poly.groebner_basis
+    # Buchberger is poly._reduced_divisors; groebner_basis only boxes its result
+    original = gorlab.poly._reduced_divisors
     calls = []
 
     def counting(gens):

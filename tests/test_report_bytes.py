@@ -11,13 +11,14 @@ label order or error message changes a digest.
 
 The help and usage cases hash exit code, stdout and stderr together.  Their
 digests were recorded with Python 3.11 and an 80-column terminal, before
-``run_command`` built only the subparser of the command it runs; argparse
+``run_command`` built only the parser of the command it runs; argparse
 words its help and errors differently in other Python versions, so there
 the same argv are compared with a parse by the full parser instead.
 """
 
 import argparse
 import hashlib
+import json
 import sys
 
 import pytest
@@ -239,12 +240,29 @@ def count_add_parser(monkeypatch):
     return names
 
 
+def count_add_argument(monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *flags, **kw):
+        added.append((self.prog, flags[0]))
+        return add_argument(self, *flags, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    return added
+
+
 def test_a_command_builds_only_its_subparser(monkeypatch, tmp_path, capsys):
+    """A named command gets one parser, with its own arguments only: no
+    subparsers, and no other command's arguments."""
     path = tmp_path / "a2.alg"
     path.write_text(aq_text("Q", 2))
     names = count_add_parser(monkeypatch)
+    added = count_add_argument(monkeypatch)
     assert run_command(["check", str(path)]) == 0
-    assert names == ["check"]
+    assert names == []
+    assert added == [("gorlab check", "-h"), ("gorlab check", "--pretty"),
+                     ("gorlab check", "file")]
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["nope"]])
@@ -254,3 +272,76 @@ def test_help_and_unknown_command_list_every_command(monkeypatch, capsys, argv):
     assert tuple(names) == ALL_COMMANDS
     listed = capsys.readouterr().out.replace("'", "").replace(", ", ",")
     assert ",".join(ALL_COMMANDS) in listed
+
+
+# argv for every command that stop in the parser, from the table the parsers
+# are built from: help, missing and extra arguments, bad choices and types,
+# unknown, ambiguous and abbreviated options, and "--"
+EQUIVALENT_ARGV = [
+    *[[name, "-h"] for name in ALL_COMMANDS],
+    *[[name, "--help", "x"] for name in ALL_COMMANDS],
+    *[[name, "--nope"] for name in ALL_COMMANDS],
+    *[[name, "a", "b", "c"] for name in ALL_COMMANDS],
+    *[[name, "--pretty", "--prett", "--bad"] for name in ALL_COMMANDS],
+    ["check"], ["check", "--"], ["check", "--", "a", "b"], ["check", "-", "--x"],
+    ["consum", "a"], ["socle", "--pretty"],
+    ["orient", "x.alg", "--s", "3"], ["orient", "x.alg", "--trials"],
+    ["orient", "x.alg", "--seed", "1.5"], ["orient", "x.alg", "--symbolic-max-dim", "-2"],
+    ["homotopy", "x.alg", "--which"], ["homotopy", "x.alg", "--wh", "co"],
+    ["homotopy", "x.alg", "--which", "const", "--which", "nope"],
+    ["points-degenerate"], ["points-degenerate", "--q"], ["points-degenerate", "--q", "1e3"],
+    ["points-degenerate", "--", "--q", "2"], ["cw", "--field"], ["cw", "--q", "x", "--field", "7"],
+    ["robber", "--at"], ["robber", "--field", "Q", "extra"], ["tensor", "--check"],
+    ["gro", "f.form"], ["gro", "--subspace", "1,0"], ["gro", "f.form", "--subspace", "-1,0"],
+    ["embed-hyp"],
+]
+
+# argv that parse: (argv, the arguments the command's handler receives)
+PARSED_ARGV = [
+    ["check", "--", "x.alg"],
+    ["check", "x.alg", "--pre"],
+    ["orient", "x.alg", "--sym", "3", "--tri", "0", "--see", "-4"],
+    ["orient", "--pretty", "x.alg", "--seed=7"],
+    ["homotopy", "x.alg", "--wh", "mv", "--at", "t=1/2"],
+    ["points-degenerate", "--q", "3", "--seed", "2"],
+    ["points-degenerate", "--q=-3"],
+    ["cw", "--q", "2", "--f", "7"],
+    ["robber", "--at=t=0", "--field", "Q"],
+    ["tensor", "x.alg", "--check", ""],
+    ["consum", "a.alg", "--", "b.alg"],
+    ["gro", "f.form", "--subspace", "1,-1"],
+    ["robber", "--pretty", "--pre"],
+]
+
+
+def test_the_argv_cover_every_command():
+    for table in (EQUIVALENT_ARGV, PARSED_ARGV):
+        assert {argv[0] for argv in table} <= set(ALL_COMMANDS)
+    assert {argv[0] for argv in EQUIVALENT_ARGV} == set(ALL_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", EQUIVALENT_ARGV, ids=" ".join)
+def test_a_command_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    """run_command parses argv naming a command with that command's parser
+    alone: its exit code, stdout and stderr are the full parser's, byte for
+    byte."""
+    monkeypatch.setenv("COLUMNS", "80")
+    blob = usage_blob(capsys, run_command(list(argv)))
+    assert blob == full_parser_blob(capsys, list(argv))
+    assert blob.startswith(("0\nusage: gorlab ", '2\n{"kind":"UsageError"'))
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGV, ids=" ".join)
+def test_a_command_parser_parses_what_the_full_parser_parses(monkeypatch, capsys, argv):
+    """The handler gets the arguments the full parser would give it."""
+    from gorlab import cli
+
+    received = []
+    fn, *arguments = cli._COMMANDS[argv[0]]
+    monkeypatch.setitem(cli._COMMANDS, argv[0],
+                        (lambda args: received.append(vars(args)) or {}, *arguments))
+    assert run_command(list(argv)) == 0
+    assert json.loads(capsys.readouterr().out) == {"schema": "gorlab/1"}
+    full = vars(build_parser().parse_args(list(argv)))
+    assert full.pop("cmd") == argv[0]
+    assert received == [full]

@@ -34,6 +34,12 @@ Here:
   the augmentations of ``unitalize`` and ``form_to_algebra`` are algebra
   maps, the forms of ``hyp_algebra`` and ``surgery`` are non-degenerate, and
   the robber family has a unit Gram determinant and two augmentations;
+- ``rees_family`` and ``surgery_inverse`` take no determinant and build
+  no ``Subspace``: they hand surgery's core the unit itself, and get the
+  public ``surgery``'s form and section; the public ``surgery`` still
+  rejects a degenerate form;
+- the robber family's socle generator for "const" is computed once per
+  field and kept next to the family;
 - ``decompose_augmented`` checks its one outside input, the augmentation:
   isotropic functionals that are not algebra maps raise ``BadUnit``, on
   A_2 and on a sweep over the corpus, where the split once returned a
@@ -49,17 +55,28 @@ from unittest import mock
 
 import pytest
 
-from gorlab import GF, QQ, algebra, frobenius, linalg, poly_ring, quotient_algebra, tensors
-from gorlab.algebra import AlgebraFamily, FiniteAlgebra, validate_structure
+from gorlab import (
+    GF,
+    QQ,
+    algebra,
+    families,
+    frobenius,
+    linalg,
+    poly_ring,
+    quotient_algebra,
+    tensors,
+)
+from gorlab.algebra import AlgebraFamily, FiniteAlgebra, Subspace, validate_structure
 from gorlab.families import (
     family_det_is_unit,
+    family_socle_generator,
     homotopy_families,
     robber_family,
     scale_multiplication_family,
     specialize,
 )
 from gorlab.errors import BadUnit, Degenerate
-from gorlab.forms import BilinearForm, is_nondegenerate, witt_invariants
+from gorlab.forms import BilinearForm, is_nondegenerate, surgery, witt_invariants
 from gorlab.frobenius import (
     NonUnitalOriented,
     OrientedAlgebra,
@@ -257,8 +274,9 @@ def checks_run(build):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 def test_checks_per_construction(field):
     """Only the entry checks are left: unitalize's orientation determinant,
-    form_to_algebra's own determinant (and unitalize's), rees_family's
-    surgery precondition and decompose_augmented's augmentation check."""
+    form_to_algebra's own determinant (and unitalize's) and
+    decompose_augmented's augmentation check.  rees_family takes no
+    determinant: its b_phi is non-degenerate by OrientedAlgebra's check."""
     t, t2 = corpus(field)[4:6]
     assert (t.algebra.dim, t2.algebra.dim) == (6, 7)
     dec = decompose_augmented(t.oa, t.e)
@@ -270,7 +288,8 @@ def test_checks_per_construction(field):
         "unitalize": (lambda: unitalize(dec.lam, dec.nonunital), {"raw_det": 1}),
         "form_to_algebra": (lambda: form_to_algebra(dec.nonunital.form), {"raw_det": 2}),
         "hyp_algebra": (lambda: hyp_algebra(t.algebra), {}),
-        "rees_family": (lambda: rees_family(oa), {"raw_det": 1}),
+        "rees_family": (lambda: rees_family(oa), {}),
+        "surgery_inverse": (lambda: surgery_inverse(oa), {}),
     }
     for name, (build, want) in builds.items():
         assert checks_run(build) == want, name
@@ -344,3 +363,49 @@ def test_decompose_rejects_isotropic_non_augmentations(field):
     for t, e in isotropic_non_augmentations(field, 8):
         with pytest.raises(BadUnit, match="^e is not an algebra map to the base field$"):
             decompose_augmented(t.oa, e)
+
+
+def typed_form(B):
+    return [[(type(x.value), x.value) for x in row] for row in B.gram]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_unit_line_surgery_is_the_public_surgery(field):
+    """rees_family and surgery_inverse hand surgery's core the unit line as
+    the unit itself, not as its RREF row (the corpus units are scrambled,
+    some with a leading 0): the same form and section, with the same value
+    types, as the public surgery along Subspace(d, [1])."""
+    for t in corpus(field):
+        oa = isotropic(t)
+        want = surgery(oa.form, Subspace(oa.dim, [oa.algebra.unit]))
+        rr = rees_family(oa)
+        assert typed_form(rr.surgered) == typed_form(want.form)
+        assert rr.adapted_basis[1:-1] == want.section
+        assert typed_form(surgery_inverse(oa)) == typed_form(want.form)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_public_surgery_still_checks_its_form(field):
+    B = BilinearForm(field, [[0, 0], [0, 1]])
+    e0 = Subspace(2, [[field.one, field.zero]])
+    with pytest.raises(Degenerate, match="^form is degenerate$"):
+        surgery(B, e0)
+    assert checks_run(lambda: surgery(BilinearForm(field, [[0, 1], [1, 0]]), e0)) == {
+        "raw_det": 1}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the robber's socle generator was recomputed")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_the_robber_socle_generator_is_kept_with_the_robber(field):
+    """Computed once per field, next to the robber family: two calls return
+    one tuple, and homotopy_families recomputes nothing."""
+    kept = families._robber(field)
+    assert families._robber(field) is kept
+    robber, x2 = kept
+    assert robber is robber_family(field)
+    assert x2 == family_socle_generator(robber, "const")
+    with mock.patch.object(families, "family_socle_generator", _refuse):
+        assert homotopy_families(corpus(field)[3]).h_const.dim == corpus(field)[3].algebra.dim + 2
