@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from . import linalg
-from .algebra import Subspace
+from .algebra import Subspace, _box_plane
 from .errors import (
     BadParameter,
     Degenerate,
@@ -179,22 +180,25 @@ def hyp_embed(B: BilinearForm):
     vectors, so that E^T G_Hyp E equals gram(B) exactly.  The recipe follows
     the halving trick: write B = B' + B'^T (B' = B/2 away from
     characteristic 2, the strictly upper triangle over F_2) and embed with
-    components (B', id).
+    components (B', id).  B' is taken on the raw Gram matrix: times 2^-1
+    mod p, or over QQ its integer numerators over twice their common
+    denominator.  E is boxed once, through a value memo (``_box_plane``).
     """
     if not is_even(B):
         raise NotEven("form is not even (not alternating over F_2)")
-    d = B.dim
-    f = B.field
-    if f.characteristic != 2:
-        half = f.scalar(1) / f.scalar(2)
-        A = [[half * x for x in row] for row in B.gram]
-    else:
-        A = [
-            [B.gram[i][j] if j > i else f.zero for j in range(d)]
-            for i in range(d)
-        ]
-    rows = [tuple(A[i]) for i in range(d)] + list(linalg.identity(f, d))
-    return linalg.mat(rows)
+    d, f = B.dim, B.field
+    p = f.characteristic
+    G, L = [[x.value for x in row] for row in B.gram], 1
+    if p == 2:
+        A = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(G)]
+    elif p:
+        half = pow(2, -1, p)
+        A = [[x * half % p for x in row] for row in G]
+    else:  # G/2: G's numerators over its common denominator D, over 2·D
+        D = lcm(*(x.denominator for row in G for x in row))
+        A, L = [[x.numerator * (D // x.denominator) for x in row] for row in G], 2 * D
+    eye = [[L * (i == j) for j in range(d)] for i in range(d)]
+    return _box_plane(f, [(0, A + eye)], L, f.zero, (2 * d, d), {})
 
 
 @dataclass(frozen=True)

@@ -625,38 +625,42 @@ def _find_nonvanishing(Dpoly: MultiPoly, field: Field):
     return tuple(point)
 
 
-def _nonsingular_point(field: Field, terms, names, seed: int, trials: int,
+def _trial_top(p: int) -> int:
+    """The largest |a_k| of a seeded trial point: a_k in [0, p), or in
+    [-9, 9] over QQ."""
+    return p - 1 if p else 9
+
+
+def _nonsingular_point(field: Field, at, entries, scale: int, names, seed: int, trials: int,
                        symbolic_max_dim: int):
     """The witness search shared by gorenstein_test and tensors.one_generic.
 
-    ``terms[r][s]`` lists the nonzero (k, raw value) pairs of entry (r, s) of
-    the pencil M(a) = sum_k a_k M_k in the variables ``names``.  ``trials``
-    seeded points a are tried first: each contracts on raw values and runs
-    linalg.raw_det.  On failure and when len(names) <= ``symbolic_max_dim``,
+    The pencil M(a) = sum_k a_k M_k, in the variables ``names``, is square,
+    and its raw values are scale·M: ``at`` evaluates them packed
+    (linalg.pencil, for |a_k| <= _trial_top), and ``entries()`` returns its
+    matrix of coefficient lists (entry (r, s) of every M_k), read only by
+    the symbolic path.  ``trials`` seeded points a are tried first: each runs
+    linalg.raw_det on at(a), which over QQ is the L-scaled integer pencil,
+    and det(L·M) = L^d·det M, so a point is taken exactly when M(a) is
+    nonsingular.  On failure and when len(names) <= ``symbolic_max_dim``,
     det M is expanded symbolically and, unless it is zero, a nonvanishing
     point is sought by incremental substitution.
 
     Returns (point or None, the symbolic determinant or None, trials used).
     """
     p = field.characteristic
-    m = len(names)
+    m, top = len(names), _trial_top(p)
     rng = random.Random(seed)
     for trial in range(trials):
-        if p:
-            a = [rng.randrange(p) for _ in range(m)]
-            work = [[sum([a[k] * v for k, v in entry]) % p for entry in row] for row in terms]
-        else:
-            a = [rng.randint(-9, 9) for _ in range(m)]
-            work = [[sum([a[k] * v for k, v in entry]) for entry in row] for row in terms]
-        if linalg.raw_det(work, p):
+        a = [rng.randrange(p) if p else rng.randint(-top, top) for _ in range(m)]
+        if linalg.raw_det(at(a), p):
             return tuple(field.scalar(x) for x in a), None, trial + 1
     if m > symbolic_max_dim:
         return None, None, trials
     monomials = [tuple(int(v == k) for v in range(m)) for k in range(m)]
-    matrix = [
-        [MultiPoly(field, names, {monomials[k]: v for k, v in entry}) for entry in row]
-        for row in terms
-    ]
+    matrix = [[MultiPoly(field, names, {monomials[k]: v if p else Fraction(v, scale)
+                                        for k, v in enumerate(coeffs) if v}) for coeffs in row]
+              for row in entries()]
     Dpoly = det_multipoly(matrix, field, names)
     return (_find_nonvanishing(Dpoly, field) if Dpoly else None), Dpoly, trials
 
@@ -666,7 +670,19 @@ def _nonsingular_point(field: Field, terms, names, seed: int, trials: int,
 _RANK_PRIME = 2**61 - 1
 
 
-def _nilradical_and_socle(A: FiniteAlgebra):
+def _table_pencil(A: FiniteAlgebra):
+    """The pencil phi -> (phi(e_i e_j)) on A's read (linalg.pencil, strided;
+    its values are the Gram matrices times L), good for the seeded trials'
+    functionals and for the trace vector, and that vector: entry i is
+    tr(L_(e_i)) times L, mod p at p > 0."""
+    d, p = A.dim, A.field.characteristic
+    table = _constant_planes(A.raw, d, d)
+    trace = [sum(plane[j][j] for j in range(d)) for plane in table]
+    trace = [t % p for t in trace] if p else trace
+    return linalg.pencil(table, p, max([_trial_top(p), *map(abs, trace)]), True), trace
+
+
+def _nilradical_and_socle(A: FiniteAlgebra, pencil=None):
     """Raw RREF bases of the nilradical J of A and of Soc(A) = Ann(J).
 
     Both work on A's read: ints mod p, or over QQ the table times a common
@@ -676,18 +692,18 @@ def _nilradical_and_socle(A: FiniteAlgebra):
     For p = 0 or p > dim A, J is the radical of the trace form
     (x, y) -> tr(L_xy): on each local factor the trace is the factor's
     length, nonzero in k, times the residue field's trace, which is
-    non-degenerate.  For 0 < p <= dim A, J is the kernel of the F_p-linear
-    map x -> x^(p^m) with p^m >= dim A, a bound on every nilpotency index.
+    non-degenerate.  Its Gram matrix is the table pencil at the trace vector
+    (``pencil``, from _table_pencil, or built here).  For 0 < p <= dim A, J
+    is the kernel of the F_p-linear map x -> x^(p^m) with p^m >= dim A, a
+    bound on every nilpotency index.
     """
     d = A.dim
     p = A.field.characteristic
-    table = _constant_planes(A.raw, d, d)
     if p == 0 or p > d:
-        trace = [sum(plane[j][j] for j in range(d)) for plane in table]
-        support = [(k, v) for k, v in enumerate(trace) if v]
-        gram = [[sum(row[k] * v for k, v in support) for row in plane] for plane in table]
+        at, trace = pencil or _table_pencil(A)
+        gram = at(trace)
         if p:
-            J = linalg.raw_kernel([[x % p for x in row] for row in gram], d, p)
+            J = linalg.raw_kernel(gram, d, p)
         elif len(linalg.raw_rref([[x % _RANK_PRIME for x in row] for row in gram],
                                  _RANK_PRIME)) == d:
             J = []
@@ -696,7 +712,7 @@ def _nilradical_and_socle(A: FiniteAlgebra):
     else:
         # row i of frob is e_i^p, reached by p - 1 products with the plane c[i]
         frob = []
-        for i, plane in enumerate(table):
+        for i, plane in enumerate(_constant_planes(A.raw, d, d)):
             v = [int(j == i) for j in range(d)]
             for _ in range(p - 1):
                 v = linalg.raw_mul([v], plane, p, 0)[0]
@@ -726,7 +742,9 @@ def gorenstein_test(
     For a Gorenstein A a witness phi, with B_phi non-degenerate, is sought
     by _nonsingular_point, the search shared with tensors.one_generic, on
     the pencil B_phi = sum_k phi_k c[.][.][k]: ``trials`` seeded random
-    functionals first; on failure and when dim A <= ``symbolic_max_dim``,
+    functionals first, each evaluated on the packed pencil of A's read (over
+    QQ the L-scaled integer pencil) that gave the trace form's Gram matrix
+    (_table_pencil); on failure and when dim A <= ``symbolic_max_dim``,
     det(B_phi) is expanded symbolically and a nonvanishing point sought by
     incremental substitution.  Both bound only this search.  When neither
     finds a witness (over a small prime field a witness can be rare), the
@@ -736,14 +754,13 @@ def gorenstein_test(
         raise BadUnit("the Gorenstein test needs a unital algebra")
     f = A.field
     d = A.dim
-    J, soc = _nilradical_and_socle(A)
+    pencil = _table_pencil(A)
+    J, soc = _nilradical_and_socle(A, pencil)
     if len(soc) != d - len(J):  # J and Soc come from raw_kernel, in RREF
         return GorensteinResult("not_gorenstein", None, None, 0,
                                 *(Subspace.on_rref(d, linalg._box(f, S), f) for S in (J, soc)))
-    p, L = f.characteristic, A.raw[1]
-    # unscaled values: the symbolic determinant and the trials over QQ need them
-    terms = [[[(k, v if p else Fraction(v, L)) for k, v in enumerate(row) if v] for row in plane]
-             for plane in _constant_planes(A.raw, d, d)]
     names = tuple(f"p{i}" for i in range(d))
-    point, Dpoly, used = _nonsingular_point(f, terms, names, seed, trials, symbolic_max_dim)
+    point, Dpoly, used = _nonsingular_point(
+        f, pencil[0], lambda: _constant_planes(A.raw, d, d), A.raw[1], names, seed, trials,
+        symbolic_max_dim)
     return GorensteinResult("gorenstein" if point is None else "oriented", point, Dpoly, used)

@@ -54,6 +54,16 @@ from a bound on a slot, so no slot spills into the next, and reads packed
 slots back: exactly at p = 0, where packed rows also compare exactly as
 ints, and mod p at p > 0.
 
+``pencil`` packs the contractions M(a) = sum_k a_k M_k of a pencil of n
+matrices the same way: each M_k is one int of K-bit slots, packed once at C
+speed (``struct`` words, or by shift when a slot is wider than 64 bits),
+and M(a) is n big-int multiply-adds and one read, each slot bounded by
+n·top·top_a (top the largest |entry| of an M_k, or p - 1; top_a that of
+a).  It serves the trace form of ``frobenius._nilradical_and_socle`` and
+every seeded trial of ``gorenstein_test`` (one pencil per call, shared by
+both) and of ``tensors.one_generic``, and ``Tensor3._contract``, the slice
+of Strassen's test and ``slice_first``.
+
 ``bareiss`` is the one fraction-free elimination over k[t].  It works on raw
 coefficient lists (``poly_entries`` of a slice list): ints mod p, or over QQ
 integers.  Its products and differences are ``scalar.poly_mul`` and
@@ -70,16 +80,19 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, starmap
 from math import gcd, lcm, prod
 from operator import mul
+from struct import Struct
 
 from .errors import DimensionMismatch, FieldMismatch, Singular, ZeroInput
 from .scalar import Field, Scalar, TPoly, poly_mul, poly_sub
 
 _QQ_ZERO = Fraction(0)
-# (bits, typecode) of the array types that unpack a product row by bytes
+# (bits, typecode) of the array types whose words hold packed slots, by bytes
 _WORDS = sorted((array(c).itemsize * 8, c) for c in "BHIQ")
+# the struct code of a signed little-endian word of each width ("<" sizes)
+_SIGNED = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
 def mat(rows):
@@ -289,6 +302,57 @@ def _slot_width(bound: int, p: int, nslots: int):
         return list(map(p.__rmod__, slots) if p else map(off.__rsub__, slots))
 
     return K, read
+
+
+def pencil(planes, p: int, top_a: int, strided: bool):
+    """The evaluator a -> M(a) = sum_k a_k M_k of a pencil of matrices read
+    from ``planes``, a list of raw row lists: ints in [0, p), or at p = 0
+    ints of any sign.  When ``strided``, M_k[i][j] = planes[i][j][k] (the
+    pencil phi -> (phi(e_i e_j)) of a table); otherwise M_k = planes[k].
+    M(a), for ints a_k with |a_k| <= top_a, is returned as row lists, mod p
+    at p > 0 and exact at p = 0.
+
+    Each M_k is packed once into one int of K-bit slots, its entries row by
+    row, so M(a) is read(sum(map(mul, a, packed))): n big-int multiply-adds
+    and one ``_slot_width`` read.  A slot sums n terms of size at most
+    top·top_a, for top = p - 1 (or the largest |entry|), and that bound sets
+    K.  When K is a machine word the rows go by ``struct`` into one buffer
+    of signed little-endian K-bit words, and M_k is int.from_bytes of its
+    slice of them, strided or blocked, less 2^K for each negative slot
+    (whose top bit is set: |entry| < 2^(K-1)); wider slots are packed by
+    shift (``_packed_rows``).
+    """
+    rows = list(chain.from_iterable(planes))
+    width = len(rows[0]) if rows else 0
+    if strided:
+        n, nrows = width, len(planes)
+        ncols = len(rows) // nrows if nrows else 0
+    else:
+        n, nrows, ncols = len(planes), len(rows) // len(planes) if planes else 0, width
+    m = nrows * ncols
+    top = p - 1 if p else max(max(map(max, rows)), -min(map(min, rows))) if n * m else 0
+    K, read = _slot_width(max(n * top * top_a, top), p, m)
+    code = dict(_WORDS).get(K)
+    if code:
+        words, ones = array(code), ((1 << K * m) - 1) // ((1 << K) - 1)
+        words.frombytes(b"".join(starmap(Struct(f"<{width}{_SIGNED[K]}").pack, rows)))
+        packed = []
+        for k in range(n):
+            u = int.from_bytes(words[k::n] if strided else words[k * m:(k + 1) * m], "little")
+            # read unsigned, a negative slot x is x + 2^K: take 2^K off where the top bit is set
+            packed.append(u if p else u - ((u >> (K - 1) & ones) << K))
+    else:
+        values = list(chain.from_iterable(rows))
+        packed = _packed_rows([(0, [values[k::n] if strided else values[k * m:(k + 1) * m]
+                                    for k in range(n)])], n, K, 0)
+
+    def at(a):
+        flat = read(sum(map(mul, a, packed)))
+        if not ncols:
+            return [[] for _ in range(nrows)]
+        return [flat[r:r + ncols] for r in range(0, m, ncols)]
+
+    return at
 
 
 def first_noncommuting(mats, p: int):

@@ -47,6 +47,7 @@ from operator import add, le, neg, sub
 from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import (
+    BadParameter,
     BoundTooSmall,
     DimensionMismatch,
     FieldMismatch,
@@ -185,6 +186,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise BadParameter(f"negative exponent {n}: a polynomial has no inverse power")
         out = MultiPoly.constant(self.field, self.variables, 1)
         base = self
         while n:

@@ -43,6 +43,7 @@ from .frobenius import (
     _nonsingular_point,
     _split,
     _symbolic_certificate,
+    _trial_top,
     gorenstein_test,
 )
 from .poly import MultiPoly, _monomial_algebra, monomials_of_degree
@@ -94,23 +95,23 @@ class Tensor3(_Read):
         return cls(field, e)
 
     def _contract(self, a):
-        """sum_i a_i T[i] as raw d2 x d3 rows, scaled by the read's L; at
-        p = 0 every entry is a Fraction."""
+        """sum_i a_i T[i] as raw d2 x d3 rows on the packed pencil of the
+        layers (linalg.pencil, blocked), and their scale: the read's L times,
+        at p = 0, the common denominator of a."""
         f = self.field
         a = [f.scalar(x).value for x in a]
         if len(a) != self.dims[0]:
             raise ShapeMismatch("contraction vector has wrong length")
         p = f.characteristic
-        d3 = self.dims[2]
-        flat = [[x for row in layer for x in row] for layer in self._layers()]
-        (out,) = linalg.raw_mul([a], flat, p, 0 if p else Fraction(0))
-        return [out[j * d3:(j + 1) * d3] for j in range(self.dims[1])]
+        a, L_a = (a, 1) if p else linalg._integer_row(a)
+        top_a = p - 1 if p else max(map(abs, a), default=0)
+        return linalg.pencil(self._layers(), p, top_a, False)(a), self.raw[1] * L_a
 
     def slice_first(self, a):
         """Contraction sum_i a_i T[i][.][.] (a d2 x d3 matrix), on the read."""
-        p, L = self.field.characteristic, self.raw[1]
-        return tuple(tuple(Scalar(self.field, v if p else v / L) for v in row)
-                     for row in self._contract(a))
+        f, p = self.field, self.field.characteristic
+        rows, L = self._contract(a)
+        return tuple(tuple(Scalar(f, v if p else Fraction(v, L)) for v in row) for row in rows)
 
     def __eq__(self, other):
         return (
@@ -194,19 +195,22 @@ def one_generic(
     """Search for a first-slot contraction of full rank.
 
     The search is frobenius._nonsingular_point, shared with gorenstein_test,
-    on the pencil sum_i a_i T[i]: seeded sampling first; on failure and when
-    d1 <= symbolic_max_dim, the determinant of the symbolic slice is
-    expanded: zero certifies "no", a nonvanishing point is a witness.
+    on the pencil sum_i a_i T[i]: seeded sampling first, each trial on the
+    packed pencil of T's layers (linalg.pencil; over QQ the L-scaled integer
+    pencil); on failure and when d1 <= symbolic_max_dim, the determinant of
+    the symbolic slice is expanded: zero certifies "no", a nonvanishing
+    point is a witness.
     """
     d1, d2, d3 = T.dims
     if d2 != d3:
         raise ShapeMismatch("slices are not square")
-    # entry (j, k) of the pencil: the nonzero T[i][j][k] as i runs, unscaled
-    p, L = T.field.characteristic, T.raw[1]
-    terms = [[[(i, v if p else Fraction(v, L)) for i, v in enumerate(col) if v]
-              for col in zip(*rows)] for rows in zip(*T._layers())]
+    p, layers = T.field.characteristic, T._layers()
     names = tuple(f"a{i}" for i in range(d1))
-    point, Dpoly, used = _nonsingular_point(T.field, terms, names, seed, trials, symbolic_max_dim)
+    # entry (j, k) of the pencil: T[i][j][k] as i runs
+    point, Dpoly, used = _nonsingular_point(
+        T.field, linalg.pencil(layers, p, _trial_top(p), False),
+        lambda: [list(zip(*rows)) for rows in zip(*layers)], T.raw[1], names, seed, trials,
+        symbolic_max_dim)
     if point is not None:
         return OneGenericResult("witness", point, Dpoly, used)
     if Dpoly is not None and not Dpoly:
@@ -218,10 +222,11 @@ def strassen_commuting(T: Tensor3, witness) -> bool:
     """Whether the normalized slices N_i = slice(a)^-1 slice(e_i) pairwise
     commute (Strassen's commutativity, necessary for minimal border rank).
 
-    On raw values throughout: slice(a) and the layers slice(e_i) carry the
-    read's common scale L, which cancels in N_i = (L slice(a))^-1 (L slice(e_i)).
+    On raw values throughout: the layers slice(e_i) carry the read's common
+    scale L, and slice(a), contracted packed, L times a's common denominator
+    L_a, so the N_i are all scaled by 1/L_a, which leaves commutation alone.
     """
-    M = T._contract(witness)
+    M, _ = T._contract(witness)
     if T.dims[1] != T.dims[2]:
         raise ShapeMismatch("slices are not square")
     p = T.field.characteristic

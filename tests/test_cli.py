@@ -547,3 +547,12 @@ def test_float_characteristic_is_not_prime(capsys, tmp_path):
     code, payload, _ = run(capsys, "embed-hyp", str(p))
     assert code == 1
     assert payload == {"schema": "gorlab/1", "kind": "BadParameter", "message": "7.0 is not prime"}
+
+
+def test_check_over_a_composite_characteristic_is_a_domain_error(capsys, tmp_path):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the bases 2 to 37
+    p = tmp_path / "psi12.alg"
+    p.write_text("field F 318665857834031151167461\nvars x\nrel x^2\n")
+    code, payload, _ = run(capsys, "check", str(p))
+    assert code == 1
+    assert payload["kind"] == "BadParameter"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gorlab import GF, QQ, linalg
-from gorlab.errors import BoundTooSmall, InfiniteDimensional, UnitIdeal
+from gorlab.errors import BadParameter, BoundTooSmall, InfiniteDimensional, UnitIdeal
 from gorlab.poly import (
     MultiPoly,
     det_multipoly,
@@ -35,6 +35,14 @@ def test_grevlex_degree_two_chain_three_vars():
     # ascending: x^2, xy, xz, y^2, yz, z^2 in variables (x, y, z)
     monos = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
     assert sorted(monos, key=grevlex_key) == monos
+
+
+def test_negative_power_is_a_domain_error():
+    # the square-and-multiply loop never ended on a negative exponent
+    (x,) = poly_ring(QQ, "x")
+    with pytest.raises(BadParameter, match="negative exponent"):
+        x ** -1
+    assert x ** 0 == MultiPoly.constant(QQ, ("x",), 1)
 
 
 def test_groebner_single_monomial():

@@ -99,6 +99,18 @@ def test_is_prime_small():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+# psi_12, the least strong pseudoprime to the twelve prime bases 2 to 37
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_rejects_psi_12():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    with pytest.raises(BadParameter, match=f"^{PSI_12} is not prime$"):
+        GF(PSI_12)
+    assert is_prime(10**9 + 7) and is_prime(2**61 - 1)
+
+
 def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}

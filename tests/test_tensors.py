@@ -224,6 +224,23 @@ def test_strassen_commuting_matches_boxed_products():
     assert verdicts == {True, False, "singular"}
 
 
+def test_slice_first_matches_the_boxed_sum():
+    # the contraction runs packed, over QQ on integers scaled by the read's L
+    # and by the common denominator of a
+    rng = random.Random(11)
+    for field in (QQ, F7, GF(2**61 - 1)):
+        draw = (lambda: rng.choice([0, 1, -2, Fraction(1, 2), Fraction(-7, 3), 10**20])) \
+            if not field.characteristic else (lambda: rng.randrange(field.characteristic))
+        for _ in range(12):
+            d1, d2, d3 = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 3)
+            T = Tensor3(field, [[[draw() for _ in range(d3)] for _ in range(d2)]
+                                for _ in range(d1)])
+            a = [field.scalar(draw()) for _ in range(d1)]
+            want = tuple(tuple(sum((x * layer[j][k] for x, layer in zip(a, T.entries)), field.zero)
+                               for k in range(d3)) for j in range(d2))
+            assert T.slice_first(a) == want
+
+
 def test_strassen_matrix_algebra_counterexample():
     T = matrix_algebra_tensor(QQ, 2)
     # witness: the identity matrix E11 + E22 = basis 0 and 3

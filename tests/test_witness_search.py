@@ -218,3 +218,25 @@ def test_one_generic_search_matches_reference(data, kwargs):
     with mock.patch.object(frobenius, "_find_nonvanishing", nonzero_only):
         got = outcome(one_generic, T, **kwargs)
     assert got == outcome(ref_one_generic, T, **kwargs)
+
+
+def test_qq_trials_on_the_scaled_pencil_match_the_fraction_reference():
+    """Over QQ the trials run on the L-scaled integer pencil, the reference on
+    Fractions.  QQ^6 on the idempotents scaled by 1/2, -3, 2/5, ... : its
+    table has fractional entries (L > 1), and a functional orients it when
+    it vanishes on none of them, so a random one misses often and some
+    searches take several trials.  Every witness and trial count must be
+    the reference's."""
+    point = FiniteAlgebra(QQ, ["1"], [[[1]]], unit=[1])
+    A = point
+    for _ in range(5):
+        A = direct_product(A, point)
+    scales = [Fraction(1, 2), -3, Fraction(2, 5), 7, Fraction(-5, 3), 1]
+    A = base_change(A, [[s if i == j else 0 for j in range(6)] for i, s in enumerate(scales)])
+    assert A.raw[1] > 1
+    searches = [{"seed": s, "trials": t, "symbolic_max_dim": 0}
+                for s in range(30) for t in (1, 64)]
+    got = [outcome(gorenstein_test, A, **kw) for kw in searches]
+    assert got == [outcome(ref_gorenstein_test, A, **kw) for kw in searches]
+    assert {r["status"] for r in got} == {"oriented", "gorenstein"}
+    assert max(r["trials"] for r in got) > 1
