@@ -13,10 +13,14 @@ The read of a table lives on its object: FiniteAlgebra, AlgebraFamily and
 tensors.Tensor3 hold ``raw`` from construction (see ``_Read``), and
 validation and every consumer of the table work from it.  New tables are
 built on reads by ``_table_on_rows``, the table of the rows of a constant
-matrix in coordinates against a row basis (``base_change``,
-``direct_product``, the connected sums and homotopies of
-``frobenius._consum_core``, and ``decompose_augmented``), which multiplies
-block by block on Kronecker-packed rows, by ``AlgebraFamily.at``, which
+matrix read by a coordinate map, both raw integers over a scale, multiplied
+block by block on Kronecker-packed rows; no row space is checked, as each
+caller's construction guarantees it (see its docstring).  ``base_change``,
+``direct_product`` and ``decompose_augmented`` hand it raw values they hold,
+read by ``linalg._integer_rows``, the one QQ reader; only the connected sums
+and homotopies of ``frobenius._consum_core``, whose right factor can be a
+family over k[t], read boxed rows and map, by one ``linalg.raw_slices``.
+Tables are also built by ``AlgebraFamily.at``, which
 evaluates the family's read by Horner's rule, and by the derived algebras
 (``frobenius.unitalize``, ``form_to_algebra``, ``hyp_algebra``, and
 ``poly._monomial_algebra`` for quotients and A_q), which lay out the planes
@@ -40,7 +44,6 @@ from .errors import (
     FieldMismatch,
     NotAssociative,
     NotCommutative,
-    Singular,
 )
 from .scalar import Field, Scalar, TPoly, as_tpoly
 
@@ -380,8 +383,9 @@ def direct_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
     the rows of the identity in A (+) B, built on the two reads."""
     if A.field != B.field:
         raise FieldMismatch("factors live over different fields")
-    I = linalg.identity(A.field, A.dim + B.dim)
-    planes, scale = _table_on_rows(A.field, [A, B], I, I, 0)
+    D = A.dim + B.dim
+    I = [[int(i == j) for j in range(D)] for i in range(D)]
+    planes, scale = _table_on_rows(A.field, [A, B], I, 1, [(0, I)], 1)
     unit = None
     if A.unit is not None and B.unit is not None:
         unit = tuple(A.unit) + tuple(B.unit)
@@ -395,8 +399,10 @@ def base_change(A: FiniteAlgebra, P, labels=None) -> FiniteAlgebra:
     if len(P) != A.dim:
         raise DimensionMismatch("change of basis must be square")
     f, p = A.field, A.field.characteristic
-    Pinv = linalg.raw_invert(linalg.unbox(P, f)[1], p)
-    planes, scale = _table_on_rows(f, [A], P, linalg._box(f, Pinv), 0)
+    _, raw = linalg.unbox(P, f)
+    Pinv = linalg.raw_invert([row[:] for row in raw], p)
+    (R, L_R), (C, L_C) = linalg._integer_rows(raw), linalg._integer_rows(Pinv)
+    planes, scale = _table_on_rows(f, [A], R, L_R, [(0, C)], L_C)
     unit = None if A.unit is None else linalg._box(f, linalg.raw_mul(
         [[x.value for x in A.unit]], Pinv, p, 0 if p else Fraction(0)))[0]
     if labels is None:
@@ -437,70 +443,72 @@ def _box_plane(field: Field, slices, scale: int, zero, shape, memo: dict):
     return tuple(tuple(entry(b, k) for k in range(cols)) for b in range(rows))
 
 
-def _table_on_rows(field: Field, tables, R, M, checks: int):
+def _table_on_rows(field: Field, tables, R, L_R: int, C, L_C: int):
     """The raw plane slices, and their scale, of the table of the rows r_a
     of R in the block-diagonal algebra tables[0] (+) tables[1] (+) ..., its
-    products mapped by M.
+    products read in coordinates by C.
 
-    Plane a is R·(sum_i R[a][i] c[i])·M, row b being (r_a r_b)·M; R is
-    constant, the tables (algebras or families) and M may hold TPolys.  The
-    last ``checks`` columns of M must send every product to 0, else
-    Singular: with M = [C | N], a coordinate map C of R's row space whose N
-    vanishes exactly on that space, the products must lie in it.  The tables
-    come from their reads, brought to a common scale Lc, and R and M from
-    one raw_slices read (L), so products carry L³ Lc.
+    Plane a is R·(sum_i R[a][i] c[i])·C, row b being (r_a r_b)·C.  R is a
+    constant matrix of raw rows, C a D x w slice list (the tables, algebras
+    or families, and C may hold powers of t): ints mod p, or at p = 0 the
+    entries times L_R and times L_C.  The tables come from their reads,
+    brought to a common scale Lc, so products carry L_R² L_C Lc.
 
-    The products run on Kronecker-packed rows (see linalg): row k of M is
+    No row-space check runs, as C reads a space holding every product by
+    each caller's construction: ``base_change`` and ``direct_product`` pass
+    an invertible P (or I) and its inverse; ``decompose_augmented`` V's rows
+    and C after the projection along span(1, x), which lands in V for every
+    w once e is an isotropic augmentation (checked at entry); the connected
+    sums and homotopies (``frobenius._consum_core``) a basis of the fiber
+    product less the socle line, closed under products as e1 and e2 are
+    algebra maps (checked where each ``Augmented`` is made).
+
+    The products run on Kronecker-packed rows (see linalg): row k of C is
     one int P[k] with t^u e_l at slot u·w + l.  Block by block (offset o,
-    dim d, planes scaled to Lc), row j of c[i]·M is the int F[i][j] =
+    dim d, planes scaled to Lc), row j of c[i]·C is the int F[i][j] =
     sum_k c[i][j][k](t)·P[o + k], and RF[a][o + j] = sum_i R[a][o + i]·F[i][j];
     only block-local indices are visited.  Row b of plane a is
-    sum_j R[b][j]·RF[a][j], shifted by b·w·V slots for V = S_C + S_M - 1,
-    so each plane is read once.  With S_C and S_M the numbers of powers of t
-    in the tables and in M, a slot sums at most (sum of d³)·min(S_C, S_M)
-    terms of size at most top_R²·top_C·top_M (tops p - 1, or at p = 0 the
+    sum_j R[b][j]·RF[a][j], shifted by b·w·V slots for V = S_T + S_C - 1,
+    so each plane is read once.  With S_T and S_C the numbers of powers of t
+    in the tables and in C, a slot sums at most (sum of d³)·min(S_T, S_C)
+    terms of size at most top_R²·top_T·top_C (tops p - 1, or at p = 0 the
     largest |entry|), and that bound sets the slot width
     (linalg._slot_width).
     """
     if not R:
         return [], 1
-    p = field.characteristic
-    n, w = len(R), len(M[0])
-    (R, M), L = linalg.raw_slices([R, M], p)
-    Lc = lcm(*(t.raw[1] for t in tables))
+    p, n, Lc = field.characteristic, len(R), lcm(*(t.raw[1] for t in tables))
     blocks, D = [], 0
     for t in tables:
         blocks.append((D, t.raw[0][:-1], Lc // t.raw[1]))
         D += t.dim
-    S_C = 1 + max((s for _, planes, _ in blocks for pl in planes for s, _ in pl), default=-1)
-    if not (R and M and S_C):
-        return [[] for _ in range(n)], L**3 * Lc
-    R, S_M = R[0][1], M[-1][0] + 1
+    S_T = 1 + max((s for _, planes, _ in blocks for pl in planes for s, _ in pl), default=-1)
+    if not (any(map(any, R)) and C and S_T):
+        return [[] for _ in range(n)], L_R**2 * L_C * Lc
+    w, S_C = len(C[0][1][0]), C[-1][0] + 1
     top = (p - 1) ** 4 if p else (
         max(map(abs, chain.from_iterable(R))) ** 2
-        * max(max(map(abs, chain.from_iterable(X))) for _, X in M)
+        * max(max(map(abs, chain.from_iterable(X))) for _, X in C)
         * max(f * max(map(abs, chain.from_iterable(X))) for _, pls, f in blocks for pl in pls
               for _, X in pl))
-    width = w * (S_C + S_M - 1)
-    K, read = linalg._slot_width(sum(len(pl) ** 3 for _, pl, _ in blocks) * min(S_C, S_M) * top,
+    width = w * (S_T + S_C - 1)
+    K, read = linalg._slot_width(sum(len(pl) ** 3 for _, pl, _ in blocks) * min(S_T, S_C) * top,
                                  p, n * width)
-    PM, RF = linalg._packed_rows(M, D, K, K * w), [[0] * D for _ in range(n)]
+    PC, RF = linalg._packed_rows(C, D, K, K * w), [[0] * D for _ in range(n)]
     for o, planes, f in blocks:
-        d, PMo = len(planes), [f * x for x in PM[o:o + len(planes)]]
+        d, PCo = len(planes), [f * x for x in PC[o:o + len(planes)]]
         # FT[j][i] is F[i][j]
-        FT = list(zip(*([sum(map(mul, e[1], compress(PMo, e[0]))) if e else 0
+        FT = list(zip(*([sum(map(mul, e[1], compress(PCo, e[0]))) if e else 0
                          for e in linalg._packed_entries(pl, d, K * w)] for pl in planes)))
         for RFa, Ra in zip(RF, (row[o:o + d] for row in R)):
             RFa[o:o + d] = [sum(map(mul, Ra, col)) for col in FT]
-    keep, out = w - checks, []
+    out = []
     for RFa in RF:
         flat = read(sum(sum(map(mul, Rb, RFa)) << (K * width * b) for b, Rb in enumerate(R)))
-        if any(any(flat[c::w]) for c in range(keep, w)):
-            raise Singular("vector is not in the row space")
-        Xs = ((u // w, [flat[b + u:b + u + keep] for b in range(0, n * width, width)])
+        Xs = ((u // w, [flat[b + u:b + u + w] for b in range(0, n * width, width)])
               for u in range(0, width, w))
         out.append([(s, X) for s, X in Xs if any(map(any, X))])
-    return out, L**3 * Lc
+    return out, L_R**2 * L_C * Lc
 
 
 class AlgebraFamily(_Table):
@@ -547,7 +555,7 @@ class AlgebraFamily(_Table):
         f, d = self.field, self.dim
         p = f.characteristic
         value = f.scalar(value)
-        a, b = (value.value, 1) if p else value.value.as_integer_ratio()
+        [[a]], b = linalg._integer_rows([[value.value]])
         (*planes, unit), L = self.raw
         top = max((s for pl in (*planes, unit) for s, _ in pl), default=0)
 

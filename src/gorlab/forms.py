@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 from . import linalg
 from .algebra import Subspace, _box_plane
@@ -195,8 +194,8 @@ def hyp_embed(B: BilinearForm):
         half = pow(2, -1, p)
         A = [[x * half % p for x in row] for row in G]
     else:  # G/2: G's numerators over its common denominator D, over 2·D
-        D = lcm(*(x.denominator for row in G for x in row))
-        A, L = [[x.numerator * (D // x.denominator) for x in row] for row in G], 2 * D
+        A, D = linalg._integer_rows(G)
+        L = 2 * D
     eye = [[L * (i == j) for j in range(d)] for i in range(d)]
     return _box_plane(f, [(0, A + eye)], L, f.zero, (2 * d, d), {})
 

@@ -255,28 +255,24 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
 
     V is the orthogonal complement of span(1, x) (see ``_split``); its
     multiplication is the ambient one followed by orthogonal projection back
-    onto V.  V's rows Q are in RREF, pivot columns P, so its coordinate map
-    needs no elimination: it is [C | N], C taking a vector's entries at P
-    and, for c off P, column c of N being v_c - sum_i v_{P_i} Q_i[c], which
-    vanishes exactly on V.  V is m/(x) for the ideals m = ker e and (x)
-    (a x = e(a) x), so valid, as is its form (see ``_split``); only e is checked.
+    onto V, w -> w - B(w, x) 1 - (B(w, 1) - lam B(w, x)) x, which lands in V
+    for every w, as B(x, x) = e(x) = 0, B(1, x) = e(1) = 1 and B(1, 1) = lam.
+    V's rows are in RREF, pivot columns P, so V's coordinates are the entries
+    at P: C, the projection then these, needs no elimination.  V is m/(x)
+    for the ideals m = ker e and (x) (a x = e(a) x), so valid, as is its
+    form (see ``_split``); only e is checked.
     """
     if not augmentation_check(oa.algebra, e):
         raise BadUnit("e is not an algebra map to the base field")
     lam, form, labels, adapted, (gx, g1, xr, ur, Vr) = _split(oa, e)
     A, f = oa.algebra, oa.field
-    # on raw values, boxed once: the projection along span(1, x),
-    # w -> w - B(w, x) 1 - (B(w, 1) - lam B(w, x)) x, times the coordinate
-    # map of V
-    p = f.characteristic
-    lr = lam.value
-    proj = [[int(j == k) - gx[j] * ur[k] - (g1[j] - lr * gx[j]) * xr[k] for k in range(A.dim)]
-            for j in range(A.dim)]
+    p, lr = f.characteristic, lam.value
     P = [next(c for c, v in enumerate(row) if v) for row in Vr]
-    M = [[v[c] for c in P] + [v[c] - sum(v[q] * Q[c] for q, Q in zip(P, Vr))
-                              for c in range(A.dim) if c not in P] for v in proj]
-    M = linalg._box(f, [[v % p for v in row] for row in M] if p else M)
-    planes, scale = _table_on_rows(f, [A], adapted[2:], M, A.dim - len(Vr))
+    C = [[int(j == k) - gx[j] * ur[k] - (g1[j] - lr * gx[j]) * xr[k] for k in P]
+         for j in range(A.dim)]
+    C = [[v % p for v in row] for row in C] if p else C
+    (R, L_R), (C, L_C) = linalg._integer_rows(Vr), linalg._integer_rows(C)
+    planes, scale = _table_on_rows(f, [A], R, L_R, [(0, C)], L_C)
     alg = FiniteAlgebra.on_read(planes, scale, f, labels, validate=False)
     return Decomposition(lam, _trusted(NonUnitalOriented, algebra=alg, form=form), adapted)
 
@@ -372,10 +368,12 @@ def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
     in closed form, c0 = e1(a) and then a - c0 u1 and b - c0 u2 at those
     pivots, and v lies in the fiber product iff e1(a) - e2(b) vanishes.  No
     elimination runs, and the eliminated socle coordinate is constant.  Nor
-    for [C | N]: ``reduce`` is linear, and row j is e1[j]·reduce(u) + reduce(δ_j)
-    with check e1[j] for j < d1, else reduce(δ_j) with check -e2[j - d1], for
+    for the coordinate map C of the quotient: ``reduce`` is linear, and row j
+    is e1[j]·reduce(u) + reduce(δ_j) for j < d1, else reduce(δ_j), for
     u = (1, -u1 at piv1, -u2 at piv2) and δ_j the unit vector at column j's
-    coordinate (0 for a kernel's dropped column).
+    coordinate (0 for a kernel's dropped column).  The rows and C (entries
+    may be TPolys) are read by one raw_slices; products of the rows stay in
+    the fiber product, as e1 and e2 are algebra maps.
     phi1 + phi2 descends, as phi(x) = e(1) = 1 for both socle generators.
     """
     d1, d2 = A1.dim, A2.dim
@@ -419,17 +417,18 @@ def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
             coords = tuple(a - factor * b for a, b in zip(coords, w_coords))
         return tuple(coords[i] for i in keep)
 
-    # [C | N] in closed form: delta maps column j to reduce(δ_j)
+    # C in closed form: delta maps column j to reduce(δ_j)
     u = reduce((field.one, *(-unit1[c] for c in piv1), *(-unit2[c] for c in piv2)))
     delta = dict(zip([*piv1, *(d1 + c for c in piv2)],
                      map(reduce, linalg.identity(field, len(rows))[1:])))
-    M, zeros = [], (field.zero,) * len(keep)
+    C, zeros = [], (field.zero,) * len(keep)
     for j in range(d1 + d2):
         row = delta.get(j, zeros)
         if j < d1 and e1[j]:
             row = tuple(a + e1[j] * b for a, b in zip(row, u))
-        M.append((*row, e1[j] if j < d1 else -e2[j - d1]))
-    read = _table_on_rows(field, [A1, A2], [rows[i] for i in keep], M, 1)
+        C.append(row)
+    [[(_, R)], C], L = linalg.raw_slices([[rows[i] for i in keep], C], field.characteristic)
+    read = _table_on_rows(field, [A1, A2], R, L, C, L)
     phi = tuple(
         linalg.sum_dot(phi1, rows[i][:d1]) + linalg.sum_dot(phi2, rows[i][d1:])
         for i in keep
@@ -710,12 +709,15 @@ def _nilradical_and_socle(A: FiniteAlgebra, pencil=None):
         else:
             J = linalg.raw_kernel(gram, d, 0)
     else:
-        # row i of frob is e_i^p, reached by p - 1 products with the plane c[i]
+        # row i of frob is e_i^p, reached by p - 1 products with the plane
+        # c[i], each on the plane's rows at v's nonzero entries (v = 0 stays)
         frob = []
         for i, plane in enumerate(_constant_planes(A.raw, d, d)):
             v = [int(j == i) for j in range(d)]
             for _ in range(p - 1):
-                v = linalg.raw_mul([v], plane, p, 0)[0]
+                nz = [k for k, x in enumerate(v) if x]
+                if nz:
+                    v = linalg.raw_mul([[v[k] for k in nz]], [plane[k] for k in nz], p, 0)[0]
             frob.append(v)
         power, reach = frob, p
         while reach < d:

@@ -15,6 +15,12 @@ the witness searches for ``gorenstein_test`` and ``one_generic``; the Gram
 routines of ``forms`` and Strassen's test in ``tensors`` run on raw values
 from end to end.
 
+``_integer_rows`` is the one reader of QQ values into integers, over their
+least common denominator: for ``raw_slices``, the raw coordinates handed to
+``algebra._table_on_rows``, the packed commutation check, ``forms.hyp_embed``,
+``poly._monomial_algebra``, ``AlgebraFamily.at`` and, row by row, the
+eliminations and ``tensors``.
+
 Over QQ the raw routines take ints and Fractions, mixed, and eliminate on
 integers, each row read once over its common denominator: ``raw_rref`` by
 fraction-free Gauss-Jordan on primitive rows (Nakos, Turner & Williams,
@@ -179,8 +185,9 @@ def raw_slices(mats, p: int):
     """Matrices of Scalars or TPolys as slice lists for slice_mul, and L.
 
     Entries are ints mod p, or over QQ the coefficients times L, their common
-    denominator (L = 1 over F_p); an identity of products of two matrices,
-    both sides scaled by L², holds exactly when it held before.
+    denominator (``_integer_rows``; L = 1 over F_p); an identity of products
+    of two matrices, both sides scaled by L², holds exactly when it held
+    before.
     """
     raw = []
     for m in mats:
@@ -192,19 +199,20 @@ def raw_slices(mats, p: int):
             deg = max((len(x) for row in coeffs for x in row), default=0)
             raw.append([[[x[s] if s < len(x) else 0 for x in row] for row in coeffs]
                         for s in range(deg)])
-    return scaled_slices(raw, p)
-
-
-def scaled_slices(raw, p: int):
-    """Slice lists, and L, of matrices given as lists of raw coefficient
-    matrices, one per power of t: ints mod p, or at p = 0 Fractions or ints,
-    which become integers over their common denominator L."""
-    L = 1
-    if not p:
-        raw = [[[[a.as_integer_ratio() for a in row] for row in M] for M in ms] for ms in raw]
-        L = lcm(*{den for ms in raw for M in ms for row in M for _, den in row})
-        raw = [[[[num * (L // den) for num, den in row] for row in M] for M in ms] for ms in raw]
+    rows, L = _integer_rows([row for ms in raw for M in ms for row in M])
+    rows = iter(rows)
+    raw = [[[next(rows) for _ in M] for M in ms] for ms in raw]
     return [[(s, M) for s, M in enumerate(ms) if any(map(any, M))] for ms in raw], L
+
+
+def _integer_rows(rows):
+    """Rows of ints and Fractions as rows of integers over their least common
+    denominator L, and L; rows of ints only are returned as they are."""
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    L = lcm(*{den for row in ratios for _, den in row})
+    return [[num * (L // den) for num, den in row] for row in ratios], L
 
 
 def slice_mul(a, b, p: int):
@@ -229,16 +237,6 @@ def slice_mul(a, b, p: int):
 def slice_row(slices, j):
     """Row j of a matrix given as a slice list: its nonzero (s, row) pairs."""
     return [(s, m[j]) for s, m in slices if any(m[j])]
-
-
-def _integer_slices(m):
-    """A slice list at p = 0 whose entries may be Fractions, scaled to
-    integers by its own common denominator (``_integer_row`` of all its
-    entries)."""
-    if all(type(x) is int for _, X in m for row in X for x in row):
-        return m
-    ints = iter(_integer_row([x for _, X in m for row in X for x in row])[0])
-    return [(s, [[next(ints) for _ in row] for row in X]) for s, X in m]
 
 
 def _packed_rows(m, n: int, K: int, step: int):
@@ -360,8 +358,8 @@ def first_noncommuting(mats, p: int):
     differs from that of mats[k]·mats[i]; None when the matrices commute.
 
     Each matrix is a square slice list, as for slice_mul: ints in [0, p), or
-    at p = 0 ints and Fractions; each is scaled to integers by its own
-    common denominator, which leaves commutation alone.  Rows are packed
+    at p = 0 ints and Fractions, all scaled to integers by one common
+    denominator, which leaves commutation alone.  Rows are packed
     (``_packed_rows``, ``_packed_entries``), so row j of mats[i]·mats[k] is
     sum_m E_i[j][m] P_k[m] over the nonzero entries.  A product slot sums
     at most d·S terms of size at most top², for S powers of t and top = p - 1
@@ -376,7 +374,9 @@ def first_noncommuting(mats, p: int):
     if p:
         top = p - 1
     else:
-        mats = [_integer_slices(m) for m in mats]
+        rows, _ = _integer_rows([row for m in mats for _, X in m for row in X])
+        rows = iter(rows)
+        mats = [[(s, [next(rows) for _ in X]) for s, X in m] for m in mats]
         top = max((max(map(abs, chain.from_iterable(X))) for m in mats for _, X in m), default=0)
     K, read = _slot_width(d * S * top * top, p, d * (2 * S - 1))
     packed = [(_packed_rows(m, d, K, K * d), _packed_entries(m, d, K * d)) for m in mats]
@@ -426,7 +426,7 @@ def raw_rref(work, p: int, ncols=None):
     if ncols is None:
         ncols = len(work[0]) if work else 0
     if not p:
-        work[:] = [_integer_row(row)[0] for row in work]
+        work[:] = [_integer_rows([row])[0][0] for row in work]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -463,12 +463,6 @@ def raw_rref(work, p: int, ncols=None):
         for r, (c, row) in enumerate(zip(pivots, work)):
             work[r] = [Fraction(x, row[c]) if x else _QQ_ZERO for x in row]
     return pivots
-
-
-def _integer_row(row):
-    """A row of ints and Fractions as integers over their common denominator L, and L."""
-    L = lcm(*[x.denominator for x in row])
-    return [x.numerator * (L // x.denominator) for x in row], L
 
 
 def rref(rows, ncols=None):
@@ -517,8 +511,8 @@ def raw_det(work, p: int):
     Bareiss's elimination on the rows read as integers (left alone)."""
     n = len(work)
     if not p:
-        read = [_integer_row(row) for row in work]
-        rows, den = [row for row, _ in read], prod(L for _, L in read)
+        read = [_integer_rows([row]) for row in work]
+        rows, den = [row for (row,), _ in read], prod(L for _, L in read)
         sign, prev = 1, 1
         for c in range(n):  # rows[c:] hold columns c.. of step c's minors
             pivot = next((i for i in range(c, n) if rows[i][0]), None)

@@ -26,9 +26,9 @@ the staircase walk over their leading monomials (``_staircase``, which
 ``standard_monomials`` wraps; it walks degree by degree, not the box of pure
 powers around the staircase) and to the normal forms of the products of
 standard monomials.  ``_monomial_algebra`` writes the table as integer
-planes over the lcm of its denominators, which ``FiniteAlgebra.on_read``
-takes as they are; ``tensors.aq_algebra`` and the points flat limit build
-their tables the same way.
+planes over the lcm of its denominators (``linalg._integer_rows``), which
+``FiniteAlgebra.on_read`` takes as they are; ``tensors.aq_algebra`` and
+the points flat limit build their tables the same way.
 
 The ``MultiPoly`` operators (+, -, *, ``scale``, ``term_mul``,
 ``substitute``) are thin wrappers over ``_raw_add`` and ``_raw_mul``, and so
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heapify, heappop, heappush
-from math import lcm
 from operator import add, le, neg, sub
 
 from . import linalg
@@ -188,14 +187,10 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise BadParameter(f"negative exponent {n}: a polynomial has no inverse power")
-        out = MultiPoly.constant(self.field, self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if not n:  # _raw_pow's power 0 is the int 1, and QQ values are Fractions
+            return MultiPoly.constant(self.field, self.variables, 1)
+        return _boxed(self.field, self.variables,
+                      _raw_pow(_raw(self), n, len(self.variables), self.field.characteristic))
 
     def scale(self, c: Scalar) -> "MultiPoly":
         return self.term_mul((0,) * len(self.variables), c)
@@ -588,15 +583,12 @@ def _monomial_algebra(field: Field, variables, monos, normal_form):
         for j in range(i, d):
             u = mono_mul(mi, monos[j])
             forms.append((i, j, {u: 1} if u in index else normal_form(u)))
-    L = 1
-    if not field.characteristic:
-        L = lcm(*{c.denominator for _, _, nf in forms for c in nf.values() if c})
-    rows = [[None] * d for _ in range(d)]
+    (values,), L = linalg._integer_rows([[c for _, _, nf in forms for c in nf.values()]])
+    values, rows = iter(values), [[None] * d for _ in range(d)]
     for i, j, nf in forms:
         row = rows[i][j] = rows[j][i] = [0] * d
-        for m, c in nf.items():
-            if c:
-                row[index[m]] = c.numerator * (L // c.denominator)
+        for m in nf:
+            row[index[m]] = next(values)
     planes = [[(0, M)] if any(map(any, M)) else [] for M in rows]
     unit = [field.one] + [field.zero] * (d - 1)
     labels = [mono_label(m, variables) for m in monos]

@@ -474,6 +474,8 @@ class TPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise BadParameter(f"negative exponent {n}: a polynomial has no inverse power")
         out = TPoly.const(self.field.one)
         base = self
         while n:
@@ -484,7 +486,9 @@ class TPoly:
         return out
 
     def shift(self, k: int) -> "TPoly":
-        """Multiply by t**k."""
+        """Multiply by t**k, k >= 0."""
+        if k < 0:
+            raise BadParameter(f"negative shift {k}: t has no inverse power")
         if not self.coeffs:
             return self
         return TPoly(self.field, (self.field.zero,) * k + self.coeffs)

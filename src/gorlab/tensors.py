@@ -103,7 +103,7 @@ class Tensor3(_Read):
         if len(a) != self.dims[0]:
             raise ShapeMismatch("contraction vector has wrong length")
         p = f.characteristic
-        a, L_a = (a, 1) if p else linalg._integer_row(a)
+        (a,), L_a = linalg._integer_rows([a])
         top_a = p - 1 if p else max(map(abs, a), default=0)
         return linalg.pencil(self._layers(), p, top_a, False)(a), self.raw[1] * L_a
 
@@ -332,13 +332,13 @@ def degeneration_from_points(field: Field, points) -> ReducedDegeneration:
         raise DimensionMismatch("the points have different numbers of coordinates")
     p = field.characteristic
     # each point as integers over its common denominator L
-    scaled = [linalg._integer_row([x.value for x in pt]) for pt in points]
+    scaled = [linalg._integer_rows([[x.value for x in pt]]) for pt in points]
 
     def reduced(top):
         """The monomials of degree <= top, E on them (in RREF) and its pivots."""
         monos = [m for s in range(top + 1) for m in monomials_of_degree(nvars, s)]
         E = []
-        for xs, L in scaled:
+        for (xs,), L in scaled:
             # the row times L^top, which leaves the RREF alone
             row = [prod(x**e for x, e in zip(xs, m) if e) * L ** (top - sum(m)) for m in monos]
             E.append([v % p for v in row] if p else row)

@@ -9,15 +9,18 @@ solver with a reconstruction check, and ``tpoly_eval`` per entry.  Both
 sides must return the same entries with the same value types (Fractions
 over QQ, ints over F_p), or raise the same exception with the same message:
 on corpus samples over QQ and F_7, on random change-of-basis matrices (with
-denominators over QQ, and singular ones), on fibers at t = 0, 1 and random
-values, and on row bases that are not closed under multiplication.
-``family_socle_generator`` is compared with Cramer's rule.  The
-connected-sum core reads its kernels and coordinates in closed form; its
-eliminated coordinate, table and projection are compared with kernel_basis
-and the one-elimination ``RowSolver`` of ``row_solver.py``, and the
-eliminations of each construction are counted.  Its map [C | N], built in
-closed form, is compared with one ``split`` and ``reduce`` per basis
-vector, as the core built it before.
+denominators over QQ, and singular ones), and on fibers at t = 0, 1 and
+random values.  ``family_socle_generator`` is compared with Cramer's rule.
+The connected-sum core reads its kernels and coordinates in closed form;
+its eliminated coordinate, table and projection are compared with
+kernel_basis and the one-elimination ``RowSolver`` of ``row_solver.py``, and
+the eliminations of each construction are counted.  Its coordinate map C,
+built in closed form, is compared with one ``split`` and ``reduce`` per
+basis vector, as the core built it before, also for left functionals that
+are not algebra maps.  A table is specified only on the contract of
+``_table_on_rows``, products of the rows inside the space C reads, which
+holds when both augmentations are algebra maps: the tables are compared
+there, and ``tests/test_trusted_builders.py`` asserts that contract.
 """
 
 from fractions import Fraction
@@ -34,7 +37,6 @@ from gorlab.algebra import (
     Subspace,
     _table_on_rows,
     base_change,
-    ideal_span,
     multiply,
 )
 from gorlab.errors import Singular
@@ -49,6 +51,7 @@ from gorlab.frobenius import (
     NonUnitalOriented,
     OrientedAlgebra,
     _consum_core,
+    augmentation_check,
     decompose_augmented,
     isotropy_check,
     rees_family,
@@ -297,8 +300,7 @@ def core_table(*args):
 def test_connected_sum_core_matches_boxed_loops(data):
     field = data.draw(st.sampled_from(FIELDS))
     t1, t2 = data.draw(st.sampled_from(corpus(field))), data.draw(st.sampled_from(corpus(field)))
-    e1 = perturbed_augmentation(data, t1)
-    args = core_args(t1, e1, socle_generator(t2.oa, t2.e), t2.algebra, t2.algebra.unit,
+    args = core_args(t1, t1.e, socle_generator(t2.oa, t2.e), t2.algebra, t2.algebra.unit,
                      t2.e, t2.oa.phi, field.zero)
     assert outcome(core_table, *args) == outcome(ref_consum_core, *args)
 
@@ -311,17 +313,17 @@ def test_homotopy_core_matches_boxed_loops(data):
     t = data.draw(st.sampled_from(corpus(field)[:6]))
     rob = robber_family(field)
     const = tuple(u.constant_value() for u in rob.augmentations["const"])
-    args = core_args(t, perturbed_augmentation(data, t), family_socle_generator(rob, "const"),
+    args = core_args(t, t.e, family_socle_generator(rob, "const"),
                      rob, tuple(u.constant_value() for u in rob.unit), const,
                      rob.orientation, TPoly(field))
     assert outcome(core_table, *args) == outcome(ref_consum_core, *args)
 
 
 def ref_consum_map(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
-    """[C | N] of the connected-sum core as one split and reduce per basis
-    vector e_j of k^(d1 + d2): the coordinates of e_j in the fiber-product
-    basis and its check entry e1(a) - e2(b), the socle difference w then
-    eliminated one vector at a time."""
+    """The rows and the map C of the connected-sum core, C as one split and
+    reduce per basis vector e_j of k^(d1 + d2): the coordinates of e_j in the
+    fiber-product basis, the socle difference w then eliminated one vector
+    at a time."""
     d1, d2 = A1.dim, A2.dim
     piv1, piv2 = ([c for c in range(len(e)) if c != max(c for c, x in enumerate(e) if x)]
                   for e in (e1, e2))
@@ -355,48 +357,56 @@ def ref_consum_map(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
             coords = tuple(a - factor * b for a, b in zip(coords, w_coords))
         return tuple(coords[i] for i in keep)
 
-    return [reduce(coords) + (check,)
-            for coords, check in map(split, linalg.identity(field, d1 + d2))]
+    return [reduce(coords) for coords, _ in map(split, linalg.identity(field, d1 + d2))]
+
+
+def raw_values(p, slices, scale):
+    """The nonzero entries of a raw slice list over ``scale``, by (power,
+    row, column): ints mod p, or the Fractions they stand for at p = 0."""
+    return {(s, i, j): x if p else Fraction(x, scale)
+            for s, X in slices for i, row in enumerate(X) for j, x in enumerate(row) if x}
 
 
 def core_map(*args):
-    """The map [C | N] that _consum_core hands to _table_on_rows."""
+    """The values of the raw map C that _consum_core hands to _table_on_rows."""
     class Handed(Exception):
         pass
 
-    def stop(field, tables, R, M, checks):
-        raise Handed(M)
+    def stop(field, tables, R, L_R, C, L_C):
+        raise Handed(C, L_C)
 
     with mock.patch.object(frobenius, "_table_on_rows", stop):
         try:
             _consum_core(*args)
         except Handed as handed:
-            return handed.args[0]
+            return raw_values(args[0].characteristic, *handed.args)
+
+
+def ref_map_values(*args):
+    p = args[0].characteristic
+    (C,), L = linalg.raw_slices([ref_consum_map(*args)], p)
+    return raw_values(p, C, L)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.data())
 def test_core_map_matches_split_and_reduce(data):
     # corpus pairs and the robber on the right (x2 and w in k[t]) over QQ and
-    # F_7, with perturbed left augmentations: the same entries with the same
-    # types, and so the same read, or the same exception
+    # F_7, with perturbed left augmentations: the same values of C, or the
+    # same exception
     field = data.draw(st.sampled_from(FIELDS))
     *args, _ = core_args_drawn(data, field)
-    new, ref = outcome(core_map, *args), outcome(ref_consum_map, *args)
-    assert new == ref
-    if isinstance(new, tuple) and new and isinstance(new[0], tuple):
-        p = field.characteristic
-        assert linalg.raw_slices([core_map(*args)], p) == \
-            linalg.raw_slices([ref_consum_map(*args)], p)
+    assert outcome(core_map, *args) == outcome(ref_map_values, *args)
 
 
 def row_solver_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
     """The core's labels (they name the eliminated coordinate), boxed table
-    and projection as they were built on a RowSolver's map [C | N]."""
+    and projection as they were built on the C of a RowSolver's map [C | N]."""
     rows, solver, keep, reduce = ref_fiber_product(field, unit1, unit2, e1, e2, x1, x2,
                                                    RowSolver)
-    M = [reduce(row[:-1]) + row[-1:] for row in solver.map]
-    read = _table_on_rows(field, [A1, A2], [rows[i] for i in keep], M, 1)
+    C = [reduce(row[:-1]) for row in solver.map]
+    [[(_, R)], C], L = linalg.raw_slices([[rows[i] for i in keep], C], field.characteristic)
+    read = _table_on_rows(field, [A1, A2], R, L, C, L)
     cls = AlgebraFamily if isinstance(A2, AlgebraFamily) else FiniteAlgebra
     labels = ["1", *(f"a{i + 1}" for i in range(A1.dim - 1)),
               *(f"b{i + 1}" for i in range(A2.dim - 1))]
@@ -428,9 +438,11 @@ def test_core_coordinates_match_the_row_solver(data):
     # the closed-form kernels and coordinates against kernel_basis and one
     # elimination: the same eliminated coordinate, table and projection, or
     # the same exception; projected vectors lie in the fiber product or off
-    # it, with polynomial entries on the right of a homotopy
+    # it, with polynomial entries on the right of a homotopy.  The table is
+    # compared on the contract, a left augmentation that is an algebra map
     field = data.draw(st.sampled_from(FIELDS))
     *args, zero = core_args_drawn(data, field)
+    contract = augmentation_check(args[1], args[5])
 
     def core(*args):
         out = _consum_core(*args)
@@ -439,9 +451,10 @@ def test_core_coordinates_match_the_row_solver(data):
             out.project
 
     new, ref = outcome(core, *args), outcome(row_solver_core, *args)
-    assert new[:2] == ref[:2]
-    if len(new) < 3:  # both raised
+    if len(ref) < 3:  # raised
+        assert new == ref
         return
+    assert new[0] == ref[0] and (new[1] == ref[1] or not contract)
     d1, (e1, e2), unit2 = args[1].dim, args[5:7], args[4]
     right = scalars(field) if not isinstance(zero, TPoly) else st.builds(
         lambda cs: TPoly(field, cs), st.lists(scalars(field), max_size=3))
@@ -559,31 +572,6 @@ def test_fibers_match_entrywise_evaluation(data):
     value = data.draw(st.one_of(st.sampled_from((0, 1)), scalars(field)))
     B, ref = F.at(value, validate=False), ref_at(F, value)
     assert exact((B.labels, B.c, B.unit)) == exact((ref.labels, ref.c, ref.unit))
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.data())
-def test_table_on_rows_checks_the_row_space(data):
-    # rows spanning an ideal are closed under multiplication; random rows
-    # mostly are not, and both sides must then raise the same Singular
-    field = data.draw(st.sampled_from(FIELDS))
-    A = data.draw(st.sampled_from(corpus(field))).algebra
-    gens = [[data.draw(scalars(field)) for _ in range(A.dim)]
-            for _ in range(data.draw(st.integers(1, 2)))]
-    R = ideal_span(A, gens).rows if data.draw(st.booleans()) else linalg.rref(gens)[0]
-    if not R:
-        return
-
-    def new():
-        M = RowSolver(field, R).map
-        planes, scale = _table_on_rows(field, [A], R, M, A.dim - len(R))
-        return FiniteAlgebra.on_read(planes, scale, field, range(len(R)), validate=False).c
-
-    def ref():
-        solver = RefRowSolver(field, R)
-        return tuple(tuple(solver.coords(multiply(A, ra, rb)) for rb in R) for ra in R)
-
-    assert outcome(new) == outcome(ref)
 
 
 def test_socle_generator_matches_cramer():

@@ -12,14 +12,23 @@ above 2**64 -- both sides must return the same pivots and pivot rows (every
 entry a Fraction), kernels, inverses (or the same Singular or
 DimensionMismatch), complements (or the same DimensionMismatch) and
 determinants (a Fraction).
+
+``raw_slices`` reads boxed matrices over k and k[t] through the one QQ
+reader, ``linalg._integer_rows``; ``ref_raw_slices`` is the read it replaced,
+whose last step was ``scaled_slices`` (``as_integer_ratio`` on every
+entry).  Both must give the same slice lists and L over QQ and F_p, on ints
+of both signs, Fractions with denominators past 2**64, TPoly entries, and
+zero and empty matrices.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
-from gorlab import linalg
+from gorlab import GF, QQ, linalg
 from gorlab.errors import DimensionMismatch, Singular
+from gorlab.scalar import TPoly
 
 QQ_CASES = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -245,3 +254,64 @@ def test_det_matches_fraction_loop(rows, data):
     # over QQ the rows are read, not reduced
     assert work == rows
 
+
+
+# -- raw_slices against the scaled_slices read it replaced ---------------------
+
+
+def ref_scaled_slices(raw, p):
+    L = 1
+    if not p:
+        raw = [[[[a.as_integer_ratio() for a in row] for row in M] for M in ms] for ms in raw]
+        L = lcm(*{den for ms in raw for M in ms for row in M for _, den in row})
+        raw = [[[[num * (L // den) for num, den in row] for row in M] for M in ms] for ms in raw]
+    return [[(s, M) for s, M in enumerate(ms) if any(map(any, M))] for ms in raw], L
+
+
+def ref_raw_slices(mats, p):
+    raw = []
+    for m in mats:
+        try:
+            raw.append([[[x.value for x in row] for row in m]])
+        except AttributeError:
+            coeffs = [[[a.value for a in x.coeffs] if isinstance(x, TPoly) else [x.value]
+                       for x in row] for row in m]
+            deg = max((len(x) for row in coeffs for x in row), default=0)
+            raw.append([[[x[s] if s < len(x) else 0 for x in row] for row in coeffs]
+                        for s in range(deg)])
+    return ref_scaled_slices(raw, p)
+
+
+WIDE = 2**64 + 13
+
+
+@st.composite
+def boxed_matrices(draw):
+    field = draw(st.sampled_from((QQ, GF(2), GF(7), GF(2**61 - 1))))
+    ints = st.one_of(st.integers(-3, 3), st.integers(-WIDE**2, WIDE**2))
+    dens = st.one_of(st.integers(1, 6), st.integers(WIDE, WIDE**2))
+    # over F_p ints, whose values are read mod p; over QQ Fractions too
+    values = st.one_of(st.just(0), ints, *([] if field.characteristic else
+                                           [st.builds(Fraction, ints, dens)]))
+    scalars = values.map(field.scalar)
+    mats = []
+    for _ in range(draw(st.integers(0, 3))):
+        n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        kind = draw(st.sampled_from(("scalar", "tpoly", "zero")))
+        if kind == "zero":
+            entry = st.just(field.zero)
+        elif kind == "scalar":
+            entry = scalars
+        else:  # TPoly entries, with Scalars mixed in
+            entry = st.one_of(scalars, st.lists(scalars, max_size=4).map(
+                lambda cs: TPoly(field, cs)))
+        mats.append(tuple(tuple(draw(entry) for _ in range(m)) for _ in range(n)))
+    return field, mats
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(boxed_matrices())
+def test_raw_slices_match_the_scaled_slices_read(case):
+    field, mats = case
+    p = field.characteristic
+    assert linalg.raw_slices(mats, p) == ref_raw_slices(mats, p)

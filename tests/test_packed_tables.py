@@ -2,19 +2,21 @@
 
 ``algebra._table_on_rows`` builds every new table (connected sums,
 homotopies, ``base_change``, ``direct_product``, ``decompose_augmented``) on
-Kronecker-packed rows, block by block.  The reference below is the code it
-replaced: every block's planes stacked into a D² x D matrix, then three
-rounds of ``slice_mul``.  Both must return the same (planes, scale), or
-raise the same exception with the same message, over F_2, F_7, F_65537
-(slots read as 64-bit words), F_(2^61 - 1) (slots over 64 bits, read by
-shift and mask) and QQ (entries and denominators over 64 bits):
+Kronecker-packed rows, block by block, from raw coordinates: rows R and a
+coordinate map C, each integers over its own scale.  The reference below is
+the code it replaced: every block's planes stacked into a D² x D matrix,
+then three rounds of ``slice_mul``.  Both must return the same (planes,
+scale) over F_2, F_7, F_65537 (slots read as 64-bit words), F_(2^61 - 1)
+(slots over 64 bits, read by shift and mask) and QQ (entries and
+denominators over 64 bits), on R and C read from boxed values by
+``raw_slices``:
 
 - 1 to 3 blocks mixing algebras and families with up to 5 powers of t
   (random reads, which need not be associative, and the robber family);
-  R with zero rows, zero columns, or no rows at all; M with TPoly entries,
-  no check columns or up to two, which random products mostly fail;
-- ideals of block sums, whose coordinate map [C | N] has its columns
-  scaled by polynomials in t, so that every check passes;
+  R with zero rows, zero columns, or no rows at all; C with TPoly entries;
+- ideals of block sums, whose products lie in the row space: the
+  reference on the full map [C | N] of a row solver gives zero N columns,
+  and its C columns, scaled by polynomials in t, are the table;
 - every entry at its largest size, so that a slot reaches its bound.
 """
 
@@ -29,7 +31,6 @@ from hypothesis import given, settings, strategies as st
 
 from gorlab import GF, QQ, linalg, poly_ring, quotient_algebra
 from gorlab.algebra import AlgebraFamily, FiniteAlgebra, _table_on_rows, base_change, ideal_span
-from gorlab.errors import Singular
 from gorlab.families import robber_family
 from gorlab.scalar import TPoly
 
@@ -41,12 +42,12 @@ FIELDS = (GF(2), GF(7), GF(65537), GF(2**61 - 1), QQ)
 IDS = ("F2", "F7", "F65537", "F2^61-1", "QQ")
 
 
-def ref_table_on_rows(field, tables, R, M, checks):
+def ref_table_on_rows(field, tables, R, L_R, C, L_C):
     if not R:
         return [], 1
     p = field.characteristic
-    n, D, w = len(R), sum(t.dim for t in tables), len(M[0])
-    (R, M), L = linalg.raw_slices([R, M], p)
+    n, D, w = len(R), sum(t.dim for t in tables), len(C[0][1][0]) if C else 0
+    R = [(0, R)]
     Lc = lcm(*(t.raw[1] for t in tables))
     # row i*D + j of stack[s] is e_i e_j in ambient coordinates, zero across blocks
     stack, o = {}, 0
@@ -59,18 +60,25 @@ def ref_table_on_rows(field, tables, R, M, checks):
                 for j, row in enumerate(X):
                     rows[(o + i) * D + o + j] = [0] * o + [x * f for x in row] + [0] * (D - o - d)
         o += d
-    # row i of F is plane i times M, flattened; row a of RF is sum_i R[a][i] F[i]
+    # row i of F is plane i times C, flattened; row a of RF is sum_i R[a][i] F[i]
     F = [(s, [list(chain(*X[i * D:(i + 1) * D])) for i in range(D)])
-         for s, X in linalg.slice_mul(sorted(stack.items()), M, p)]
+         for s, X in linalg.slice_mul(sorted(stack.items()), C, p)]
     RF = linalg.slice_mul(R, F, p)
     planes = []
     for a in range(n):
         plane = [(s, [X[a][j * w:(j + 1) * w] for j in range(D)]) for s, X in RF]
         Z = linalg.slice_mul(R, plane, p)
-        if any(x for _, X in Z for row in X for x in row[w - checks:]):
-            raise Singular("vector is not in the row space")
-        planes.append([(s, [row[:w - checks] for row in X]) for s, X in Z if any(map(any, X))])
-    return planes, L**3 * Lc
+        planes.append([(s, X) for s, X in Z if any(map(any, X))])
+    return planes, L_R**2 * L_C * Lc
+
+
+def read(field, R, M):
+    """R (a constant matrix) and M (entries in k[t]) as the raw coordinates
+    _table_on_rows takes: R's rows and its scale, M's slice list and its."""
+    p = field.characteristic
+    (Rs,), L_R = linalg.raw_slices([R], p)
+    (C,), L_C = linalg.raw_slices([M], p)
+    return dict(Rs).get(0, [[0] * len(M)] * len(R)), L_R, C, L_C
 
 
 def result(fn, *args):
@@ -130,15 +138,11 @@ def test_packed_matches_stacked(field, data):
     R = [[field.zero] * D if rng.random() < 0.2 else
          [field.zero if l == zero_col else value(rng, field) for l in range(D)]
          for _ in range(data.draw(st.integers(0, 4)))]
-    checks = data.draw(st.integers(0, 2))
-    w = data.draw(st.integers(1, 4)) + checks
-    powers = data.draw(st.integers(1, 3))
+    w, powers = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
     M = [[tpoly(rng, field, powers) for _ in range(w)] for _ in range(D)]
-    if checks and data.draw(st.booleans()):
-        # check columns that are zero pass
-        M = [row[:w - checks] + [TPoly(field)] * checks for row in M]
-    want = result(ref_table_on_rows, field, tables, R, M, checks)
-    assert result(_table_on_rows, field, tables, R, M, checks) == want
+    args = read(field, R, M)
+    want = result(ref_table_on_rows, field, tables, *args)
+    assert result(_table_on_rows, field, tables, *args) == want
 
 
 @lru_cache(maxsize=None)
@@ -173,8 +177,23 @@ def test_ideal_rows_pass_their_checks(field, data):
     scales = [tpoly(rng, field, data.draw(st.integers(1, 3)), 0.3) or TPoly(field, [1])
               for _ in range(D)]
     M = [[x * q for x, q in zip(row, scales)] for row in RowSolver(field, R).map]
-    want = ref_table_on_rows(field, tables, R, M, D - len(R))
-    assert _table_on_rows(field, tables, R, M, D - len(R)) == want
+    full = ref_table_on_rows(field, tables, *read(field, R, M))
+    # products of the rows lie in their span: the N columns vanish
+    assert not any(x for pl in full[0] for _, X in pl for row in X for x in row[len(R):])
+    args = read(field, R, [row[:len(R)] for row in M])
+    got = _table_on_rows(field, tables, *args)
+    assert got == ref_table_on_rows(field, tables, *args)
+    assert values(field, *got) == values(field, [[(s, [row[:len(R)] for row in X]) for s, X in pl]
+                                                  for pl in full[0]], full[1])
+
+
+def values(field, planes, scale):
+    """The nonzero entries a raw table stands for, by plane, power, row and column."""
+    def value(x):
+        return x if field.characteristic else Fraction(x, scale)
+
+    return [{(s, b, k): value(x) for s, X in pl for b, row in enumerate(X)
+             for k, x in enumerate(row) if x} for pl in planes]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -196,16 +215,17 @@ def test_slots_at_their_bound(field, S, sign, first):
               AlgebraFamily.on_read(planes(3, S), 1, field, "cde", validate=False)]
     R = [[field.scalar(top)] * 5 for _ in range(4)]
     M = [[TPoly(field, [sign * top] * S)] * 4 for _ in range(5)]
-    want = ref_table_on_rows(field, tables, R, M, 0)
-    assert _table_on_rows(field, tables, R, M, 0) == want
+    args = read(field, R, M)
+    want = ref_table_on_rows(field, tables, *args)
+    assert _table_on_rows(field, tables, *args) == want
     if not p:
         assert all(len(pl) == 2 * S - 1 for pl in want[0])
 
 
 def test_no_rows_and_zero_rows():
     A = algebras(GF(7))[0]
-    M = linalg.identity(GF(7), A.dim)
-    assert _table_on_rows(GF(7), [A], [], M, 0) == ([], 1)
-    zero = [[GF(7).zero] * A.dim] * 2
-    assert _table_on_rows(GF(7), [A], zero, M, 1) == ref_table_on_rows(GF(7), [A], zero, M, 1)
-    assert _table_on_rows(GF(7), [A], zero, M, 1) == ([[], []], 1)
+    C = [(0, [[int(i == j) for j in range(A.dim)] for i in range(A.dim)])]
+    assert _table_on_rows(GF(7), [A], [], 1, C, 1) == ([], 1)
+    zero = [[0] * A.dim] * 2
+    assert _table_on_rows(GF(7), [A], zero, 1, C, 1) == ref_table_on_rows(GF(7), [A], zero, 1, C, 1)
+    assert _table_on_rows(GF(7), [A], zero, 1, C, 1) == ([[], []], 1)

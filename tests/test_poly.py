@@ -45,6 +45,20 @@ def test_negative_power_is_a_domain_error():
     assert x ** 0 == MultiPoly.constant(QQ, ("x",), 1)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_powers_match_repeated_products(field):
+    # __pow__ runs poly._raw_pow's square-and-multiply; over QQ its terms
+    # stay Fractions, the power 0 included
+    x, y = poly_ring(field, "x", "y")
+    for f in (x, 3 * x * y, x + 2 * y - 1, x * 0, (x - y) * (x + y) + 5):
+        want = MultiPoly.constant(field, ("x", "y"), 1)
+        for n in range(7):
+            got = f ** n
+            assert got == want and str(got) == str(want)
+            assert {type(c.value) for c in got.terms.values()} <= {type(field.one.value)}
+            want = want * f
+
+
 def test_groebner_single_monomial():
     x, = poly_ring(QQ, "x")
     assert groebner_basis([x**2]) == [x**2]

@@ -237,3 +237,15 @@ def test_tpoly_serialization():
     t = TPoly.t(QQ)
     f = 3 * t**2 - 1
     assert f.serialize() == ["-1", "0", "3"]
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+def test_tpoly_negative_power_and_shift_are_domain_errors(field):
+    # the square-and-multiply loop never ended on a negative exponent, and a
+    # negative shift returned its input unchanged
+    t = TPoly.t(field)
+    with pytest.raises(BadParameter, match="negative exponent"):
+        t ** -1
+    with pytest.raises(BadParameter, match="negative shift"):
+        (t * t).shift(-1)
+    assert t ** 0 == TPoly.const(field.one) and (t * t).shift(0) == t * t

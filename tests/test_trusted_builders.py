@@ -14,6 +14,12 @@ off, and keep no post-condition check.  Here:
   output and on its fibers at t = 0, t = 1 and a random c, a unit Gram
   determinant and descending augmentations for the homotopies, isotropy of
   the sums and the unitalizations, and a non-degenerate b_phi on each sum;
+- ``algebra._table_on_rows`` runs no row-space check, so its contract is
+  asserted on what ``decompose_augmented``, ``connected_sum`` and
+  ``homotopy_families`` hand it, over QQ and F_7: every product of the rows
+  lies in the span its coordinate map reads (V after the projection along
+  span(1, x), where the map gives the ``RowSolver`` coordinates; the fiber
+  product of the two augmentations for the sums and homotopies);
 - ``degeneration_to_cw`` reads its (1, x, V) algebra off the input in the
   adapted basis, and its family has the ``serialize()`` bytes of the one
   built through ``unitalize``; it takes only the split of
@@ -48,6 +54,7 @@ Here:
 
 import json
 import random
+from fractions import Fraction
 from collections import Counter
 from contextlib import ExitStack
 from functools import lru_cache
@@ -94,7 +101,10 @@ from gorlab.frobenius import (
 )
 from gorlab.tensors import degeneration_to_cw
 
+from gorlab.scalar import TPoly, as_tpoly
+
 from corpus import build_corpus
+from row_solver import RowSolver
 
 FIELDS = [QQ, GF(2), GF(3), GF(7)]
 
@@ -203,6 +213,76 @@ def test_trusted_outputs_keep_what_is_no_longer_checked(field):
         assert_valid_family(rees_family(isotropic(t)).family, rng)
         assert_valid_family(degeneration_to_cw(t).family, rng)
         assert_valid_family(scale_multiplication_family(dec.nonunital), rng)
+
+
+def handed_to_table_on_rows(build):
+    """(tables, R, C) of each _table_on_rows call build() makes, R and C
+    boxed: R constant, C with TPoly entries."""
+    calls, real = [], frobenius._table_on_rows
+
+    def record(field, tables, R, L_R, C, L_C):
+        def box(x, L):
+            return field.scalar(Fraction(x, L))
+
+        rows = [tuple(box(x, L_R) for x in row) for row in R]
+        D, w = sum(t.dim for t in tables), len(R)
+        Cb = [[sum((TPoly.const(box(X[i][j], L_C)).shift(s) for s, X in C), TPoly(field))
+               for j in range(w)] for i in range(D)]
+        calls.append((tables, rows, Cb))
+        return real(field, tables, R, L_R, C, L_C)
+
+    with mock.patch.object(frobenius, "_table_on_rows", record):
+        build()
+    return calls
+
+
+def block_products(tables, rows):
+    """r_a r_b in tables[0] (+) tables[1] (+) ..., for every pair of rows, as
+    TPoly vectors."""
+    field = tables[0].field
+    out = []
+    for u in rows:
+        for v in rows:
+            w, o = [], 0
+            for t in tables:
+                part, c = [TPoly(field)] * t.dim, t.c
+                for i in range(t.dim):
+                    for j in range(t.dim):
+                        if u[o + i] and v[o + j]:
+                            f = u[o + i] * v[o + j]
+                            part = [x + f * as_tpoly(y, field) for x, y in zip(part, c[i][j])]
+                w, o = w + part, o + t.dim
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_products_of_the_rows_lie_in_their_span(field):
+    ts = corpus(field)
+    for t in ts:
+        [(tables, V, C)] = handed_to_table_on_rows(lambda: decompose_augmented(t.oa, t.e))
+        if not V:
+            continue
+        x, B = socle_generator(t.oa, t.e), t.oa.form
+        lam, solver = t.oa.phi_of(t.algebra.unit), RowSolver(field, V)
+        for w in block_products(tables, V):
+            w = [y.constant_value() for y in w]
+            bx, b1 = B.apply(w, x), B.apply(w, t.algebra.unit)
+            proj = [a - bx * u - (b1 - lam * bx) * z for a, u, z in zip(w, t.algebra.unit, x)]
+            # in V, and C reads the coordinates of the projection
+            assert linalg.vec_mat(w, C) == tuple(map(TPoly.const, solver.coords(proj)))
+    for t1, t2, e2, build in [
+            *((a, b, b.e, lambda a=a, b=b: connected_sum(a, b)) for a, b in zip(ts, ts[1:])),
+            *((a, None, [u.constant_value() for u in robber_family(field).augmentations["const"]],
+               lambda a=a: homotopy_families(a)) for a in ts)]:
+        [(tables, R, _)] = handed_to_table_on_rows(build)
+        # the fiber product {(a, b) : e1(a) = e2(b)}
+        fiber = linalg.kernel_basis(field, [tuple(t1.e) + tuple(-y for y in e2)], len(R[0]))
+        solver = RowSolver(field, fiber)
+        for r in R:
+            solver.coords(r)
+        for w in block_products(tables, R):
+            solver.coords(w)  # raises Singular off the fiber product
 
 
 def ref_degeneration_family(T):
