@@ -664,8 +664,8 @@ def _nonsingular_point(field: Field, at, entries, scale: int, names, seed: int, 
     return (_find_nonvanishing(Dpoly, field) if Dpoly else None), Dpoly, trials
 
 
-# rank mod a prime never exceeds the rank over QQ, so a trace form of full
-# rank mod this prime proves J = 0 without the slower elimination over QQ
+# rank mod a prime never exceeds the rank over QQ, so a trace form with a
+# nonzero determinant mod this prime proves J = 0 without elimination over QQ
 _RANK_PRIME = 2**61 - 1
 
 
@@ -703,8 +703,7 @@ def _nilradical_and_socle(A: FiniteAlgebra, pencil=None):
         gram = at(trace)
         if p:
             J = linalg.raw_kernel(gram, d, p)
-        elif len(linalg.raw_rref([[x % _RANK_PRIME for x in row] for row in gram],
-                                 _RANK_PRIME)) == d:
+        elif linalg.raw_det([[x % _RANK_PRIME for x in row] for row in gram], _RANK_PRIME):
             J = []
         else:
             J = linalg.raw_kernel(gram, d, 0)

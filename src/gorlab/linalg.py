@@ -6,10 +6,10 @@ At the API, matrices are tuples of row tuples of Scalar.  The field routines
 once to raw values (ints in [0, p) over F_p, Fractions over QQ), run their
 one elimination or product loop on those, and box the result once.
 Unboxing checks that every entry is a Scalar of one field.  ``raw_rref``,
-``raw_kernel``, ``raw_det``, ``raw_invert`` and ``raw_complement`` are that
-elimination loop, the kernel read off it, the determinant, the inverse and
-a greedy complement of one row space in another (``forms.surgery``'s
-section), for callers that already hold raw values:
+``raw_kernel``, ``raw_det``, ``raw_invert`` and ``raw_complement`` are the
+reduced row echelon form, the kernel read off it, the determinant, the
+inverse and a greedy complement of one row space in another
+(``forms.surgery``'s section), for callers that already hold raw values:
 ``frobenius._nonsingular_point`` runs ``raw_det`` on every seeded trial of
 the witness searches for ``gorenstein_test`` and ``one_generic``; the Gram
 routines of ``forms`` and Strassen's test in ``tensors`` run on raw values
@@ -21,11 +21,14 @@ least common denominator: for ``raw_slices``, the raw coordinates handed to
 ``poly._monomial_algebra``, ``AlgebraFamily.at`` and, row by row, the
 eliminations and ``tensors``.
 
-Over QQ the raw routines take ints and Fractions, mixed, and eliminate on
-integers, each row read once over its common denominator: ``raw_rref`` by
-fraction-free Gauss-Jordan on primitive rows (Nakos, Turner & Williams,
-1997), ``raw_det`` by Bareiss (1968).  What they return is made of
-Fractions; rows past the rank are left unspecified.
+``_eliminate`` is the one elimination loop over k: Gauss-Jordan for
+``raw_rref`` (and the kernel, inverse and complement read off it), forward
+for ``raw_det``.  Mod p its pivot rows are monic.  Over QQ, where the raw
+routines take ints and Fractions mixed, it runs on each row read once as
+integers over its common denominator, by Bareiss's fraction-free step
+(Bareiss 1968; Nakos, Turner & Williams 1997), whose exact divisions need
+no content gcd.  What they return is made of Fractions; rows past the rank
+are left unspecified.
 
 Row-space bases are always canonicalized to reduced row echelon form, so
 subspace equality is literal matrix equality.  ``sum_dot``, ``mat_vec`` and
@@ -41,12 +44,9 @@ serve the unit law of the structure-table checks, the contractions
 (``_Table.contract``, ``augmentation_check``, ``NonUnitalOriented``), the
 Gram products of ``forms`` and Strassen's test in ``tensors``.
 
-The cost of ``raw_mul`` follows the nonzero terms: a product row is summed
-from its first term x·b[k] over the nonzero rows b[k] that its nonzero
-entries x meet, and only such a row is reduced mod p; a row that meets none
-is a fresh row of zeros.  Products with sparse factors (the normalized
-slices of CW_q, unit-vector selections) cost little more than their
-nonzero terms.
+The cost of ``raw_mul`` follows the nonzero terms, so products with sparse
+factors (the normalized slices of CW_q, unit-vector selections) cost little
+more than their nonzero terms.
 
 Two products run on packed rows instead (Kronecker substitution; Harvey,
 J. Symb. Comput. 2009): ``first_noncommuting``, the exact commutation check
@@ -87,7 +87,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import chain, combinations, compress, starmap
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 from struct import Struct
 
@@ -414,51 +414,77 @@ def vec_mat(v, m):
     return mat_vec(transpose(m), v)
 
 
+def _eliminate(work, p: int, ncols: int, jordan: bool):
+    """The one elimination loop over k, in place on raw row lists (ints mod
+    p, or at p = 0 integers); returns (pivot columns, factor), the factor
+    sign·(product of the pivots) mod p, or sign·(last pivot) at p = 0.
+
+    Pivots are sought in the first ``ncols`` columns; a row whose entry f in
+    the pivot column is 0 is left alone.  With ``jordan`` every other row is
+    reduced, else only the rows below, and a column without a pivot ends the
+    loop with the factor 0.  Mod p the pivot row prow is made monic, and a
+    row takes row - f·prow (Gauss).  At p = 0 it takes Bareiss's step
+    row <- (pc·row - f·prow) / prev, exact since entries stay minors of the
+    input; a row left alone owes pc / prev, so it divides by the pivot it was
+    last reduced at (its stamp), and a pivot row is first scaled by
+    prev / stamp.
+    """
+    n = len(work)
+    pivots, sign, factor, stamp = [], 1, 1, [1] * n
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, n) if work[i][c]), None)
+        if pivot is None:
+            if jordan:
+                continue
+            return pivots, 0
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            stamp[r], stamp[pivot] = stamp[pivot], stamp[r]
+            sign = -sign
+        prow = work[r]
+        if p:
+            factor, inv = factor * prow[c] % p, pow(prow[c], -1, p)
+            # rows r.. vanish left of c: the pivot row's support is c and nz
+            nz = [j for j in range(c + 1, len(prow)) if prow[j]]
+            prow[c] = 1
+            for j in nz:
+                prow[j] = prow[j] * inv % p
+        else:  # factor is prev; new row lists, so no row handed in is written to
+            if stamp[r] != factor:
+                prow = work[r] = [x * factor // stamp[r] for x in prow]
+            pc = factor = stamp[r] = prow[c]
+        for i in range(0 if jordan else r + 1, n):
+            row = work[i]
+            f = row[c]
+            if f and i != r:
+                if p:
+                    row[c] = 0
+                    for j in nz:
+                        row[j] = (row[j] - f * prow[j]) % p
+                else:
+                    work[i] = [(pc * x - f * y) // stamp[i] for x, y in zip(row, prow)]
+                    stamp[i] = pc
+        pivots.append(c)
+    return pivots, sign * factor % p if p else sign * factor
+
+
 def raw_rref(work, p: int, ncols=None):
     """Bring a list of raw row lists to reduced row echelon form in place;
     returns the pivot columns.
 
     Pivots are sought in the first ``ncols`` columns (all by default); row
-    operations act on whole rows.  The pivot rows come first, in order: ints
-    mod p, or at p = 0 Fractions.  The rows past them vanish on the first
+    operations act on whole rows.  This is ``_eliminate``'s Gauss-Jordan, at
+    p = 0 fraction-free (Bareiss; Nakos, Turner & Williams) on integer rows.
+    The pivot rows come first, in order: ints mod p, or at p = 0 Fractions,
+    each integer row over its pivot.  The rows past them vanish on the first
     ``ncols`` columns and are otherwise unspecified.
     """
     if ncols is None:
         ncols = len(work[0]) if work else 0
     if not p:
         work[:] = [_integer_rows([row])[0][0] for row in work]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(work):
-            break
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        pc = prow[c]
-        # rows r.. vanish left of c, so the pivot row's support starts at c
-        nz = [j for j in range(c, len(prow)) if prow[j]]
-        if p:
-            inv = pow(pc, -1, p)
-            for j in nz:
-                prow[j] = prow[j] * inv % p
-        for i, row in enumerate(work):
-            f = row[c]
-            if f and i != r:
-                if p:
-                    for j in nz:
-                        row[j] = (row[j] - f * prow[j]) % p
-                else:
-                    # row <- (pc/g)·row - (f/g)·prow, then divided by its content
-                    g = gcd(pc, f)
-                    a, b = pc // g, f // g
-                    row = [a * x - b * y for x, y in zip(row, prow)]
-                    g = gcd(*row)
-                    work[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
+    pivots, _ = _eliminate(work, p, ncols, True)
     if not p:
         for r, (c, row) in enumerate(zip(pivots, work)):
             work[r] = [Fraction(x, row[c]) if x else _QQ_ZERO for x in row]
@@ -506,46 +532,14 @@ def kernel_basis(field: Field, rows, ncols: int):
 
 
 def raw_det(work, p: int):
-    """Determinant of a square matrix of raw values: mod p by Gaussian
-    elimination, which reduces the rows in place; at p = 0 a Fraction, by
-    Bareiss's elimination on the rows read as integers (left alone)."""
-    n = len(work)
+    """Determinant of a square matrix of raw values, by ``_eliminate``'s
+    forward half: mod p reducing the rows in place; at p = 0 a Fraction, by
+    Bareiss (1968) on the rows read as integers (left alone)."""
     if not p:
         read = [_integer_rows([row]) for row in work]
-        rows, den = [row for (row,), _ in read], prod(L for _, L in read)
-        sign, prev = 1, 1
-        for c in range(n):  # rows[c:] hold columns c.. of step c's minors
-            pivot = next((i for i in range(c, n) if rows[i][0]), None)
-            if pivot is None:
-                return _QQ_ZERO
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                sign = -sign
-            pc, *ptail = rows[c]
-            for i in range(c + 1, n):
-                f, *tail = rows[i]
-                rows[i] = [(pc * x - f * y) // prev for x, y in zip(tail, ptail)]
-            prev = pc
-        return Fraction(sign * prev, den)
-    out = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            out = -out
-        prow = work[c]
-        out = out * prow[c] % p
-        inv = pow(prow[c], -1, p)
-        nz = [j for j in range(c + 1, n) if prow[j]]
-        for row in work[c + 1 :]:
-            f = row[c]
-            if f:
-                f = f * inv % p
-                for j in nz:
-                    row[j] = (row[j] - f * prow[j]) % p
-    return out % p
+        work, den = [row for (row,), _ in read], prod(L for _, L in read)
+    _, factor = _eliminate(work, p, len(work), False)
+    return factor if p else Fraction(factor, den)
 
 
 def det(field: Field, m):
@@ -628,11 +622,10 @@ def bareiss(work, p: int) -> bool:
     return True
 
 
-def det_in_domain(zero, one, m, exact_div=None):
+def det_in_domain(zero, one, m):
     """Determinant of a square matrix over k[t], ``zero`` being TPoly(k) and
     ``one`` the determinant of the empty matrix: one raw_slices read, bareiss
-    on the raw coefficient lists, and one boxing.  ``exact_div`` is accepted
-    for the old ring-generic call form and unused."""
+    on the raw coefficient lists, and one boxing."""
     if not m:
         return one
     field = zero.field

@@ -26,13 +26,14 @@ from .errors import BadParameter, BudgetExceeded, FieldMismatch, ZeroInput
 # number-theoretic helpers (deterministic, desk scale)
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
 
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the first 13 prime bases, 2 to 41: deterministic below
     psi_13 = 3317044064679887385961981, the least strong pseudoprime to all
     of them (Sorenson & Webster, Math. Comp. 2017); above it a strong
-    probable-prime test."""
+    probable-prime test, which ``Field`` does not take as a proof."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -121,7 +122,8 @@ def squarefree_part(n: int) -> int:
 
 
 class Field:
-    """A base field: the rationals (characteristic 0) or a prime field F_p.
+    """A base field: the rationals (characteristic 0) or a prime field F_p,
+    p proven prime: below psi_13, where ``is_prime`` is a proof.
 
     Instances are interned so identity comparison is the common fast path.
     """
@@ -131,6 +133,9 @@ class Field:
     def __init__(self, characteristic: int):
         if not isinstance(characteristic, int) or (characteristic and not is_prime(characteristic)):
             raise BadParameter(f"{characteristic} is not prime")
+        if characteristic >= _PSI_13:
+            raise BadParameter(f"{characteristic} is not proven prime: Miller-Rabin to the bases "
+                               f"2 to 41 is a proof only below psi_13 = {_PSI_13}")
         object.__setattr__(self, "characteristic", characteristic)
 
     def __setattr__(self, *a):

@@ -556,3 +556,14 @@ def test_check_over_a_composite_characteristic_is_a_domain_error(capsys, tmp_pat
     code, payload, _ = run(capsys, "check", str(p))
     assert code == 1
     assert payload["kind"] == "BadParameter"
+
+
+def test_check_over_psi_13_is_a_domain_error(capsys, tmp_path):
+    # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to the bases
+    # 2 to 41, and no characteristic from it up is proven prime
+    p = tmp_path / "psi13.alg"
+    p.write_text("field F 3317044064679887385961981\nvars x\nrel x^2\n")
+    code, payload, _ = run(capsys, "check", str(p))
+    assert code == 1
+    assert payload["kind"] == "BadParameter"
+    assert "not proven prime" in payload["message"]

@@ -211,7 +211,7 @@ def ref_socle_generator(F, aug):
     zero, one = TPoly(F.field), TPoly.const(F.field.one)
 
     def bdet(m):
-        return linalg.det_in_domain(zero, one, m, lambda a, b: a.divexact(b))
+        return linalg.det_in_domain(zero, one, m)
 
     D = bdet(gram)
     if not D or not D.is_constant():

@@ -233,8 +233,9 @@ def test_decision_on_named_cases(name, field, build, gorenstein):
 
 def test_not_gorenstein_reduces_each_basis_once():
     # J and Soc come from raw_kernel in RREF and are handed to the
-    # certificate as they are: two raw_rref calls each for the two kernels
-    # and one for the trace form's rank mod a prime, none to reduce them again
+    # certificate as they are: two raw_rref calls each for the two kernels,
+    # none to reduce them again (the trace form's rank mod a prime is a
+    # raw_det)
     x, y = poly_ring(QQ, "x", "y")
     A = quotient_algebra([x**2, x * y, y**2])
     calls, real = [0], linalg.raw_rref
@@ -245,7 +246,7 @@ def test_not_gorenstein_reduces_each_basis_once():
 
     with mock.patch.object(linalg, "raw_rref", counting):
         rep = gorenstein_test(A)
-    assert rep.status == "not_gorenstein" and calls[0] == 5
+    assert rep.status == "not_gorenstein" and calls[0] == 4
     for S in (rep.nilradical, rep.socle):
         assert S == Subspace(3, S.rows) and S.field == QQ
     assert_not_gorenstein_certificate(A, rep)

@@ -111,6 +111,26 @@ def test_is_prime_rejects_psi_12():
     assert is_prime(10**9 + 7) and is_prime(2**61 - 1)
 
 
+# psi_13, the least strong pseudoprime to the thirteen prime bases 2 to 41
+PSI_13 = 3317044064679887385961981
+
+
+def test_field_refuses_psi_13_and_above():
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert is_prime(PSI_13)  # a strong pseudoprime: the test proves nothing here
+    with pytest.raises(BadParameter, match=f"^{PSI_13} is not proven prime: .* below psi_13"):
+        GF(PSI_13)
+
+
+def test_the_largest_prime_below_psi_13_is_a_field():
+    p = PSI_13 - 2
+    while not is_prime(p):
+        p -= 2
+    F = GF(p)
+    assert F.characteristic == p
+    assert F.scalar(2) * F.scalar(-1) == F.scalar(p - 2)
+
+
 def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}
