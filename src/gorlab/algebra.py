@@ -16,10 +16,10 @@ built on reads by ``_table_on_rows``, the table of the rows of a constant
 matrix read by a coordinate map, both raw integers over a scale, multiplied
 block by block on Kronecker-packed rows; no row space is checked, as each
 caller's construction guarantees it (see its docstring).  ``base_change``,
-``direct_product`` and ``decompose_augmented`` hand it raw values they hold,
-read by ``linalg._integer_rows``, the one QQ reader; only the connected sums
-and homotopies of ``frobenius._consum_core``, whose right factor can be a
-family over k[t], read boxed rows and map, by one ``linalg.raw_slices``.
+``direct_product``, ``decompose_augmented`` and the connected sums and
+homotopies of ``frobenius._consum_core`` (whose right factor can be a family
+over k[t]) hand it raw values they hold or write in closed form, read by
+``linalg._integer_rows``, the one QQ reader.
 Tables are also built by ``AlgebraFamily.at``, which
 evaluates the family's read by Horner's rule, and by the derived algebras
 (``frobenius.unitalize``, ``form_to_algebra``, ``hyp_algebra``, and

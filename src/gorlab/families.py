@@ -12,8 +12,14 @@ its unit determinant and the socle solve (``linalg.bareiss`` on raw
 coefficient lists), the augmentation check and the fibers all work from it.
 The robber family's table is validated once per field, then kept (it is
 immutable); the rest of it, the homotopies and the fibers hold by
-construction and are not re-checked.  The homotopies share the raw planes
-of their connected sum, each boxed on first read of ``c``.
+construction and are not re-checked.  The homotopies are the connected sum
+of ``frobenius._consum_core`` on raw values: the robber's socle generator,
+orientation and "mv" augmentation are read once as raw coefficient lists,
+only the socle difference w carries powers of t into the coordinate map, a
+functional on a row is phi·u on the unit row and phi_c - (e_c/e_j)·phi_j
+on a kernel row, and the orientation and augmentations are boxed once as
+TPolys.  The homotopies share the raw planes of their connected sum, each
+boxed on first read of ``c``.
 """
 
 from __future__ import annotations

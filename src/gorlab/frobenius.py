@@ -6,6 +6,16 @@ augmented algebras and non-unital ones (decompose/unitalize), connected
 sums, hyperbolic algebras, the bridge to symmetric bilinear forms, surgery,
 and the Rees degeneration family.
 
+Connected sums and the homotopies of ``families.homotopy_families`` share
+``_consum_core``, which works on raw values in closed form: it reads e1, e2,
+the units, the socle generators and the orientations once (the right
+factor's by power of t, for the robber family), writes the fiber-product
+rows R (the joint unit, then e_c - (e_c/e_j)·e_j per side), the coordinate
+map C = P - f ⊗ w of the quotient by the socle difference w, and a
+functional's values on the rows (phi·u on the unit row, phi_c -
+(e_c/e_j)·phi_j on a kernel row), hands R and C to ``_table_on_rows`` as
+integers, and boxes the orientation, augmentations and unit once.
+
 Each fact is checked where it enters, by a constructor or an entry point.
 A builder whose output holds by construction fills it in via ``_trusted``,
 which checks nothing, and its docstring says why; the tests assert what is
@@ -18,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .algebra import (
@@ -355,99 +366,160 @@ class _ConsumData:
     project: object  # callable: fiber-product vector -> quotient coordinates
 
 
+def _powers(v):
+    """A vector of Scalars or TPolys as raw vectors, one per power of t (at
+    least one): entry c of the s-th is the t^s coefficient of v[c]."""
+    coeffs = [[a.value for a in x.coeffs] if isinstance(x, TPoly) else [x.value] for x in v]
+    return [[c[s] if s < len(c) else 0 for c in coeffs]
+            for s in range(max([1, *map(len, coeffs)]))]
+
+
 def _consum_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
     """Glue two augmented algebras along their augmentations and kill the
-    difference of the socle generators.
+    difference of the socle generators, on raw values in closed form.
 
-    Entries of the right factor's table/orientation/socle may be TPolys.
-    The basis is the joint unit (u1, u2), then (k, 0) and (0, k') for the
-    RREF bases of ker e1 and ker e2: for e with last nonzero entry e_j, the
-    rows e_c - (e_c/e_j) e_j, c != j, pivots at every column but j.  As
-    e1(u1) = e2(u2) = 1 (Augmented checks e(1) = 1; the robber's constant
-    augmentation has it), ``split`` reads the coordinates of v = (a, b) off
-    in closed form, c0 = e1(a) and then a - c0 u1 and b - c0 u2 at those
-    pivots, and v lies in the fiber product iff e1(a) - e2(b) vanishes.  No
-    elimination runs, and the eliminated socle coordinate is constant.  Nor
-    for the coordinate map C of the quotient: ``reduce`` is linear, and row j
-    is e1[j]·reduce(u) + reduce(δ_j) for j < d1, else reduce(δ_j), for
-    u = (1, -u1 at piv1, -u2 at piv2) and δ_j the unit vector at column j's
-    coordinate (0 for a kernel's dropped column).  The rows and C (entries
-    may be TPolys) are read by one raw_slices; products of the rows stay in
-    the fiber product, as e1 and e2 are algebra maps.
-    phi1 + phi2 descends, as phi(x) = e(1) = 1 for both socle generators.
+    The right factor's socle generator x2 and orientation phi2 may be TPolys
+    (a homotopy's robber family); everything else is constant.  The inputs
+    are read once (``_powers`` for x2 and phi2: raw vectors by power of t),
+    and only phi, the unit and the labels are boxed on the way out; no
+    elimination runs.  The basis is the joint unit (u1, u2), then (k, 0)
+    and (0, k') for the RREF bases of ker e1 and ker e2: for e with last
+    nonzero entry e_j, the rows e_c - (e_c/e_j) e_j, c != j, pivots at every
+    column but j.  As e1(u1) = e2(u2) = 1 (Augmented checks e(1) = 1; the
+    robber's constant augmentation has it), v = (a, b) has the coordinates
+    c0 = e1(a), then a - c0 u1 and b - c0 u2 at those pivots, and lies in
+    the fiber product iff e1(a) = e2(b).  w, the coordinates of x1 - x2,
+    carries powers of t only on the robber's columns; ``elim`` is its last
+    coordinate that is a nonzero constant (the labels name it), and
+    reducing by w maps coordinates v to v - (v[elim]/w[elim]) w without
+    elim.  The coordinate map C of the quotient is then, for column j,
+    P[j] - f[j] w on the kept coordinates, where P[j] = e1[j]·u + (the unit
+    vector at column j's coordinate; none for a kernel's dropped column),
+    u = (1, -u1 at piv1, -u2 at piv2), and f[j] = P[j][elim]/w[elim]: a
+    constant, so only w's powers of t reach C.  The kept rows R and C go to
+    ``_table_on_rows`` as integers over their scales; products of the rows
+    stay in the fiber product, as e1 and e2 are algebra maps.
+    A functional (phi1, phi2) takes phi1·u1 + phi2·u2 on the unit row and
+    phi_c - (e_c/e_j)·phi_j on a kernel row, so phi1 + phi2 descends (phi(x)
+    = e(1) = 1 for both socle generators), e_left is (1, 0, ..., 0) and
+    ``e_right_of`` is the same rule with phi1 = 0.  ``project`` reads
+    coordinates in the same closed form on boxed entries (TPolys allowed),
+    with w boxed on its first call.
     """
-    d1, d2 = A1.dim, A2.dim
+    p, d1, d2 = field.characteristic, A1.dim, A2.dim
+    n = d1 + d2 - 1
+    E1, E2, U1, U2, X1, F1 = ([x.value for x in v] for v in (e1, e2, unit1, unit2, x1, phi1))
+    X2 = _powers(x2)
+    j1, j2 = (max(c for c, x in enumerate(e) if x) for e in (E1, E2))
+    inv = (lambda x: pow(x, -1, p)) if p else (lambda x: 1 / Fraction(x))
+    r1, r2 = inv(E1[j1]), inv(E2[j2])
+    piv1, piv2 = [c for c in range(d1) if c != j1], [c for c in range(d2) if c != j2]
+    # column c's coordinate, None at a kernel's dropped column
+    coord = [None if c == j1 else 1 + c - (c > j1) for c in range(d1)]
+    coord += [None if c == j2 else d1 + c - (c > j2) for c in range(d2)]
 
-    def kernel(e):  # the RREF basis of ker e, and its pivot columns
-        j, I = max(c for c, x in enumerate(e) if x), linalg.identity(field, len(e))
-        cols = [c for c in range(len(e)) if c != j]
-        return [I[c][:j] + (-e[c] / e[j],) + I[c][j + 1:] for c in cols], cols
+    def red(vals):
+        return [v % p for v in vals] if p else vals
 
-    (k1, piv1), (k2, piv2) = kernel(e1), kernel(e2)
-    rows = [tuple(unit1) + tuple(unit2)]
-    rows += [r + (field.zero,) * d2 for r in k1]
-    rows += [(field.zero,) * d1 + r for r in k2]
-
-    def split(v):
-        """The coordinates of v = (a, b) in the rows, and e1(a) - e2(b)."""
-        a, b = v[:d1], v[d1:]
-        c0 = linalg.sum_dot(e1, a)
-        coords = (c0, *(a[c] - c0 * unit1[c] for c in piv1),
-                  *(b[c] - c0 * unit2[c] for c in piv2))
-        return coords, c0 - linalg.sum_dot(e2, b)
-
-    def coords_in_rows(v):
-        coords, check = split(v)
-        if check:
-            raise Singular("vector is not in the row space")
-        return coords
-
-    w_coords = coords_in_rows(tuple(x1) + tuple(-x for x in x2))
-
+    # w = split(x1 - x2), by power of t, and that x1 - x2 lies in the fiber product
+    c0 = sum(map(mul, E1, X1))
+    w = [red([c0, *(X1[c] - c0 * U1[c] for c in piv1),
+              *(-X2[0][c] - c0 * U2[c] for c in piv2)])]
+    w += [red([0] * d1 + [-xs[c] for c in piv2]) for xs in X2[1:]]
+    if any(red([c0 + sum(map(mul, E2, X2[0]))] + [sum(map(mul, E2, xs)) for xs in X2[1:]])):
+        raise Singular("vector is not in the row space")
     # a nonzero constant: x1 != 0 is constant and in ker e1, so not at the unit
-    elim = max(i for i, v in enumerate(w_coords)
-               if v and (not isinstance(v, TPoly) or v.is_constant()))
-    w_at = w_coords[elim]
-    inv = (w_at.constant_value() if isinstance(w_at, TPoly) else w_at).inverse()
-    keep = [i for i in range(len(rows)) if i != elim]
+    elim = max(i for i in range(n) if w[0][i] and not any(ws[i] for ws in w[1:]))
+    keep = [i for i in range(n) if i != elim]
+    g = inv(w[0][elim])
 
-    def reduce(coords):
-        factor = coords[elim] * inv
-        if factor:
-            coords = tuple(a - factor * b for a, b in zip(coords, w_coords))
-        return tuple(coords[i] for i in keep)
+    R = [U1 + U2]
+    for c in piv1:
+        R.append([int(k == c) for k in range(d1)] + [0] * d2)
+        R[-1][j1] = -E1[c] * r1
+    for c in piv2:
+        R.append([0] * d1 + [int(k == c) for k in range(d2)])
+        R[-1][d1 + j2] = -E2[c] * r2
+    del R[elim]
+    # C = P - f w on the kept coordinates: column j is e1[j] times u reduced
+    # by w, plus the reduced unit vector at its coordinate (the unit vector
+    # itself, or -w/w[elim] at elim); as integers, over the scales L_e of e1
+    # and L of the two reduced rows
+    u = [1, *(-U1[c] for c in piv1), *(-U2[c] for c in piv2)]
+    fu, S = u[elim] * g, len(w)
+    reduced, L = linalg._integer_rows(
+        [red([(u[i] if s == 0 else 0) - fu * ws[i] for i in keep]) for s, ws in enumerate(w)]
+        + [red([-g * ws[i] for i in keep]) for ws in w])
+    [E], L_e = linalg._integer_rows([E1])
+    C = []
+    for s, us, ws in zip(range(S), reduced, reduced[S:]):
+        X = []
+        for j, k in enumerate(coord):
+            row = [E[j] * x for x in us] if j < d1 and E[j] else [0] * (n - 1)
+            if k == elim:
+                row = [a + L_e * b for a, b in zip(row, ws)]
+            elif k is not None and s == 0:
+                row[k - (k > elim)] += L_e * L
+            X.append(red(row))
+        if any(map(any, X)):
+            C.append((s, X))
+    R, L_R = linalg._integer_rows([red(r) for r in R])
+    read = _table_on_rows(field, [A1, A2], R, L_R, C, L_e * L)
 
-    # C in closed form: delta maps column j to reduce(δ_j)
-    u = reduce((field.one, *(-unit1[c] for c in piv1), *(-unit2[c] for c in piv2)))
-    delta = dict(zip([*piv1, *(d1 + c for c in piv2)],
-                     map(reduce, linalg.identity(field, len(rows))[1:])))
-    C, zeros = [], (field.zero,) * len(keep)
-    for j in range(d1 + d2):
-        row = delta.get(j, zeros)
-        if j < d1 and e1[j]:
-            row = tuple(a + e1[j] * b for a, b in zip(row, u))
-        C.append(row)
-    [[(_, R)], C], L = linalg.raw_slices([[rows[i] for i in keep], C], field.characteristic)
-    read = _table_on_rows(field, [A1, A2], R, L, C, L)
-    phi = tuple(
-        linalg.sum_dot(phi1, rows[i][:d1]) + linalg.sum_dot(phi2, rows[i][d1:])
-        for i in keep
-    )
-    e_left = tuple(linalg.sum_dot(e1, rows[i][:d1]) for i in keep)
-    unit = tuple(field.one if i == 0 else field.zero for i in range(len(keep)))
+    def on_rows(left, right):
+        """A functional's raw values on the kept rows, by power of t: ``left``
+        on the left factor (raw constants, or None for 0), ``right`` on the
+        right one (raw vectors by power of t)."""
+        out = []
+        for s, rs in enumerate(right):
+            ls = left if s == 0 else None
+            vals = [(sum(map(mul, ls, U1)) if ls else 0) + sum(map(mul, rs, U2))]
+            vals += [ls[c] - E1[c] * r1 * ls[j1] if ls else 0 for c in piv1]
+            vals += [rs[c] - E2[c] * r2 * rs[j2] for c in piv2]
+            del vals[elim]
+            out.append(vals)
+        return out
+
+    def box(vals, poly):
+        """Raw values by power of t as Scalars, or as TPolys when ``poly``,
+        equal values sharing one object (``_box_plane``)."""
+        rows, L = linalg._integer_rows([red(v) for v in vals])
+        return _box_plane(field, [(s, [r]) for s, r in enumerate(rows) if any(r)], L,
+                          TPoly(field) if poly else field.zero, (1, len(rows[0])), {})[0]
+
+    def is_poly(v):
+        return any(isinstance(x, TPoly) for x in v)
+
+    phi = box(on_rows(F1, _powers(phi2)), is_poly(phi2))
+    unit = (field.one,) + (field.zero,) * (n - 2)
 
     def e_right_of(functional):
-        return tuple(linalg.sum_dot(functional, rows[i][d1:]) for i in keep)
+        return box(on_rows(None, _powers(functional)), is_poly(functional))
 
-    labels = ["1"]
-    labels += [f"a{i + 1}" for i in range(len(k1))]
-    labels += [f"b{i + 1}" for i in range(len(k2))]
-    labels = tuple(labels[i] for i in keep)
+    labels = ["1", *(f"a{i + 1}" for i in range(d1 - 1)), *(f"b{i + 1}" for i in range(d2 - 1))]
+    del labels[elim]
+    boxed = []  # w and 1/w[elim], boxed on project's first call
 
     def project(ambient):
-        return reduce(coords_in_rows(tuple(ambient)))
+        """The quotient coordinates of a fiber-product vector (entries
+        Scalars or TPolys), by split and reduce on boxed values; Singular off
+        the fiber product."""
+        if not boxed:  # w typed as split gives it: TPolys on a homotopy's right
+            boxed[:] = [box([w[0][:d1]], False) + box([ws[d1:] for ws in w], is_poly(x2)),
+                        field.scalar(g)]
+        wb, gb = boxed
+        ambient = tuple(ambient)
+        a, b = ambient[:d1], ambient[d1:]
+        c = linalg.sum_dot(e1, a)
+        if c - linalg.sum_dot(e2, b):
+            raise Singular("vector is not in the row space")
+        coords = (c, *(a[k] - c * unit1[k] for k in piv1), *(b[k] - c * unit2[k] for k in piv2))
+        factor = coords[elim] * gb
+        if factor:
+            coords = tuple(x - factor * y for x, y in zip(coords, wb))
+        return tuple(coords[i] for i in keep)
 
-    return _ConsumData(labels, read, unit, phi, e_left, e_right_of, project)
+    return _ConsumData(tuple(labels), read, unit, phi, unit, e_right_of, project)
 
 
 def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:

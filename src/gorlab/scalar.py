@@ -74,7 +74,10 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer as {prime: exponent}."""
+    """Prime factorization of a positive integer as {prime: exponent}.
+
+    A cofactor that passes ``is_prime`` is proven prime only below psi_13;
+    one at or above it raises BudgetExceeded, as no proof is at hand."""
     if n <= 0:
         raise ZeroInput("factorize needs a positive integer")
     out: dict[int, int] = {}
@@ -98,6 +101,10 @@ def factorize(n: int) -> dict[int, int]:
         if m == 1:
             continue
         if is_prime(m):
+            if m >= _PSI_13:
+                raise BudgetExceeded(f"cannot factor: the cofactor {m} is not proven prime: "
+                                     "Miller-Rabin to the bases 2 to 41 is a proof only "
+                                     f"below psi_13 = {_PSI_13}")
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)

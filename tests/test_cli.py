@@ -567,3 +567,15 @@ def test_check_over_psi_13_is_a_domain_error(capsys, tmp_path):
     assert code == 1
     assert payload["kind"] == "BadParameter"
     assert "not proven prime" in payload["message"]
+
+
+def test_witt_with_an_unproven_square_class_is_a_budget_error(capsys, tmp_path):
+    # B_phi = diag(1, psi_13) over QQ: its square class rests on factoring
+    # psi_13, which passes Miller-Rabin to the bases 2 to 41 unproven
+    p = tmp_path / "psi13.alg"
+    p.write_text("field Q\nvars x\nrel x^2 - 3317044064679887385961981\norient 1 : 1\n")
+    code, payload, out = run(capsys, "witt", str(p))
+    assert code == 1
+    assert payload["kind"] == "BudgetExceeded"
+    assert "3317044064679887385961981 is not proven prime" in payload["message"]
+    assert "Traceback" not in out

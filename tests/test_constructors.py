@@ -11,13 +11,15 @@ over QQ, ints over F_p), or raise the same exception with the same message:
 on corpus samples over QQ and F_7, on random change-of-basis matrices (with
 denominators over QQ, and singular ones), and on fibers at t = 0, 1 and
 random values.  ``family_socle_generator`` is compared with Cramer's rule.
-The connected-sum core reads its kernels and coordinates in closed form;
-its eliminated coordinate, table and projection are compared with
-kernel_basis and the one-elimination ``RowSolver`` of ``row_solver.py``, and
-the eliminations of each construction are counted.  Its coordinate map C,
-built in closed form, is compared with one ``split`` and ``reduce`` per
-basis vector, as the core built it before, also for left functionals that
-are not algebra maps.  A table is specified only on the contract of
+The connected-sum core works on raw values in closed form: a count of Scalar
+and TPoly operators asserts that it runs none.  Its eliminated coordinate,
+table and projection are compared with kernel_basis and the one-elimination
+``RowSolver`` of ``row_solver.py``, also for a homotopy whose socle
+generator is moved off the constants, and the eliminations of each
+construction are counted.  Its coordinate map C is compared with one
+``split`` and ``reduce`` per basis vector, as the core once built it, also
+for left functionals that are not algebra maps, and ``e_right_of`` with
+``sum_dot`` on the boxed rows.  A table is specified only on the contract of
 ``_table_on_rows``, products of the rows inside the space C reads, which
 holds when both augmentations are algebra maps: the tables are compared
 there, and ``tests/test_trusted_builders.py`` asserts that contract.
@@ -417,8 +419,9 @@ def row_solver_core(field, A1, unit1, A2, unit2, e1, e2, x1, x2, phi1, phi2):
 
 def core_args_drawn(data, field):
     """The arguments of a connected sum of two corpus samples, or of a
-    homotopy (the robber family on the right), with a perturbed left
-    augmentation, and the right factor's zero."""
+    homotopy (the robber family on the right, its socle generator at times
+    moved off the constants), with a perturbed left augmentation, and the
+    right factor's zero."""
     t1 = data.draw(st.sampled_from(corpus(field)))
     e1 = perturbed_augmentation(data, t1)
     if data.draw(st.booleans()):
@@ -427,9 +430,15 @@ def core_args_drawn(data, field):
                          t2.e, t2.oa.phi, field.zero)
     rob = robber_family(field)
     const = tuple(u.constant_value() for u in rob.augmentations["const"])
-    return core_args(t1, e1, family_socle_generator(rob, "const"), rob,
-                     tuple(u.constant_value() for u in rob.unit), const, rob.orientation,
-                     TPoly(field))
+    x2 = family_socle_generator(rob, "const")
+    if data.draw(st.booleans()):
+        # moved by c·t^k in ker e2 at the last column, so that w's last
+        # coordinate, constant for the socle generator, is not, and the
+        # eliminated coordinate is an earlier one
+        c = data.draw(scalars(field).filter(bool))
+        x2 = (*x2[:3], x2[3] + c * TPoly.t(field) ** data.draw(st.integers(1, 2)))
+    return core_args(t1, e1, x2, rob, tuple(u.constant_value() for u in rob.unit), const,
+                     rob.orientation, TPoly(field))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -490,6 +499,85 @@ def test_core_project_membership_and_tpoly_rhs():
     assert both == tuple((t + t * t) * c for c in data.project(x1 + z2))
     with pytest.raises(Singular, match="^vector is not in the row space$"):
         data.project(tuple(t * u for u in t1.algebra.unit) + z2)
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__neg__")
+
+
+def count_boxed_arithmetic(fn, *args):
+    """fn(*args), and how many Scalar and TPoly operators +, -, * and / ran."""
+    calls = [0]
+
+    def counted(real):
+        def op(*a):
+            calls[0] += 1
+            return real(*a)
+        return op
+
+    patches = [mock.patch.object(cls, name, counted(getattr(cls, name)))
+               for cls in (Scalar, TPoly) for name in ARITHMETIC if hasattr(cls, name)]
+    for patch in patches:
+        patch.start()
+    try:
+        assert QQ.one + QQ.one and calls == [1]  # the count sees an operator
+        calls[0] = 0
+        out = fn(*args)
+    finally:
+        for patch in patches:
+            patch.stop()
+    return out, calls[0]
+
+
+def test_core_runs_no_boxed_arithmetic():
+    # the core reads its inputs once and boxes its outputs once: no Scalar or
+    # TPoly operator runs while it builds a connected sum of corpus samples or
+    # a homotopy (the robber on the right), with e_right_of on the right
+    # factor's augmentation, over QQ and F_7
+    for field in FIELDS:
+        t1, t2 = corpus(field)[2:4]
+        rob = robber_family(field)
+        const = tuple(u.constant_value() for u in rob.augmentations["const"])
+        cases = [
+            (core_args(t1, t1.e, socle_generator(t2.oa, t2.e), t2.algebra, t2.algebra.unit,
+                       t2.e, t2.oa.phi, field.zero), t2.e),
+            (core_args(t1, t1.e, family_socle_generator(rob, "const"), rob,
+                       tuple(u.constant_value() for u in rob.unit), const, rob.orientation,
+                       TPoly(field)), rob.augmentations["mv"]),
+        ]
+        for (*args, zero), psi in cases:
+            def core(*args):
+                data = _consum_core(*args)
+                return data, data.e_right_of(psi)
+
+            (data, right), count = count_boxed_arithmetic(core, *args)
+            assert count == 0
+            assert {type(x) for x in data.phi + right} == {type(zero)}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_core_right_functionals_match_the_boxed_dot(data):
+    # e_right_of(psi) is psi on the right half of each kept row, as the core
+    # took it by sum_dot on boxed rows: the same values and types, for the
+    # robber's "mv" and for drawn functionals of Scalars or TPolys
+    field = data.draw(st.sampled_from(FIELDS))
+    *args, zero = core_args_drawn(data, field)
+    field, A1, unit1, A2, unit2, e1, e2, x1, x2 = args[:9]
+    try:
+        rows, _, keep, _ = ref_fiber_product(field, unit1, unit2, e1, e2, x1, x2, RowSolver)
+    except Singular:
+        return
+    d1, d2 = A1.dim, A2.dim
+    right = scalars(field) if data.draw(st.booleans()) else st.builds(
+        lambda cs: TPoly(field, cs), st.lists(scalars(field), max_size=3))
+    psis = [tuple(data.draw(right) for _ in range(d2))]
+    if isinstance(zero, TPoly):
+        psis.append(A2.augmentations["mv"])
+    out = _consum_core(*args)
+    for psi in psis:
+        ref = tuple(linalg.sum_dot(psi, rows[i][d1:]) for i in keep)
+        assert exact(out.e_right_of(psi)) == exact(ref)
 
 
 def test_eliminations_per_construction():

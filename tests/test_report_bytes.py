@@ -147,6 +147,41 @@ def test_every_case_is_pinned():
     assert set(DIGESTS) == cases
 
 
+# connected sums and homotopies on small .alg files, over F_2, F_3 and QQ with
+# fractions (x3.alg and frac.alg make asymmetric pairs): argv -> (exit code,
+# sha256), recorded while the connected-sum core still worked on boxed values
+SUM_FILES = {
+    "f2.alg": "field F 2\nvars x y\nrel x^2 - y^2\nrel x*y\norient x^2 : 1\naug x = 0, y = 0\n",
+    "f3.alg": "field F 3\nvars x y\nrel x^2 - y^2\nrel x*y\norient x^2 : 1\naug x = 0, y = 0\n",
+    "frac.alg": "field Q\nvars x y\nrel x^2 - 3/2*y^2\nrel x*y\norient x^2 : 2/3\naug x = 0, y = 0\n",
+    "x3.alg": "field Q\nvars x\nrel x^3\norient x^2 : 5\naug x = 0\n",
+}
+SUM_DIGESTS = {
+    ("consum", "f2.alg", "f2.alg"):
+        (0, "6f1a3b2a7a1d853a7434ce045d86e2533ebbd667fe1389b0a52d13354868a4f8"),
+    ("consum", "f3.alg", "f3.alg"):
+        (0, "83b548f2bf160f3f18ce19e329b613072a39a8535221d27bf250cb5bc77f8f41"),
+    ("consum", "frac.alg", "x3.alg"):
+        (0, "612be3e52f4ab62df75d78ca88e846b2a36e6e947a0748e1461a5c04e31162ea"),
+    ("consum", "x3.alg", "frac.alg"):
+        (0, "69e97f41f3bffe534ddf6dbe6478d61d70def4536de3c0bdaf9643ad5c8e461b"),
+    ("homotopy", "f2.alg", "--which", "mv"):
+        (0, "506bb2db560f9f6e8bb897dce2e562ad16579b2588ee20696ca0c4775c175f8d"),
+    ("homotopy", "f3.alg", "--which", "const", "--at", "t=0"):
+        (0, "f4c4c5fa3b8352d779265cef952f805217b8c8b4f3207411de1d5d816e151b33"),
+    ("homotopy", "x3.alg", "--which", "mv", "--at", "t=2"):
+        (0, "7b9ddfe95b04c6ff5712a24a9e98d73acaa349247eb6aff8c65a019b5a91768a"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SUM_DIGESTS), ids=" ".join)
+def test_sum_report_bytes(tmp_path, capsys, argv):
+    for name, text in SUM_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in SUM_FILES else a for a in argv]
+    assert digest(capsys, argv) == SUM_DIGESTS[tuple(a.rsplit("/", 1)[-1] for a in argv)]
+
+
 # witt on an orient clause whose b_phi is degenerate: .alg text -> (exit code,
 # sha256), recorded while witt took the determinant of B_phi twice
 DEGENERATE_WITT_DIGESTS = {

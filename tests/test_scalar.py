@@ -138,6 +138,18 @@ def test_factorize():
     assert factorize(n) == {1000003: 1, 1000033: 1}
 
 
+def test_factorize_refuses_an_unproven_cofactor():
+    # psi_13 and 4·psi_13 leave the cofactor psi_13, a strong pseudoprime to
+    # the bases 2 to 41; psi_13 - 168 is proven prime, being below psi_13
+    for n in (PSI_13, 4 * PSI_13):
+        with pytest.raises(BudgetExceeded, match=f"^cannot factor: the cofactor {PSI_13} is "
+                                                 f"not proven prime: .* below psi_13 = {PSI_13}$"):
+            factorize(n)
+    q = PSI_13 - 168
+    assert is_prime(q)
+    assert factorize(6 * q) == {2: 1, 3: 1, q: 1}
+
+
 def test_scalar_arithmetic_rationals():
     a = QQ.scalar(Fraction(3, 4))
     b = QQ.scalar(2)
