@@ -15,13 +15,15 @@ validation and every consumer of the table work from it.  New tables are
 built on reads by ``_table_on_rows``, the table of the rows of a constant
 matrix read by a coordinate map, both raw integers over a scale, multiplied
 block by block on Kronecker-packed rows; no row space is checked, as each
-caller's construction guarantees it (see its docstring).  ``base_change``,
-``direct_product``, ``decompose_augmented`` and the connected sums and
-homotopies of ``frobenius._consum_core`` (whose right factor can be a family
-over k[t]) hand it raw values they hold or write in closed form, read by
-``linalg._integer_rows``, the one QQ reader.
-Tables are also built by ``AlgebraFamily.at``, which
-evaluates the family's read by Horner's rule, and by the derived algebras
+caller's construction guarantees it (see its docstring).  ``base_change``
+(through ``_on_basis``, which ``rees_family`` and ``degeneration_to_cw``
+call on the raw rows of their adapted bases), ``direct_product``,
+``decompose_augmented`` and the connected sums and homotopies of
+``frobenius._consum_core`` (whose right factor can be a family over k[t])
+hand it raw values they hold or write in closed form, read by
+``linalg._integer_rows``, the one QQ reader.  Tables are also built by
+``AlgebraFamily.at``, which evaluates the family's read by Horner's rule,
+and by the derived algebras
 (``frobenius.unitalize``, ``form_to_algebra``, ``hyp_algebra``, and
 ``poly._monomial_algebra`` for quotients and A_q), which lay out the planes
 from their inputs' reads; each hands its raw planes to ``on_read``, and the
@@ -398,15 +400,22 @@ def base_change(A: FiniteAlgebra, P, labels=None) -> FiniteAlgebra:
     P = tuple(A.coerce_vector(row) for row in P)
     if len(P) != A.dim:
         raise DimensionMismatch("change of basis must be square")
-    f, p = A.field, A.field.characteristic
-    _, raw = linalg.unbox(P, f)
-    Pinv = linalg.raw_invert([row[:] for row in raw], p)
-    (R, L_R), (C, L_C) = linalg._integer_rows(raw), linalg._integer_rows(Pinv)
-    planes, scale = _table_on_rows(f, [A], R, L_R, [(0, C)], L_C)
-    unit = None if A.unit is None else linalg._box(f, linalg.raw_mul(
-        [[x.value for x in A.unit]], Pinv, p, 0 if p else Fraction(0)))[0]
     if labels is None:
         labels = tuple(f"b{i}" for i in range(A.dim))
+    return _on_basis(A, linalg.unbox(P, A.field)[1], labels)
+
+
+def _on_basis(A: FiniteAlgebra, P, labels, unit=None) -> FiniteAlgebra:
+    """base_change on raw rows P (ints mod p, or at p = 0 ints and
+    Fractions): the table of P's rows, read by P^-1.  The unit is A's times
+    P^-1, unless the caller gives it (a vector of Scalars, not checked)."""
+    f, p = A.field, A.field.characteristic
+    Pinv = linalg.raw_invert([row[:] for row in P], p)
+    if unit is None and A.unit is not None:
+        unit = linalg._box(f, linalg.raw_mul(
+            [[x.value for x in A.unit]], Pinv, p, 0 if p else Fraction(0)))[0]
+    (R, L_R), (C, L_C) = linalg._integer_rows(P), linalg._integer_rows(Pinv)
+    planes, scale = _table_on_rows(f, [A], R, L_R, [(0, C)], L_C)
     return FiniteAlgebra.on_read(planes, scale, f, labels, unit, validate=False)
 
 

@@ -36,7 +36,7 @@ from .frobenius import (
     OrientedAlgebra,
     _consum_core,
     _graded_family,
-    socle_generator,
+    _socle,
 )
 from .scalar import Field, TPoly, tpoly_eval
 
@@ -198,8 +198,8 @@ def homotopy_families(T: Augmented) -> HomotopyFamilies:
     double point with T's augmentation and with the double point's own.
     Nothing is re-validated, by connected_sum's argument; the augmentations
     descend, as both robber augmentations vanish on its socle generator."""
-    x1 = socle_generator(T.oa, T.e)
-    if linalg.sum_dot(T.e, x1):  # isotropy_check, on the one solve
+    x1, ex = _socle(T.oa, T.e)
+    if ex:  # isotropy_check, on the one solve
         raise NotIsotropic("input augmentation is not isotropic")
     f = T.oa.field
     robber, x2 = _robber(f)

@@ -9,7 +9,11 @@ invariants (rank, discriminant class, rational signature).
 unbox the Gram matrix (and the subspace's rows) once and run on raw values
 (ints mod p, Fractions over QQ): non-degeneracy by ``linalg.raw_det``,
 perpendiculars by ``linalg.raw_kernel``, only the products they use by
-``linalg.raw_mul``, and one boxing of each matrix they return.
+``linalg.raw_mul``, and one boxing of each matrix they return.  Surgery's
+core ``_surgery`` (and ``_line_surgery``, along one vector) takes the Gram
+matrix as integer rows over a scale, which is how ``surgery`` hands it over
+and how ``frobenius`` holds a pairing, and returns S, S·G and S·G·S^T raw;
+``_form_of`` boxes a raw Gram matrix once into a trusted form.
 ``radical``, ``is_nondegenerate`` and ``witt_invariants`` are one boxed
 ``linalg`` call each, which unboxes once.
 """
@@ -52,8 +56,20 @@ class _Gram:
             for j in range(i + 1, d):
                 if gram[i][j] != gram[j][i]:
                     raise DimensionMismatch(f"{self._name} not symmetric at ({i},{j})")
+        self._fill(field, gram)
+
+    @classmethod
+    def _on_boxed(cls, field: Field, gram):
+        """The form of a symmetric tuple matrix of boxed entries, as they
+        are: no coercion or symmetry check (the caller's construction
+        guarantees both)."""
+        out = object.__new__(cls)
+        out._fill(field, gram)
+        return out
+
+    def _fill(self, field, gram):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "dim", len(gram))
         object.__setattr__(self, "gram", gram)
 
     def __setattr__(self, *a):
@@ -226,29 +242,42 @@ def surgery(B: BilinearForm, W: Subspace) -> SurgeryResult:
     if any(map(any, linalg.raw_mul(WG, linalg.transpose(Wk), p, zero))):
         raise NotIsotropic("B does not vanish on W")
     _check_perp(B, W, G)
-    return _surgery(B, G, Wk, WG)
+    G, L = linalg._integer_rows(G)
+    S, _, D, L_S = _surgery(G, p, Wk, WG)
+    return SurgeryResult(_form_of(f, D, L_S**2 * L), linalg._box(f, S))
 
 
-def _surgery(B: BilinearForm, G, W, WG) -> SurgeryResult:
-    """surgery with its preconditions unchecked: B non-degenerate with raw
-    Gram matrix G, W raw rows spanning a subspace isotropic for B, and
-    WG = W·G.  The result depends on W's span alone: W-perp = ker(W·G), and
-    the section is chosen by which rows of W-perp leave the span of W."""
-    f, d = B.field, B.dim
-    p, zero = f.characteristic, 0 if f.characteristic else Fraction(0)
+def _form_of(field: Field, G, scale: int) -> BilinearForm:
+    """The form whose Gram matrix is G / scale, G symmetric raw rows (ints
+    mod p, or integers at p = 0), boxed once (``_box_plane``) and trusted."""
+    d = len(G)
+    return BilinearForm._on_boxed(field, _box_plane(field, [(0, G)], scale, field.zero, (d, d), {}))
+
+
+def _surgery(G, p: int, W, WG):
+    """surgery on raw values, its preconditions unchecked: G the raw Gram
+    rows of a non-degenerate form (ints mod p, or integers: the Gram matrix
+    times a scale), W raw rows spanning an isotropic subspace, WG = W·G (up
+    to a scale).  The result depends on W's span alone: W-perp = ker(W·G),
+    and the section S is chosen by which rows of W-perp leave the span of W.
+    Returns S (raw RREF rows, Fractions at p = 0), and S·G and S·G·S^T on S
+    read as integers over L_S (so over L_S and L_S² times G's scale), and
+    L_S (1 at p > 0)."""
+    d = len(G)
     perp = linalg.raw_kernel(WG, d, p)
     S = [perp[i] for i in linalg.raw_complement(W, perp, p, d)]
-    gram = linalg.raw_mul(linalg.raw_mul(S, G, p, zero), linalg.transpose(S), p, zero)
-    return SurgeryResult(BilinearForm(f, linalg._box(f, gram)), linalg._box(f, S))
+    SI, L_S = linalg._integer_rows(S)
+    SG = linalg.raw_mul(SI, G, p, 0)
+    return S, SG, linalg.raw_mul(SG, linalg.transpose(SI), p, 0), L_S
 
 
-def _line_surgery(B: BilinearForm, v) -> SurgeryResult:
-    """surgery along the line of v, a nonzero vector of Scalars, unchecked:
-    B must be non-degenerate and B(v, v) = 0.  v itself spans the line, so
-    no elimination is needed to hand it over."""
-    G, p, zero = _raw(B)
-    row = [x.value for x in v]
-    return _surgery(B, G, [row], linalg.raw_mul([row], G, p, zero))
+def _line_surgery(G, p: int, v):
+    """_surgery along the line of v, a nonzero raw vector (ints mod p, or at
+    p = 0 ints and Fractions), unchecked: G must be non-degenerate and
+    B(v, v) = 0.  v itself spans the line, so no elimination is needed to
+    hand it over."""
+    [v], _ = linalg._integer_rows([v])
+    return _surgery(G, p, [v], linalg.raw_mul([v], G, p, 0))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,18 @@ augmented algebras and non-unital ones (decompose/unitalize), connected
 sums, hyperbolic algebras, the bridge to symmetric bilinear forms, surgery,
 and the Rees degeneration family.
 
+An ``OrientedAlgebra`` keeps the integer read of its pairing B_phi
+(``A.pairing``: Gram rows G over a scale, ints mod p or integers at p = 0),
+made by its one constructor; non-degeneracy is one ``linalg.raw_det`` on G,
+and the public ``form`` is boxed once from it.  The consumers of B_phi work
+on G: a socle generator is one ``raw_rref`` of [L_e·G | scale·e];
+``_split`` forms x·G, 1·G, V = ker([x; 1]·G) and V·G·V^T on integer rows
+over their scales, and ``decompose_augmented``'s projection is written on
+them; the unit-line surgery of ``rees_family`` and ``surgery_inverse`` gives
+S, S·G and D = S·G·S^T, x is one ``raw_rref`` of [phi | 1; S·G | 0], the
+rows [1; S; x] go raw to the table with the unit e_0, and the Rees family
+Gram is written in closed form, [[0, 0, 1], [0, D, 0], [1, 0, B(x, x) t^2]].
+
 Connected sums and the homotopies of ``families.homotopy_families`` share
 ``_consum_core``, which works on raw values in closed form: it reads e1, e2,
 the units, the socle generators and the orientations once (the right
@@ -27,7 +39,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -37,9 +50,9 @@ from .algebra import (
     Subspace,
     _box_plane,
     _constant_planes,
+    _on_basis,
     _raw_ann,
     _table_on_rows,
-    base_change,
 )
 from .errors import (
     BadUnit,
@@ -50,15 +63,22 @@ from .errors import (
     NotIsotropicUnit,
     Singular,
 )
-from .forms import BilinearForm, FormFamily, _line_surgery, is_nondegenerate
+from .forms import BilinearForm, FormFamily, _form_of, _line_surgery, is_nondegenerate
 from .poly import MultiPoly, det_multipoly
 from .scalar import Field, Scalar, TPoly
 
 
 def b_phi(A: FiniteAlgebra, phi) -> BilinearForm:
     """The pairing (x, y) -> phi(x*y) attached to a functional phi, on A's read."""
-    slices, scale = A.pairing(A.coerce_vector(phi))
-    return BilinearForm(A.field, _box_plane(A.field, slices, scale, A.field.zero, (A.dim,) * 2, {}))
+    return _form_of(A.field, *_pairing(A, A.coerce_vector(phi)))
+
+
+def _pairing(A: FiniteAlgebra, phi):
+    """The integer read of b_phi: its Gram rows G over a scale (ints mod p,
+    or integers at p = 0, the Gram entries times the scale), from
+    ``A.pairing``."""
+    slices, scale = A.pairing(phi)
+    return (slices[0][1] if slices else [[0] * A.dim for _ in range(A.dim)]), scale
 
 
 def _trusted(cls, **fields):
@@ -70,20 +90,37 @@ def _trusted(cls, **fields):
 
 
 class OrientedAlgebra:
-    """A unital algebra with a functional making b_phi non-degenerate."""
+    """A unital algebra with a functional making b_phi non-degenerate.
 
-    __slots__ = ("algebra", "phi", "form")
+    It keeps the integer read of its pairing (``_pairing``: Gram rows G over
+    a scale), from which ``form`` is boxed once and on which non-degeneracy
+    is one ``linalg.raw_det``; the socle solves, the split and the Rees
+    family work on G, not on ``form``.
+    """
+
+    __slots__ = ("algebra", "phi", "form", "_read")
 
     def __init__(self, algebra: FiniteAlgebra, phi):
         if not algebra.is_unital:
             raise BadUnit("orientations require a unital algebra")
-        phi = algebra.coerce_vector(phi)
-        form = b_phi(algebra, phi)
-        if not is_nondegenerate(form):
+        self._fill(algebra, algebra.coerce_vector(phi), True)
+
+    @classmethod
+    def _on(cls, algebra: FiniteAlgebra, phi: tuple, check: bool):
+        """The oriented algebra of a unital algebra and a tuple of Scalars
+        phi, its non-degeneracy checked only when ``check``."""
+        out = object.__new__(cls)
+        out._fill(algebra, phi, check)
+        return out
+
+    def _fill(self, algebra, phi, check):
+        G, scale = _pairing(algebra, phi)
+        if check and not linalg.raw_det([row[:] for row in G], algebra.field.characteristic):
             raise Degenerate("phi does not orient the algebra: b_phi is degenerate")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "form", _form_of(algebra.field, G, scale))
+        object.__setattr__(self, "_read", (G, scale))
 
     def __setattr__(self, *a):
         raise AttributeError("OrientedAlgebra is immutable")
@@ -213,16 +250,36 @@ def enumerate_augmentations(A: FiniteAlgebra, budget: int = 10**6) -> list:
 
 def socle_generator(oa: OrientedAlgebra, e):
     """The adjoint vector x with B_phi(x, y) = e(y) for all y."""
-    e = oa.algebra.coerce_vector(e)
-    return linalg.solve_right(oa.field, oa.form.gram, e)
+    return _socle(oa, oa.algebra.coerce_vector(e))[0]
 
 
 def isotropy_check(oa: OrientedAlgebra, e) -> bool:
     """Whether the augmentation is isotropic: e(x) = 0 for x = e*(1), the
     socle generator.  Ann(ker e) is the line of x, so this is the criterion
     Ann(ker e) <= ker e; the tests assert that the two agree."""
-    e = oa.algebra.coerce_vector(e)
-    return not linalg.sum_dot(e, socle_generator(oa, e))
+    return not _socle(oa, oa.algebra.coerce_vector(e))[1]
+
+
+def _socle(oa: OrientedAlgebra, e: tuple):
+    """The socle generator x of e (a tuple of Scalars), boxed, and e(x) raw
+    (zero or not is what its callers read).  With G the Gram read over
+    ``scale`` and e read as integers E over L_e, G·x = scale·E / L_e is one
+    raw_rref of [L_e·G | scale·E]; G is non-degenerate, so column j's pivot
+    row ends in x_j."""
+    (G, scale), p = oa._read, oa.field.characteristic
+    [E], L_e = linalg._integer_rows([[x.value for x in e]])
+    work = [[L_e * g for g in row] + [scale * b] for row, b in zip(G, E)]
+    linalg.raw_rref(work, p)
+    x = [row[-1] for row in work]
+    ex = sum(map(mul, E, x))
+    return linalg._box(oa.field, [x])[0], ex % p if p else ex
+
+
+def _phi_at_unit(oa: OrientedAlgebra):
+    """phi(1), raw: an int mod p, or a Fraction at p = 0."""
+    p = oa.field.characteristic
+    v = sum(a.value * b.value for a, b in zip(oa.phi, oa.algebra.unit))
+    return v % p if p else v
 
 
 @dataclass(frozen=True)
@@ -238,27 +295,37 @@ def _split(oa: OrientedAlgebra, e):
     """The split of an isotropically augmented algebra along span(1, x).
 
     Returns lam = phi(1), V's form, V's labels, the adapted basis (1, x, V)
-    and the raw values (x·G, 1·G, x, 1, V) it came from, G the Gram matrix.
-    V = ker([x; 1]·G) is the orthogonal complement of span(1, x), its rows in
-    RREF; its form V·G·V^T (G is symmetric) is non-degenerate, span(1, x)
-    being a hyperbolic plane of b_phi for an augmentation e (B(1, x) = e(1)).
+    and the raw values it came from: the rows (1, x, V) (ints mod p, or at
+    p = 0 ints and Fractions), then as integers (x·G, 1·G, L·s), (x, 1, L)
+    and (V, L_V), each over the scale it ends with, for G the Gram read over
+    s and x, 1 read over one L.  V = ker([x; 1]·G) is the orthogonal
+    complement of span(1, x), its rows in RREF; its form V·G·V^T / (L_V² s)
+    (G is symmetric) is non-degenerate, span(1, x) being a hyperbolic plane
+    of b_phi for an augmentation e (B(1, x) = e(1)).
     """
     A, f = oa.algebra, oa.field
-    e = A.coerce_vector(e)
-    x = socle_generator(oa, e)
-    if linalg.sum_dot(e, x):  # isotropy_check, on the one solve
+    x, ex = _socle(oa, A.coerce_vector(e))
+    if ex:  # isotropy_check, on the one solve
         raise NotIsotropic("augmentation is not isotropic")
-    p = f.characteristic
-    zero = 0 if p else Fraction(0)
-    _, G = linalg.unbox(oa.form.gram, f)
-    _, (xr, ur) = linalg.unbox([x, A.unit], f)
-    gx, g1 = linalg.raw_mul([xr, ur], G, p, zero)
+    p, (G, s) = f.characteristic, oa._read
+    xr, ur = [v.value for v in x], [v.value for v in A.unit]
+    XU, L = linalg._integer_rows([xr, ur])
+    gx, g1 = linalg.raw_mul(XU, G, p, 0)
     Vr = linalg.raw_kernel([gx[:], g1[:]], A.dim, p)  # reduces its rows in place
-    VG = linalg.raw_mul(Vr, G, p, zero)
-    gramV = linalg._box(f, linalg.raw_mul(VG, [list(col) for col in zip(*Vr)], p, zero))
+    VI, L_V = linalg._integer_rows(Vr)
+    gramV = linalg.raw_mul(linalg.raw_mul(VI, G, p, 0), linalg.transpose(VI), p, 0)
     labels = tuple(f"v{i + 1}" for i in range(len(Vr)))
     adapted = linalg.mat([A.unit, x] + list(linalg._box(f, Vr)))
-    return oa.phi_of(A.unit), BilinearForm(f, gramV), labels, adapted, (gx, g1, xr, ur, Vr)
+    lam = _scalar(f, _phi_at_unit(oa))
+    raw = [ur, xr, *Vr], (gx, g1, L * s), (*XU, L), (VI, L_V)
+    return lam, _form_of(f, gramV, L_V**2 * s), labels, adapted, raw
+
+
+def _scalar(field: Field, v, scale: int = 1):
+    """The Scalar of v / scale, v a raw value: an int (scale 1) mod p, or at
+    p = 0 an int or a Fraction."""
+    p = field.characteristic
+    return Scalar(field, v % p if p else Fraction(v, scale))
 
 
 def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
@@ -269,21 +336,29 @@ def decompose_augmented(oa: OrientedAlgebra, e) -> Decomposition:
     onto V, w -> w - B(w, x) 1 - (B(w, 1) - lam B(w, x)) x, which lands in V
     for every w, as B(x, x) = e(x) = 0, B(1, x) = e(1) = 1 and B(1, 1) = lam.
     V's rows are in RREF, pivot columns P, so V's coordinates are the entries
-    at P: C, the projection then these, needs no elimination.  V is m/(x)
+    at P: C, the projection then these, needs no elimination, and on the
+    split's integers (x·G and 1·G over L·s, x and 1 over L, lam = n/m) it is
+    C·L²·s·m = L²·s·m·I - m·(x·G) ⊗ 1 - (m·(1·G) - n·(x·G)) ⊗ x, taken
+    over its least scale at p = 0.  V is m/(x)
     for the ideals m = ker e and (x) (a x = e(a) x), so valid, as is its
     form (see ``_split``); only e is checked.
     """
     if not augmentation_check(oa.algebra, e):
         raise BadUnit("e is not an algebra map to the base field")
-    lam, form, labels, adapted, (gx, g1, xr, ur, Vr) = _split(oa, e)
+    lam, form, labels, adapted, (_, (gx, g1, Ls), (X, U, L), (R, L_R)) = _split(oa, e)
     A, f = oa.algebra, oa.field
-    p, lr = f.characteristic, lam.value
-    P = [next(c for c, v in enumerate(row) if v) for row in Vr]
-    C = [[int(j == k) - gx[j] * ur[k] - (g1[j] - lr * gx[j]) * xr[k] for k in P]
+    p = f.characteristic
+    n, m = (lam.value, 1) if p else lam.value.as_integer_ratio()
+    P = [next(c for c, v in enumerate(row) if v) for row in R]
+    M = L * Ls * m
+    C = [[M * (j == k) - m * gx[j] * U[k] - (m * g1[j] - n * gx[j]) * X[k] for k in P]
          for j in range(A.dim)]
-    C = [[v % p for v in row] for row in C] if p else C
-    (R, L_R), (C, L_C) = linalg._integer_rows(Vr), linalg._integer_rows(C)
-    planes, scale = _table_on_rows(f, [A], R, L_R, [(0, C)], L_C)
+    if p:
+        C = [[v % p for v in row] for row in C]
+    else:  # over the least scale, as the read of V's table is kept
+        g = gcd(M, *chain.from_iterable(C))
+        C, M = [[v // g for v in row] for row in C], M // g
+    planes, scale = _table_on_rows(f, [A], R, L_R, [(0, C)], M)
     alg = FiniteAlgebra.on_read(planes, scale, f, labels, validate=False)
     return Decomposition(lam, _trusted(NonUnitalOriented, algebra=alg, form=form), adapted)
 
@@ -312,7 +387,7 @@ def unitalize(lam, nu: NonUnitalOriented) -> Augmented:
     alg = FiniteAlgebra.on_read([[(0, X)] for X in planes], S, f, labels, [1] + [0] * (d - 1))
     phi = tuple([lam, o] + [z] * m)
     e = tuple([o] + [z] * (m + 1))
-    return _trusted(Augmented, oa=OrientedAlgebra(alg, phi), e=e)
+    return _trusted(Augmented, oa=OrientedAlgebra._on(alg, phi, True), e=e)
 
 
 def form_to_algebra(B: BilinearForm) -> Augmented:
@@ -348,7 +423,7 @@ def hyp_algebra(A: FiniteAlgebra) -> OrientedAlgebra:
     labels = tuple(A.labels) + tuple(l + "*" for l in A.labels)
     alg = FiniteAlgebra.on_read([[(0, X)] if any(map(any, X)) else [] for X in planes],
                                 A.raw[1], f, labels, unit)
-    return _trusted(OrientedAlgebra, algebra=alg, phi=phi, form=b_phi(alg, phi))
+    return OrientedAlgebra._on(alg, phi, False)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +607,8 @@ def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
     """
     if t1.oa.field != t2.oa.field:
         raise FieldMismatch("summands live over different fields")
-    x1, x2 = (socle_generator(t.oa, t.e) for t in (t1, t2))
-    if linalg.sum_dot(t1.e, x1) or linalg.sum_dot(t2.e, x2):  # isotropy_check, per summand
+    (x1, ex1), (x2, ex2) = (_socle(t.oa, t.e) for t in (t1, t2))
+    if ex1 or ex2:  # isotropy_check, per summand
         raise NotIsotropic("connected sum needs isotropic augmentations")
     f = t1.oa.field
     data = _consum_core(
@@ -550,8 +625,7 @@ def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
         t2.oa.phi,
     )
     alg = FiniteAlgebra.on_read(*data.read, f, data.labels, data.unit, validate=False)
-    oa = _trusted(OrientedAlgebra, algebra=alg, phi=data.phi, form=b_phi(alg, data.phi))
-    return _trusted(Augmented, oa=oa, e=data.e_left)
+    return _trusted(Augmented, oa=OrientedAlgebra._on(alg, data.phi, False), e=data.e_left)
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +634,14 @@ def connected_sum(t1: Augmented, t2: Augmented) -> Augmented:
 
 def surgery_inverse(oa: OrientedAlgebra) -> BilinearForm:
     """Surgery of B_phi along the unit line of an isotropic oriented algebra
-    (phi(1) = 0); inverse to form_to_algebra up to congruence."""
-    if oa.phi_of(oa.algebra.unit):
+    (phi(1) = 0); inverse to form_to_algebra up to congruence.  It runs on
+    the Gram read G over s: D = S·G·S^T over L_S²·s."""
+    if _phi_at_unit(oa):
         raise NotIsotropicUnit("phi(1) must vanish")
     # b_phi is non-degenerate, and b_phi(1, 1) = phi(1) = 0
-    return _line_surgery(oa.form, oa.algebra.unit).form
+    (G, s), p = oa._read, oa.field.characteristic
+    _, _, D, L_S = _line_surgery(G, p, [v.value for v in oa.algebra.unit])
+    return _form_of(oa.field, D, L_S**2 * s)
 
 
 @dataclass(frozen=True)
@@ -586,27 +663,45 @@ def rees_family(oa: OrientedAlgebra) -> ReesResult:
     linear solving, free coordinates zeroed).  The fiber at t=1 is the input
     in the adapted basis; the fiber at t=0 is form_to_algebra of the
     surgered form, with the x-line as socle.
+
+    All of it runs on the Gram read G over s: the unit-line surgery gives
+    the rows S of the e_i, S·G and D = S·G·S^T (``forms._surgery``); x is
+    one raw_rref of [phi | 1; S·G | 0]; the rows [1; S; x] and their inverse
+    go raw to the table (``algebra._on_basis``, the unit e_0, as row 0 is
+    the old unit).  In that basis phi reads the x coordinate, so the family
+    Gram is [[0, 0, 1], [0, D, 0], [1, 0, B(x, x) t^2]] by weights (0, 1, 2):
+    written in closed form, D boxed once for it and for ``surgered``.
     """
-    A = oa.algebra
-    f = oa.field
-    if oa.phi_of(A.unit):
+    A, f = oa.algebra, oa.field
+    if _phi_at_unit(oa):
         raise NotIsotropicUnit("phi(1) must vanish")
     # b_phi is non-degenerate, and b_phi(1, 1) = phi(1) = 0
-    sres = _line_surgery(oa.form, A.unit)
-    evecs = sres.section  # complement of the unit line in ker phi
-    D = sres.form
-    # x: phi(x) = 1 and B(x, e_i) = 0
-    constraints = [tuple(oa.phi)]
-    constraints += [linalg.mat_vec(oa.form.gram, ev) for ev in evecs]
-    rhs = [f.one] + [f.zero] * len(evecs)
-    x = linalg.solve_right_affine(f, constraints, rhs)
-    adapted = linalg.mat([A.unit] + list(evecs) + [x])
-    labels = ["1"] + [f"e{i + 1}*t" for i in range(len(evecs))] + ["x*t^2"]
-    phi = [f.zero] * (A.dim - 1) + [f.one]
-    fam = _graded_family(base_change(A, adapted), [0] + [1] * len(evecs) + [2], labels,
-                        orientation=phi)
-    gram = FormFamily(f, fam.gram())
-    return ReesResult(fam, adapted, gram, D)
+    (G, s), p, d = oa._read, f.characteristic, A.dim
+    ur = [v.value for v in A.unit]
+    S, SG, D, L_S = _line_surgery(G, p, ur)
+    # x: phi(x) = 1 and B(x, e_i) = 0, the free coordinate 0; the system has
+    # rank d - 1, as phi = B(1, -) and S·G are independent rows
+    [F], L_phi = linalg._integer_rows([[v.value for v in oa.phi]])
+    work = [F + [L_phi]] + [row + [0] for row in SG]
+    x = [0 if p else Fraction(0)] * d
+    for row, c in zip(work, linalg.raw_rref(work, p)):
+        x[c] = row[d]
+    labels = ["1"] + [f"e{i + 1}*t" for i in range(len(S))] + ["x*t^2"]
+    zero, one = f.zero, f.one
+    U = _on_basis(A, [ur, *S, x], labels, (one,) + (zero,) * (d - 1))
+    fam = _graded_family(U, [0] + [1] * len(S) + [2], labels,
+                         orientation=[zero] * (d - 1) + [one])
+    surgered = _form_of(f, D, L_S**2 * s)
+    [X], L_x = linalg._integer_rows([x])
+    bxx = sum(map(mul, X, linalg.raw_mul([X], G, p, 0)[0]))
+    z, o = TPoly(f), TPoly(f, (one,))
+    const = {v: TPoly(f, (v,)) for v in set(chain.from_iterable(surgered.gram))}
+    corner = TPoly(f, (zero, zero, _scalar(f, bxx, L_x**2 * s)))
+    gram = [(z,) * (d - 1) + (o,)]
+    gram += [(z, *map(const.get, row), z) for row in surgered.gram]
+    gram.append((o,) + (z,) * (d - 2) + (corner,))
+    adapted = (tuple(A.unit),) + linalg._box(f, [*S, x])
+    return ReesResult(fam, adapted, FormFamily._on_boxed(f, tuple(gram)), surgered)
 
 
 def _graded_family(A: FiniteAlgebra, weights, labels, **extra) -> AlgebraFamily:
@@ -627,7 +722,10 @@ def _graded_family(A: FiniteAlgebra, weights, labels, **extra) -> AlgebraFamily:
                         exp = weights[i] + weights[j] - weights[k]
                         if exp < 0:  # pragma: no cover
                             raise Singular("filtration is not multiplicative")
-                        by_exp.setdefault(exp, [[0] * d for _ in range(d)])[j][k] = v
+                        Y = by_exp.get(exp)
+                        if Y is None:  # a matrix for the plane's slice at t^exp, made once
+                            Y = by_exp[exp] = [[0] * d for _ in range(d)]
+                        Y[j][k] = v
         graded.append(sorted(by_exp.items()))
     return AlgebraFamily.on_read(graded, L, A.field, labels, A.unit, validate=False, **extra)
 

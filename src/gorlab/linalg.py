@@ -2,9 +2,9 @@
 
 At the API, matrices are tuples of row tuples of Scalar.  The field routines
 ``rref``, ``det`` and ``mat_mul`` -- and through them ``kernel_basis``,
-``invert``, ``solve_right`` and ``solve_right_affine`` -- unbox their input
-once to raw values (ints in [0, p) over F_p, Fractions over QQ), run their
-one elimination or product loop on those, and box the result once.
+``invert`` and ``solve_right`` -- unbox their input once to raw values (ints
+in [0, p) over F_p, Fractions over QQ), run their one elimination or product
+loop on those, and box the result once.
 Unboxing checks that every entry is a Scalar of one field.  ``raw_rref``,
 ``raw_kernel``, ``raw_det``, ``raw_invert`` and ``raw_complement`` are the
 reduced row echelon form, the kernel read off it, the determinant, the
@@ -659,30 +659,16 @@ def invert(field: Field, m):
     return _box(field, raw_invert(work, field.characteristic))
 
 
-def _solve(field: Field, m, b):
-    """(x, rank of M) for the solution x of M x = b with free coordinates 0."""
+def solve_right(field: Field, m, b):
+    """The unique x with M x = b; raises Singular otherwise."""
     ncols = len(m[0]) if m else 0
     aug = [list(r) + [bv] for r, bv in zip(m, b)]
     red, pivots = rref(aug, ncols + 1)
     if ncols in pivots:
         raise Singular("inconsistent system")
-    x = [field.zero] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return tuple(x), len(pivots)
-
-
-def solve_right(field: Field, m, b):
-    """The unique x with M x = b; raises Singular otherwise."""
-    x, rk = _solve(field, m, b)
-    if rk < len(x):
+    if len(pivots) < ncols:
         raise Singular("underdetermined system")
-    return x
-
-
-def solve_right_affine(field: Field, m, b):
-    """Some solution of M x = b, free coordinates set to 0 (canonical)."""
-    return _solve(field, m, b)[0]
+    return tuple(row[ncols] for row in red)
 
 
 def raw_complement(inner, outer, p: int, ncols: int):

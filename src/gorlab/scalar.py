@@ -133,9 +133,10 @@ class Field:
     p proven prime: below psi_13, where ``is_prime`` is a proof.
 
     Instances are interned so identity comparison is the common fast path.
+    ``zero`` and ``one`` are made once per field: both are immutable.
     """
 
-    __slots__ = ("characteristic",)
+    __slots__ = ("characteristic", "zero", "one")
 
     def __init__(self, characteristic: int):
         if not isinstance(characteristic, int) or (characteristic and not is_prime(characteristic)):
@@ -144,6 +145,8 @@ class Field:
             raise BadParameter(f"{characteristic} is not proven prime: Miller-Rabin to the bases "
                                f"2 to 41 is a proof only below psi_13 = {_PSI_13}")
         object.__setattr__(self, "characteristic", characteristic)
+        object.__setattr__(self, "zero", Scalar(self, 0 if characteristic else Fraction(0)))
+        object.__setattr__(self, "one", Scalar(self, 1 if characteristic else Fraction(1)))
 
     def __setattr__(self, *a):
         raise AttributeError("Field is immutable")
@@ -183,14 +186,6 @@ class Field:
         except (ValueError, ZeroDivisionError) as ex:  # a string it cannot read
             raise BadParameter(f"cannot parse scalar {value!r}: {ex}") from ex
 
-    @property
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
-
     def parse(self, text: str) -> "Scalar":
         """Inverse of Scalar.__str__: "p/q", "p", or "r mod p"."""
         text = text.strip()
@@ -209,9 +204,6 @@ class Field:
         if self.characteristic == 0:
             raise FieldMismatch("the rationals are infinite")
         return (self.scalar(i) for i in range(self.characteristic))
-
-
-QQ = Field(0)
 
 
 @lru_cache(maxsize=None)
@@ -344,6 +336,9 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+QQ = Field(0)  # after Scalar: a Field makes its zero and one
 
 
 def square_class(a: Scalar) -> Scalar:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import prod
 
 from . import linalg
-from .algebra import AlgebraFamily, FiniteAlgebra, _constant_planes, _Read, base_change
+from .algebra import AlgebraFamily, FiniteAlgebra, _constant_planes, _on_basis, _Read
 from .errors import (
     BadParameter,
     BoundTooSmall,
@@ -276,10 +276,11 @@ def degeneration_to_cw(T: Augmented) -> DegenerationReport:
     """
     # the split alone: V's table is a block of U, and witt_invariants'
     # determinant rejects a degenerate V-form
-    lam, form, vlabels, adapted, _ = _split(T.oa, T.e)  # raises NotIsotropic
+    lam, form, vlabels, adapted, (rows, *_) = _split(T.oa, T.e)  # raises NotIsotropic
     f, m = T.oa.field, form.dim
     labels = ("1", "x") + vlabels
-    U = base_change(T.algebra, adapted, labels)
+    # on the raw rows (1, x, V); the unit is e_0, as row 0 is the unit
+    U = _on_basis(T.algebra, rows, labels, (f.one,) + (f.zero,) * (m + 1))
     # weights (0, 2, 1, ..., 1) on (1, x, V): V·V -> V takes a t, V·V -> x does not
     fam = _graded_family(U, [0, 2] + [1] * m, labels,
                          orientation=[lam, 1] + [0] * m,

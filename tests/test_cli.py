@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from gorlab import cli, frobenius
+from gorlab.algebra import FiniteAlgebra
 from gorlab.cli import (
     compile_presentation,
     parse_presentation,
@@ -206,7 +207,9 @@ def _count_calls(monkeypatch, name, *modules):
 
 
 def test_check_builds_one_pairing(capsys, a2_file, monkeypatch):
-    calls = _count_calls(monkeypatch, "b_phi", frobenius)
+    # the orientation's Gram read, which the OrientedAlgebra keeps, is made once
+    calls, pairing = [], FiniteAlgebra.pairing
+    monkeypatch.setattr(FiniteAlgebra, "pairing", lambda A, phi: calls.append(phi) or pairing(A, phi))
     code, payload, _ = run(capsys, "check", a2_file)
     assert code == 0 and payload["isotropic"] is True
     assert len(calls) == 1

@@ -49,12 +49,6 @@ def test_solve_right():
         linalg.solve_right(QQ, M(QQ, [[1, 1], [1, 1]]), [QQ.one, QQ.zero])
 
 
-def test_solve_right_affine_deterministic():
-    # one equation, two unknowns: free coordinate pinned to zero
-    x = linalg.solve_right_affine(QQ, M(QQ, [[1, 1]]), [QQ.scalar(3)])
-    assert x == (QQ.scalar(3), QQ.zero)
-
-
 def test_bareiss_matches_field_det():
     rng = random.Random(7)
     zero, one = TPoly(QQ), TPoly.const(QQ.one)

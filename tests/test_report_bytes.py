@@ -182,6 +182,52 @@ def test_sum_report_bytes(tmp_path, capsys, argv):
     assert digest(capsys, argv) == SUM_DIGESTS[tuple(a.rsplit("/", 1)[-1] for a in argv)]
 
 
+# the consumers of B_phi on the same files: argv -> (exit code, sha256),
+# recorded while socle solves, the split and the Rees family still ran on the
+# boxed Gram matrix.  frac.alg's 3/2 and 2/3 vanish mod 2 and 3, so the F_2
+# and F_3 cases read f2.alg and f3.alg
+PAIRING_DIGESTS = {
+    ("rees", "frac.alg"):
+        (0, "8a47bf5829393fa906ae08bc9e17045905944c596fbe7034732495abbe2e9d9a"),
+    ("socle", "frac.alg"):
+        (0, "7b566f31dacae3d72c9baf2651b1154dc8791220810fb965020d6489b85b0a1a"),
+    ("degenerate", "frac.alg"):
+        (0, "9244a16d1f5a4e082a01c89e12b4fbbe1b025b11f8c09062c3e6cb3b5bf28134"),
+    ("check", "frac.alg"):
+        (0, "a47a80812d75a4778e666f55f53baf644c82d3054aa012768a8a11dcb7d7d1a2"),
+    ("homotopy", "frac.alg", "--which", "const", "--at", "t=1"):
+        (0, "b7f938ff1ccd3402f55a6b86522244c0cd520fd60be3ef1d60ae6eb6ad04ad7c"),
+    ("rees", "f2.alg"):
+        (0, "b34f015b7eb72678c0af75986eb094cd1a5feb1355e0b739ac7b29e56e1e902f"),
+    ("socle", "f2.alg"):
+        (0, "c89970c24079e6e76b163d009cc9bd661cd3d5a6c5c4fb7361d2724f0414642d"),
+    ("degenerate", "f2.alg"):
+        (0, "44b52df2857a9f59ff23bb308f2d3039cd9b137ca591b44f0febf8935534ef6d"),
+    ("check", "f2.alg"):
+        (0, "58b390e48d6440dc83b751871f140f6898ec5d45a73e7d57230ed0e84a425ace"),
+    ("homotopy", "f2.alg", "--which", "const", "--at", "t=1"):
+        (0, "341978cad8c1a5c48682819359f938af726f46929a741943a35120d7ca9b4d53"),
+    ("rees", "f3.alg"):
+        (0, "3a997370dc4761c699800bc619904e1bbd3c3a3edf3c87ad1d52735ba88e1219"),
+    ("socle", "f3.alg"):
+        (0, "2af772f8aa6c80138f029d265fde6dcf39461635d33cc27f630d00974f198fc2"),
+    ("degenerate", "f3.alg"):
+        (0, "f0d85365fa94e417ac17f300397e8b1df9e98e2a99e066eaa768430b02b52b34"),
+    ("check", "f3.alg"):
+        (0, "866c057823f62c62e3daec44b0ab41cef15b96048fdc8bb48279215a1770ac0e"),
+    ("homotopy", "f3.alg", "--which", "const", "--at", "t=1"):
+        (0, "846fc57c4c543f9d25d969dd89e94f44aa1040b343e0cd2eb377286955d8aee2"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PAIRING_DIGESTS), ids=" ".join)
+def test_pairing_report_bytes(tmp_path, capsys, argv):
+    for name, text in SUM_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in SUM_FILES else a for a in argv]
+    assert digest(capsys, argv) == PAIRING_DIGESTS[tuple(a.rsplit("/", 1)[-1] for a in argv)]
+
+
 # witt on an orient clause whose b_phi is degenerate: .alg text -> (exit code,
 # sha256), recorded while witt took the determinant of B_phi twice
 DEGENERATE_WITT_DIGESTS = {

@@ -34,6 +34,23 @@ def test_field_descriptor_equality():
     assert GF(7).kind == "PrimeField"
 
 
+@pytest.mark.parametrize("field", [QQ, Field(0), GF(2), GF(7), Field(7)], ids=repr)
+def test_zero_and_one_are_made_once(field):
+    # each field holds one zero and one one, of the raw type its Scalars hold
+    assert field.zero is field.zero and field.one is field.one
+    kind = Fraction if field.characteristic == 0 else int
+    assert type(field.zero.value) is kind and type(field.one.value) is kind
+    assert (field.zero.value, field.one.value) == (0, 1)
+    assert field.zero == field.scalar(0) and field.one == field.scalar(1)
+    assert field.zero.field is field and field.one.field is field
+    # still immutable, and equal and hashed by characteristic alone
+    for name in ("zero", "one", "characteristic"):
+        with pytest.raises(AttributeError):
+            setattr(field, name, field.zero)
+    same = Field(field.characteristic)
+    assert same == field and hash(same) == hash(field) and {same: 1}[field] == 1
+
+
 def test_prime_validation():
     with pytest.raises(BadParameter):
         GF(6)
