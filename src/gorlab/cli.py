@@ -27,7 +27,9 @@ and exponents as ints, and boxes one MultiPoly per relation.
 there to the table: one Buchberger run hands its reduced monic divisors to
 the staircase walk and to the normal forms, and the table is written as
 integer planes.  ``compile_presentation`` checks the aug clause once, so
-``CompiledDocument.augmented`` builds its ``Augmented`` unchecked.
+``CompiledDocument.augmented`` builds its ``Augmented`` unchecked.  An
+expression nested past the interpreter's depth is a SyntaxError, and a
+command that runs out of memory or stack ends in a BudgetExceeded report.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from fractions import Fraction
 from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import (
+    BudgetExceeded,
     Degenerate,
     DuplicateClause,
     FieldMismatch,
@@ -323,7 +326,11 @@ def _parse_poly(p: _Parser, field: Field, variables) -> MultiPoly:
             out = _raw_add(out, parse_term(), 1 if op == "+" else -1, char)
         return out
 
-    raw = parse_expr()
+    try:
+        raw = parse_expr()
+    except RecursionError:  # the interpreter's depth is the nesting bound
+        t = p.peek()
+        raise ParseError("expression nested too deeply", t.line, t.col) from None
     return _boxed(field, variables, raw if char else {m: Fraction(c) for m, c in raw.items()})
 
 
@@ -852,8 +859,16 @@ def run_command(argv) -> int:
                 err["expected"] = ex.expected
         _emit(err, getattr(args, "pretty", False))
         return 1
-    _emit({"schema": SCHEMA, **payload}, args.pretty)
-    return 0
+    except MemoryError:
+        exhausted = "out of memory"
+    except RecursionError:
+        exhausted = "recursion too deep"
+    else:
+        _emit({"schema": SCHEMA, **payload}, args.pretty)
+        return 0
+    # reported past the except clauses, which free the failed work's frames
+    _emit({"schema": SCHEMA, "kind": BudgetExceeded.kind, "message": exhausted}, args.pretty)
+    return 1
 
 
 def main() -> None:

@@ -311,7 +311,7 @@ def _split(oa: OrientedAlgebra, e):
     xr, ur = [v.value for v in x], [v.value for v in A.unit]
     XU, L = linalg._integer_rows([xr, ur])
     gx, g1 = linalg.raw_mul(XU, G, p, 0)
-    Vr = linalg.raw_kernel([gx[:], g1[:]], A.dim, p)  # reduces its rows in place
+    Vr = linalg.raw_kernel([gx, g1], A.dim, p)
     VI, L_V = linalg._integer_rows(Vr)
     gramV = linalg.raw_mul(linalg.raw_mul(VI, G, p, 0), linalg.transpose(VI), p, 0)
     labels = tuple(f"v{i + 1}" for i in range(len(Vr)))

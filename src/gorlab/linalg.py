@@ -7,13 +7,13 @@ in [0, p) over F_p, Fractions over QQ), run their one elimination or product
 loop on those, and box the result once.
 Unboxing checks that every entry is a Scalar of one field.  ``raw_rref``,
 ``raw_kernel``, ``raw_det``, ``raw_invert`` and ``raw_complement`` are the
-reduced row echelon form, the kernel read off it, the determinant, the
-inverse and a greedy complement of one row space in another
-(``forms.surgery``'s section), for callers that already hold raw values:
-``frobenius._nonsingular_point`` runs ``raw_det`` on every seeded trial of
-the witness searches for ``gorenstein_test`` and ``one_generic``; the Gram
-routines of ``forms`` and Strassen's test in ``tensors`` run on raw values
-from end to end.
+reduced row echelon form, the kernel (read off one RREF of M with its
+columns reversed), the determinant, the inverse and a greedy complement of
+one row space in another (``forms.surgery``'s section), for callers that
+already hold raw values: ``frobenius._nonsingular_point`` runs ``raw_det``
+on every seeded trial of the witness searches for ``gorenstein_test`` and
+``one_generic``; the Gram routines of ``forms`` and Strassen's test in
+``tensors`` run on raw values from end to end.
 
 ``_integer_rows`` is the one reader of QQ values into integers, over their
 least common denominator: for ``raw_slices``, the raw coordinates handed to
@@ -510,18 +510,24 @@ def rank(rows, ncols=None):
 
 def raw_kernel(rows, ncols: int, p: int):
     """RREF basis of the right null space {x : M x = 0} of a matrix of raw
-    values, as raw row lists; the rows are reduced in place by raw_rref."""
-    pivots = raw_rref(rows, p, ncols)
-    pivset = set(pivots)
+    values, as raw row lists; ``rows`` is left unchanged.
+
+    One raw_rref, of M' = M's first ``ncols`` columns reversed.  A free
+    column f of M' gives e_f - sum_r M'[r][f]·e_(P_r), which in M's order
+    leads at f's mirror and vanishes on every other free column: read by
+    increasing mirror, these vectors already are the kernel's RREF.
+    """
+    last = ncols - 1
+    work = [row[:ncols][::-1] for row in rows]
+    pivots = raw_rref(work, p, ncols)
+    zero, one = (0, 1) if p else (_QQ_ZERO, Fraction(1))
     basis = []
-    for fcol in range(ncols):
-        if fcol not in pivset:
-            v = [0] * ncols
-            v[fcol] = 1
-            for r, pcol in enumerate(pivots):
-                v[pcol] = -rows[r][fcol] % p if p else -rows[r][fcol]
-            basis.append(v)
-    raw_rref(basis, p, ncols)
+    for f in sorted(set(range(ncols)).difference(pivots), reverse=True):
+        v = [zero] * ncols
+        v[last - f] = one
+        for row, c in zip(work, pivots):
+            v[last - c] = -row[f] % p if p else -row[f]
+        basis.append(v)
     return basis
 
 

@@ -582,3 +582,45 @@ def test_witt_with_an_unproven_square_class_is_a_budget_error(capsys, tmp_path):
     assert payload["kind"] == "BudgetExceeded"
     assert "3317044064679887385961981 is not proven prime" in payload["message"]
     assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("rel", ["(" * 250 + "x" + ")" * 250 + "^2", "-" * 500 + "x^2"],
+                         ids=["parentheses", "signs"])
+def test_deep_expression_is_a_syntax_error(capsys, tmp_path, rel):
+    # the parser descends once per '(' and per unary '-'; past the
+    # interpreter's depth the report is a SyntaxError where the descent stopped
+    p = tmp_path / "deep.alg"
+    p.write_text(f"field Q\nvars x\nrel {rel}\n")
+    code, payload, _ = run(capsys, "check", str(p))
+    assert code == 1
+    assert payload["kind"] == "SyntaxError"
+    assert payload["message"] == "expression nested too deeply"
+    assert payload["location"]["line"] == 3 and 5 <= payload["location"]["col"] <= 4 + len(rel)
+
+
+@pytest.mark.parametrize("rel", ["(" * 200 + "x" + ")" * 200 + "^2", "-" * 400 + "x^2"],
+                         ids=["parentheses", "signs"])
+def test_nested_expression_within_the_depth_parses(capsys, tmp_path, rel):
+    deep, flat = tmp_path / "deep.alg", tmp_path / "flat.alg"
+    deep.write_text(f"field Q\nvars x\nrel {rel}\n")
+    flat.write_text("field Q\nvars x\nrel x^2\n")
+    assert run(capsys, "check", str(deep)) == run(capsys, "check", str(flat))
+
+
+@pytest.mark.parametrize("exc, message", [(MemoryError, "out of memory"),
+                                          (RecursionError, "recursion too deep")])
+def test_exhausted_resources_are_budget_reports(capsys, a2_file, monkeypatch, exc, message):
+    def exhausting(args):
+        raise exc()
+
+    def emit(payload, pretty):
+        # the failed work's frames are gone before the report is written
+        assert sys.exc_info() == (None, None, None)
+        real_emit(payload, pretty)
+
+    real_emit = cli._emit
+    monkeypatch.setitem(cli._COMMANDS, "check", (exhausting, *cli._COMMANDS["check"][1:]))
+    monkeypatch.setattr(cli, "_emit", emit)
+    code, payload, _ = run(capsys, "check", a2_file)
+    assert code == 1
+    assert payload == {"schema": "gorlab/1", "kind": "BudgetExceeded", "message": message}

@@ -5,11 +5,14 @@ stdout that validates against ``report.schema.json``; no exception may
 escape.  The .alg texts are grammar token streams (field, vars, rel, orient
 and aug clauses over at most three variables, exponents at most 4), mutated
 by inserting, deleting or replacing tokens, among them non-ASCII characters
-such as '²', '٣' and 'é', and literals of 5000 digits.  The form files hold
-Gram matrices of at most 4 x 4 entries, each entry and each part of the file
-now and then replaced by an arbitrary JSON value.  ``cw`` and
-``points-degenerate`` run with q at most 3.  The bounds keep every call
-small.
+such as '²', '٣' and 'é', and literals of 5000 digits.  A variable's power
+relation now and then nests the variable in up to 1000 parentheses or puts
+it behind up to 2000 unary '-' signs, past the parser's depth (the
+interpreter's, which hypothesis raises to about 2000 frames while a test
+runs).  The form files hold Gram matrices of at most 4 x 4 entries, each
+entry and each part of the file now and then replaced by an arbitrary JSON
+value.  ``cw`` and ``points-degenerate`` run with q at most 3.  The bounds
+keep every call small.
 """
 
 import json
@@ -62,6 +65,14 @@ def monomials(draw, names):
 
 
 @st.composite
+def nested(draw, term):
+    """term, or the same value in n parentheses or behind 2n unary '-' signs,
+    n at times past the parser's depth."""
+    n = draw(st.sampled_from([0, 0, 0, 1, 2, 200, 1000]))
+    return draw(st.sampled_from(["(" * n + term + ")" * n, "-" * 2 * n + term]))
+
+
+@st.composite
 def alg_lines(draw):
     """A presentation that mostly compiles: a pure power of each variable
     (times a unit now and then), monomial or binomial relations without
@@ -73,7 +84,8 @@ def alg_lines(draw):
     top = []
     for v in names:
         e = draw(st.integers(1, 4))
-        lines.append(f"rel {v}^{e}" + draw(st.sampled_from(["", "", f" - {v}^{e + 1}", " - 2*" + v])))
+        tail = draw(st.sampled_from(["", "", f" - {v}^{e + 1}", " - 2*" + v]))
+        lines.append(f"rel {draw(nested(v))}^{e}" + tail)
         top += [f"{v}^{e - 1}"] if e > 1 else []
     for _ in range(draw(st.integers(0, 2))):
         m1, m2 = draw(monomials(names)), draw(monomials(names))

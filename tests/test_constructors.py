@@ -584,7 +584,7 @@ def test_eliminations_per_construction():
     # raw_rref calls, which every elimination makes: the connected-sum core
     # reads its coordinates in closed form; a homotopy solves only for the
     # input's socle generator; decompose_augmented eliminates for the socle
-    # generator and V (raw_kernel takes two), and not for coordinates in V
+    # generator and V (raw_kernel takes one), and not for coordinates in V
     calls, real = [0], linalg.raw_rref
 
     def counting(*args, **kwargs):
@@ -605,7 +605,7 @@ def test_eliminations_per_construction():
                              field.zero)
         assert count(_consum_core, *args) == 0
         assert [count(homotopy_families, t) for t in (t1, t2)] == [1, 1]
-        assert [count(decompose_augmented, t.oa, t.e) for t in (t1, t2)] == [3, 3]
+        assert [count(decompose_augmented, t.oa, t.e) for t in (t1, t2)] == [2, 2]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

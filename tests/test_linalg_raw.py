@@ -17,7 +17,9 @@ raw_complement's stack -- both sides must return the same pivots and pivot
 rows (every entry a Fraction over QQ, a residue mod p), kernels, inverses
 (or the same Singular or DimensionMismatch), complements (or the same
 DimensionMismatch) and determinants (a Fraction over QQ, signed by the row
-swaps).
+swaps).  ``ref_kernel`` takes two eliminations, of M and of the vectors read
+off it; raw_kernel must take one, on M's columns reversed, and leave the rows
+handed to it as they were.
 
 ``raw_slices`` reads boxed matrices over k and k[t] through the one QQ
 reader, ``linalg._integer_rows``; ``ref_raw_slices`` is the read it replaced,
@@ -29,6 +31,7 @@ zero and empty matrices.
 
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -281,9 +284,14 @@ def test_rref_matches_fraction_loop(case, full):
 @given(rref_cases())
 def test_kernel_matches_fraction_loop(case):
     p, rows, ncols, _ = case
-    kernel = linalg.raw_kernel(copy(rows), ncols, p)
+    work = copy(rows)
+    with mock.patch.object(linalg, "raw_rref", wraps=linalg.raw_rref) as rref:
+        kernel = linalg.raw_kernel(work, ncols, p)
     assert kernel == ref_kernel(copy(rows), ncols, p)
     assert raw_values(kernel, p)
+    # one elimination, on a copy: the rows handed in keep their values and types
+    assert rref.call_count == 1
+    assert [[(type(x), x) for x in row] for row in work] == [[(type(x), x) for x in row] for row in rows]
 
 
 @st.composite
